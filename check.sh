@@ -1,8 +1,8 @@
 #!/bin/sh
-# Pre-merge gate: vet, build, race-enabled tests, and short fuzz budgets on
-# the input parsers (trace files, SPICE decks), the checkpoint container
-# decoder, and the scrubber snapshot decoder. Run from the repo root; any
-# failure aborts the merge.
+# Pre-merge gate: vet, build, race-enabled tests, the benchmark module's
+# smoke test, and short fuzz budgets on the input parsers (trace files, SPICE
+# decks), the checkpoint container decoder, and the scrubber snapshot
+# decoder. Run from the repo root; any failure aborts the merge.
 set -eu
 
 echo "== go vet =="
@@ -17,6 +17,12 @@ go build ./...
 # hidden inter-test state dependencies fail here, not in a future refactor.
 echo "== go test -race =="
 go test -race -shuffle=on -timeout 5m ./...
+
+# bench/ is a nested module, so the ./... above skips it. Its smoke test runs
+# every benchmark workload once with all output and verification checks
+# (digests, the auto-vs-scalar verification child, zero failures).
+echo "== go test (bench module) =="
+go -C bench test -timeout 5m ./...
 
 # Bench regression smoke: re-measure the kernel benchmarks quickly and gate
 # them against the committed baselines through vrlbench -compare - the PR5

@@ -635,3 +635,9 @@ func (sc *StreamScratch) macroEnsure(nRows int) {
 	}
 	sc.ensureMemo(nRows)
 }
+
+// EventCap reports how many events the macro kernel's per-window columns
+// (time, delta, op) can hold - their footprint, 17 bytes per slot. The
+// columns grow to the largest window handed to RefreshMacro, so a caller
+// that bounds its windows bounds this.
+func (sc *StreamScratch) EventCap() int { return cap(sc.times) }

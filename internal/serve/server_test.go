@@ -40,7 +40,8 @@ func (h *harness) start(addr string) {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	if addr == "" {
+	first := addr == ""
+	if first {
 		addr = "127.0.0.1:0"
 	}
 	var ln net.Listener
@@ -54,7 +55,11 @@ func (h *harness) start(addr string) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	h.addr = ln.Addr().String()
+	if first {
+		// A restart re-binds h.addr itself, so only the first start writes
+		// it: dialers on other goroutines read h.addr across restarts.
+		h.addr = ln.Addr().String()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

@@ -36,6 +36,54 @@ func ffHorizon(duration, nextCP, scrubDue, traceNext, stableUntil float64) float
 	return h
 }
 
+// ffWindowEvents is the event budget of one fast-forward window. The macro
+// kernel buffers a time, a restore delta and an op per window event before
+// its global merge, so an uncapped window on a quiet device sizes those
+// columns to the whole run; capping every window near this many events keeps
+// them at a few MiB - flat in simulated span and close to L2-sized - while
+// each window still amortizes the kernels' per-window lane scans (2^16 made
+// those scans dominate; 2^20 was no faster and twice the memory).
+const ffWindowEvents = 1 << 18
+
+// ffBudgetHorizon returns the event-budget cap on a fast-forward window
+// starting at t: t plus the span in which the lanes' combined refresh rate
+// (each lane replays its unconsumed rows once per period) produces about
+// ffWindowEvents events, floored at the longest non-empty lane period so
+// every lane still gets a full lap and the engagement gate (ffMinLap) keeps
+// passing. The cap is exact by construction: the kernels consume every
+// event below any horizon in global (time, row) order, so cutting a span
+// into budget-sized windows replays the same event sequence. Returns +Inf
+// when no lane holds events, a non-empty lane's period is degenerate (the
+// gate refuses such windows anyway), or t is not a finite time.
+func ffBudgetHorizon(lanes []batchLane, t float64) float64 {
+	rate, longest := 0.0, 0.0
+	for i := range lanes {
+		l := &lanes[i]
+		n := len(l.Events) - l.Head
+		if n == 0 {
+			continue
+		}
+		if !(l.Delta > 0) {
+			return math.Inf(1)
+		}
+		rate += float64(n) / l.Delta
+		if l.Delta > longest {
+			longest = l.Delta
+		}
+	}
+	if longest == 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return math.Inf(1)
+	}
+	span := max(ffWindowEvents/rate, longest)
+	h := t + span
+	if !(h > t) {
+		// span is below half of t's rounding step; one ulp keeps the cap
+		// strictly above t (and still at least one lap past it).
+		h = math.Nextafter(t, math.Inf(1))
+	}
+	return h
+}
+
 // ffSkip returns the number of whole refresh cycles of the given period that
 // fit strictly below horizon starting from t: the largest k >= 0 with
 // t + k*period < horizon, computed against the same float arithmetic the

@@ -3,12 +3,14 @@ package sim
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"vrldram/internal/core"
 	"vrldram/internal/dram"
 	"vrldram/internal/retention"
 	"vrldram/internal/scenario"
@@ -213,11 +215,122 @@ func TestFastForwardMidSkipResume(t *testing.T) {
 	}
 }
 
+// TestFastForwardBoundedWindows pins the event-budget cap on a quiet
+// paper-bank VRL run spanning several budgets: the span must be cut into at
+// least three fast-forward windows, the macro kernel's event columns must
+// stay sized to one budget rather than to the run, and cutting the span -
+// at budget boundaries, at checkpoints, or across a kill and resume - must
+// leave Stats and checkpoint blobs bit-identical to the scalar reference.
+func TestFastForwardBoundedWindows(t *testing.T) {
+	f := setup(t)
+	rows := f.profile.Geom.Rows
+	vrl := func() core.Scheduler {
+		s, err := core.NewVRL(f.profile, core.Config{Restore: f.rm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	base := Options{Duration: 32 * 0.768, TCK: f.params.TCK}
+	run := func(opts Options, backend Backend) (Stats, *Reusable, error) {
+		opts.Backend = backend
+		r := NewReusable(rows)
+		st, err := r.Run(f.bank(t, retention.PatternAllZeros), vrl(), nil, opts)
+		return st, r, err
+	}
+
+	// Uninterrupted: the budget alone cuts the span.
+	whole, r, err := run(base, BackendFastForward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar, _, err := run(base, BackendScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scalar, whole) {
+		t.Fatalf("stats diverged:\nscalar:       %+v\nfast-forward: %+v", scalar, whole)
+	}
+	if events := scalar.Refreshes(); events < 3*ffWindowEvents {
+		t.Fatalf("run holds %d events, fewer than three %d-event budgets", events, ffWindowEvents)
+	}
+	if r.scratch.ffWindows < 3 {
+		t.Fatalf("fast-forward ran %d windows over three budgets' worth of events", r.scratch.ffWindows)
+	}
+	// One window's columns hold its ~ffWindowEvents events plus per-row lap
+	// rounding (each row's column rounds up to a whole lap and a tile of 8)
+	// and the kernel's 1/4 growth headroom; a window covering the whole run
+	// would need several times this.
+	if c, bound := r.scratch.ffScratch.EventCap(), 2*ffWindowEvents+4*rows; c > bound {
+		t.Fatalf("macro time column grew to %d slots, budget bound is %d", c, bound)
+	}
+
+	// Checkpointed: boundaries every half run, so checkpoints and budget
+	// boundaries interleave, and the blobs must match the scalar stream.
+	capture := func(blobs *[][]byte, kill error) func(*Checkpoint) error {
+		return func(cp *Checkpoint) error {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
+				return err
+			}
+			*blobs = append(*blobs, buf.Bytes())
+			return kill
+		}
+	}
+	cpOpts := base
+	cpOpts.CheckpointEvery = base.Duration / 2
+	var scalarBlobs, ffBlobs [][]byte
+	cpOpts.CheckpointSink = capture(&scalarBlobs, nil)
+	scalarCP, _, err := run(cpOpts, BackendScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpOpts.CheckpointSink = capture(&ffBlobs, nil)
+	ffCP, _, err := run(cpOpts, BackendFastForward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scalarCP, ffCP) || !reflect.DeepEqual(whole, ffCP) {
+		t.Fatalf("checkpointed stats diverged:\nscalar:       %+v\nfast-forward: %+v\nuncut:        %+v", scalarCP, ffCP, whole)
+	}
+	if len(scalarBlobs) == 0 || len(scalarBlobs) != len(ffBlobs) {
+		t.Fatalf("checkpoint counts diverged: %d vs %d", len(scalarBlobs), len(ffBlobs))
+	}
+	for i := range scalarBlobs {
+		if !bytes.Equal(scalarBlobs[i], ffBlobs[i]) {
+			t.Fatalf("checkpoint %d blob diverged between backends", i)
+		}
+	}
+
+	// Kill and resume: the sink aborts the run at its first checkpoint,
+	// which lies past the first budget boundary, and the resumed remainder
+	// crosses another; the result must equal the uninterrupted run.
+	errKill := errors.New("killed")
+	var killBlobs [][]byte
+	cpOpts.CheckpointSink = capture(&killBlobs, errKill)
+	if _, _, err := run(cpOpts, BackendFastForward); !errors.Is(err, errKill) {
+		t.Fatalf("killed run returned %v, want the sink's kill error", err)
+	}
+	var cp Checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(killBlobs[0])).Decode(&cp); err != nil {
+		t.Fatal(err)
+	}
+	resume := base
+	resume.Resume = &cp
+	resumed, _, err := run(resume, BackendFastForward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(whole, resumed) {
+		t.Fatalf("kill/resume diverged from the uninterrupted run:\nuncut:   %+v\nresumed: %+v", whole, resumed)
+	}
+}
+
 // TestFFPlanProperties spot-checks the planner arithmetic the fuzz target
 // hammers, on a deterministic grid (the fuzz corpus seeds mirror these).
 func TestFFPlanProperties(t *testing.T) {
-	f := func(t0, period, horizon float64) bool {
-		return checkFFPlan(t0, period, horizon)
+	f := func(t0, period, horizon float64, n1, n2 uint8) bool {
+		return checkFFPlan(t0, period, horizon) && checkFFBudget(t0, period, horizon, n1, n2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -257,25 +370,72 @@ func checkFFPlan(t0, period, horizon float64) bool {
 	return true
 }
 
+// checkFFBudget verifies the event-budget cap over a generated lane set: a
+// lane of period p holding n1 unconsumed events, a lane of period slow
+// holding n2 behind a consumed prefix, and an empty lane whose NaN period
+// must be ignored. The cap is never NaN, is +Inf when no lane holds events,
+// and otherwise lies strictly above a finite start and at least one
+// shortest lap past it, so the engagement gate still passes; from t=0 a
+// cap above the longest period (the floor) plans at most the budget.
+func checkFFBudget(t0, p, slow float64, n1, n2 uint8) bool {
+	lanes := []batchLane{
+		{Delta: p, Events: make([]event, n1)},
+		{Delta: slow, Events: make([]event, 2*int(n2)), Head: int(n2)},
+		{Delta: math.NaN(), Events: make([]event, 3), Head: 3},
+	}
+	h := ffBudgetHorizon(lanes, t0)
+	if math.IsNaN(h) {
+		return false
+	}
+	if n1 == 0 && n2 == 0 {
+		return math.IsInf(h, 1)
+	}
+	if math.IsNaN(t0) || math.IsInf(t0, 0) {
+		return true
+	}
+	if !(h > t0) || !(h >= t0+ffMinLap(lanes)) {
+		return false
+	}
+	h0 := ffBudgetHorizon(lanes, 0)
+	rate, longest := 0.0, 0.0
+	for _, l := range lanes[:2] {
+		if n := len(l.Events) - l.Head; n > 0 {
+			rate += float64(n) / l.Delta
+			longest = max(longest, l.Delta)
+		}
+	}
+	if h0 > longest && !math.IsInf(h0, 1) && rate*h0 > ffWindowEvents*(1+1e-12) {
+		return false
+	}
+	return true
+}
+
 // FuzzFastForwardPlan fuzzes the fast-forward planner: for arbitrary
 // (start, period, horizon) triples - including NaNs, infinities, negatives,
 // and denormals - the skip count must be non-negative, never plan an event
 // at or past the horizon, and be maximal; the horizon composition must be
-// the minimum of its caps.
+// the minimum of its caps. The same inputs, as lane periods with the two
+// counts, drive the event-budget cap properties (checkFFBudget).
 func FuzzFastForwardPlan(f *testing.F) {
-	f.Add(0.0, 64e-3, 0.768)
-	f.Add(0.7679, 64e-3, 0.768)
-	f.Add(0.0, 0.0, 1.0)
-	f.Add(1.0, math.SmallestNonzeroFloat64, 1.0000000001)
-	f.Add(-1e300, 1e-300, 1e300)
-	f.Add(math.NaN(), 64e-3, 0.768)
-	f.Add(0.0, math.NaN(), 0.768)
-	f.Add(0.0, 64e-3, math.NaN())
-	f.Add(0.0, math.Inf(1), math.Inf(1))
-	f.Fuzz(func(t *testing.T, t0, period, horizon float64) {
+	f.Add(0.0, 64e-3, 0.768, uint8(200), uint8(50))
+	f.Add(0.7679, 64e-3, 0.768, uint8(1), uint8(0))
+	f.Add(0.0, 0.0, 1.0, uint8(3), uint8(3))
+	f.Add(1.0, math.SmallestNonzeroFloat64, 1.0000000001, uint8(255), uint8(255))
+	f.Add(-1e300, 1e-300, 1e300, uint8(0), uint8(7))
+	f.Add(math.NaN(), 64e-3, 0.768, uint8(9), uint8(9))
+	f.Add(0.0, math.NaN(), 0.768, uint8(9), uint8(0))
+	f.Add(0.0, 64e-3, math.NaN(), uint8(0), uint8(9))
+	f.Add(0.0, math.Inf(1), math.Inf(1), uint8(1), uint8(1))
+	f.Add(1e20, 1e-10, 1e-12, uint8(4), uint8(4))
+	f.Add(3.0, 64e-3, 256e-3, uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, t0, period, horizon float64, n1, n2 uint8) {
 		if !checkFFPlan(t0, period, horizon) {
 			t.Fatalf("plan invariant violated for t=%g period=%g horizon=%g (skip=%d)",
 				t0, period, horizon, ffSkip(t0, period, horizon))
+		}
+		if !checkFFBudget(t0, period, horizon, n1, n2) {
+			t.Fatalf("budget cap invariant violated for t=%g periods=(%g, %g) counts=(%d, %d)",
+				t0, period, horizon, n1, n2)
 		}
 	})
 }

@@ -918,13 +918,10 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				traceNext = next.Time
 			}
 			hf := ffHorizon(opts.Duration, cpCap, scrubDue, traceNext, ffSteady.StablePeriodUntil(-1, tFirst))
-			if ffMod != nil {
-				// The scenario must be exactly nominal over every decay
-				// interval the window can evaluate, which reach back to the
-				// oldest last-restore time, not just to tFirst.
-				if u := ffMod.NominalUntil(bank.MinLastRestore()); u < hf {
-					hf = u
-				}
+			// The event budget bounds the kernels' per-window buffers; like
+			// every other cap it only splits the span, never reorders it.
+			if budget := ffBudgetHorizon(bq.lanes, tFirst); budget < hf {
+				hf = budget
 			}
 			// Engagement gate, purely a cost heuristic (any choice keeps the
 			// output bit-identical): the kernels pay a full scan of every
@@ -932,7 +929,18 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			// the densest lane - the norm on trace-dense runs, where the next
 			// record caps the horizon microseconds away - must go straight to
 			// the batch path instead of thrashing that scan per record.
-			if hf-tFirst >= ffMinLap(bq.lanes) && (bq.mixedQuietBelow(hf) || bq.adoptMixed(ffCfg.Period, ffCfg.Periods)) {
+			minLap := ffMinLap(bq.lanes)
+			if ffMod != nil && hf-tFirst >= minLap {
+				// The scenario must be exactly nominal over every decay
+				// interval the window can evaluate, which reach back to the
+				// oldest last-restore time, not just to tFirst. Its cap can
+				// only lower hf, so a window the gate already refuses skips
+				// the row scan behind MinLastRestore.
+				if u := ffMod.NominalUntil(bank.MinLastRestore()); u < hf {
+					hf = u
+				}
+			}
+			if hf-tFirst >= minLap && (bq.mixedQuietBelow(hf) || bq.adoptMixed(ffCfg.Period, ffCfg.Periods)) {
 				ffGrowLanes(bq.lanes, hf)
 				// Kernel tiering: the macro kernel refuses (cleanly, before
 				// mutating anything) any lane shape outside its verified
