@@ -76,6 +76,7 @@ internal/scrub:FuzzScrubStateDecode
 internal/serve:FuzzFrameDecode
 internal/fleet:FuzzManifestDecode
 internal/scenario:FuzzScenarioDecode
+internal/scenario:FuzzEnvDecayFactor
 internal/dram:FuzzRefreshBatch
 internal/sim:FuzzFastForwardPlan
 "

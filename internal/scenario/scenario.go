@@ -26,6 +26,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"vrldram/internal/core"
 	"vrldram/internal/retention"
@@ -52,10 +53,9 @@ type Stressor interface {
 // RowInvariant is an optional Stressor capability: RowInvariant reports
 // whether this stressor instance ignores its row and tret arguments
 // entirely (a device-wide modulation such as a thermal cycle or an aging
-// ramp). Env.DecayFactors builds one change-point timeline per invariant
-// stressor for a whole batch of rows instead of re-walking the schedule
-// row by row, which is where batched scenario integration gets its
-// amortization from.
+// ramp). An Env compiles one change-point timeline over its run window per
+// invariant stressor, once, and every later decay call reads it instead of
+// re-walking that stressor's schedule.
 type RowInvariant interface {
 	Stressor
 	RowInvariant() bool
@@ -65,10 +65,16 @@ type RowInvariant interface {
 // composition the bank decays under. It satisfies dram's Modulator hook and
 // core.Snapshotter.
 type Env struct {
-	Ref       Ref     // catalog identity (name + version)
-	Seed      int64   // scenario master seed (streams derive from it)
-	Duration  float64 // the run window the schedule was built for (s)
+	Ref      Ref     // catalog identity (name + version)
+	Seed     int64   // scenario master seed (streams derive from it)
+	Duration float64 // the run window the schedule was built for (s)
+	// Stressors is the composition, multiplied in this order. It must not
+	// change after the first DecayFactor or DecayFactors call, which
+	// compiles the row-invariant part of the schedule.
 	Stressors []Stressor
+
+	compileOnce sync.Once
+	compiled    [][]envSegment // see compiledSchedule
 }
 
 // ScaleAt returns the product of all stressors' retention multipliers for
@@ -89,7 +95,21 @@ func (e *Env) ScaleAt(row int, tret, t float64) float64 {
 // segments add); for other laws it is exact at segment boundaries, matching
 // retention.VRT's contract. With no stressors it reduces to
 // base.Factor(t1-t0, tret) exactly.
+//
+// The row-invariant stressors are read from the schedule compiled on the
+// first call (see compiledSchedule) wherever a compiled segment is trusted;
+// at any other time, the run window's outside included, and for the
+// stressors that depend on the row, the schedule is walked directly. Either
+// way the result equals decayFactorRef bit for bit.
 func (e *Env) DecayFactor(row int, tret, t0, t1 float64, base retention.DecayModel) float64 {
+	return e.decayFactorWith(e.compiledSchedule(), row, tret, t0, t1, base)
+}
+
+// decayFactorRef is the reference integration: a direct walk of every
+// stressor's schedule with no compiled timelines. It is not on any
+// production path; the scenario tests and fuzz target check that
+// DecayFactor agrees with it bit for bit.
+func (e *Env) decayFactorRef(row int, tret, t0, t1 float64, base retention.DecayModel) float64 {
 	if t1 <= t0 {
 		return 1
 	}
@@ -155,81 +175,101 @@ func (e *Env) NominalUntil(from float64) float64 {
 	return until
 }
 
-// envSegment is one cached constant-scale segment of a row-invariant
-// stressor's schedule: scale holds from the previous segment's end (or the
-// timeline origin) up to end.
+// envSegment is one compiled segment of a row-invariant stressor's
+// schedule: ScaleAt(start) and NextChange(start), evaluated once.
+//
+// A stressor is piecewise constant only up to rounding: its ScaleAt and
+// NextChange compute the change-point separately, so within a few ulps of a
+// segment's ends they can disagree with the values taken at start (the
+// catalog's thermal cycle already reads the next tread one ulp before the
+// boundary its NextChange reports). The values agree at start by
+// construction, so the rounding that matters is just below end: the compiled
+// values are used only on [start, until], which stops edgeGuard of the run
+// window short of end and never passes Duration; anywhere else the stressor
+// is evaluated directly, as the reference does.
 type envSegment struct {
-	end   float64
-	scale float64
+	start, end float64
+	scale      float64
+	until      float64 // until == start: trusted at start only
 }
 
 // maxCachedSegments bounds timeline construction; a stressor whose schedule
-// is finer than this over one batch's span is evaluated directly instead.
+// is finer than this over the run window is evaluated directly instead.
 const maxCachedSegments = 4096
 
-// DecayFactors implements dram.BatchModulator: out[i] is
-// DecayFactor(rows[i], tret[i], t0[i], t1[i], base), bit for bit. The
-// amortization is in the change-point partitioning: every stressor that
-// declares RowInvariant gets its schedule walked once over the batch's
-// whole time span, and each row then reads its segments out of that shared
-// timeline instead of re-deriving them. Per-row stressors (VRT telegraphs,
-// pattern adversaries) are still evaluated per row - their change-points
-// are genuinely per-row state.
-func (e *Env) DecayFactors(rows []int, tret, t0, t1 []float64, base retention.DecayModel, out []float64) {
-	n := len(rows)
-	if n == 0 {
-		return
-	}
-	var cached [][]envSegment // indexed like e.Stressors; nil = evaluate directly
-	if len(e.Stressors) > 0 && n > 1 {
-		lo, hi := t0[0], t1[0]
-		for i := 1; i < n; i++ {
-			if t0[i] < lo {
-				lo = t0[i]
-			}
-			if t1[i] > hi {
-				hi = t1[i]
-			}
-		}
+// edgeGuard is the margin, as a fraction of the run window, that a compiled
+// segment's trusted span keeps from its ends: orders of magnitude wider than
+// the rounding disagreement it guards against, and narrow enough that a
+// query almost never lands in it.
+const edgeGuard = 1e-9
+
+// compiledSchedule returns the Env's row-invariant schedule, building it on
+// the first call: one timeline over [0, Duration] for every stressor that
+// declares RowInvariant, indexed like e.Stressors (nil = evaluate that
+// stressor directly). The timelines are kept per stressor rather than
+// multiplied together, so decayFactorWith can keep the roster's
+// multiplication order and with it the reference's bits. The build is lazy
+// because callers may append stressors between BuildEnv and the run.
+func (e *Env) compiledSchedule() [][]envSegment {
+	e.compileOnce.Do(func() {
+		e.compiled = make([][]envSegment, len(e.Stressors))
 		for si, s := range e.Stressors {
 			if inv, ok := s.(RowInvariant); ok && inv.RowInvariant() {
-				if segs := buildTimeline(s, lo, hi); segs != nil {
-					if cached == nil {
-						cached = make([][]envSegment, len(e.Stressors))
-					}
-					cached[si] = segs
-				}
+				e.compiled[si] = buildTimeline(s, e.Duration)
 			}
 		}
-	}
-	if cached == nil {
-		for i := range rows {
-			out[i] = e.DecayFactor(rows[i], tret[i], t0[i], t1[i], base)
-		}
-		return
-	}
+	})
+	return e.compiled
+}
+
+// DecayFactors implements dram.BatchModulator: out[i] is
+// DecayFactor(rows[i], tret[i], t0[i], t1[i], base), bit for bit. Every
+// row reads the one schedule compiled per Env, so a batch costs no more set-up
+// than a scalar call.
+func (e *Env) DecayFactors(rows []int, tret, t0, t1 []float64, base retention.DecayModel, out []float64) {
 	for i := range rows {
-		out[i] = e.decayFactorWith(cached, rows[i], tret[i], t0[i], t1[i], base)
+		out[i] = e.DecayFactor(rows[i], tret[i], t0[i], t1[i], base)
 	}
 }
 
-// buildTimeline walks one row-invariant stressor's schedule across [lo, hi].
-// It returns nil when the walk stalls or the schedule is too fine to be
-// worth caching; the caller then evaluates the stressor directly, which is
-// always correct.
-func buildTimeline(s Stressor, lo, hi float64) []envSegment {
+// buildTimeline walks one row-invariant stressor's schedule across
+// [0, duration]. It returns nil when the walk stalls or the schedule is too
+// fine to be worth caching; the caller then evaluates the stressor directly,
+// which is always correct. Each segment's trusted span ends at until, where
+// it is checked against the stressor itself; a segment that fails, or is
+// shorter than the guard, is trusted at its start only. The catalog
+// stressors locate their change-points with floors of functions that
+// increase with t, so agreement at start (by construction) and at until
+// means agreement across the span.
+func buildTimeline(s Stressor, duration float64) []envSegment {
+	guard := edgeGuard * duration
 	segs := make([]envSegment, 0, 8)
-	t := lo
-	for t <= hi {
+	t := 0.0
+	for t <= duration {
 		scale := s.ScaleAt(0, 1, t)
 		next := s.NextChange(0, 1, t)
 		if next <= t || len(segs) == maxCachedSegments {
 			return nil
 		}
-		segs = append(segs, envSegment{end: next, scale: scale})
+		seg := envSegment{start: t, end: next, scale: scale, until: math.Min(next-guard, duration)}
+		if seg.until < seg.start || !seg.agrees(s, seg.until) {
+			seg.until = seg.start
+		}
+		segs = append(segs, seg)
 		t = next
 	}
 	return segs
+}
+
+// agrees reports whether the stressor, evaluated directly at t, gives the
+// segment's compiled values.
+func (g *envSegment) agrees(s Stressor, t float64) bool {
+	return s.ScaleAt(0, 1, t) == g.scale && s.NextChange(0, 1, t) == g.end
+}
+
+// trusted reports whether the compiled values hold at t.
+func (g *envSegment) trusted(t float64) bool {
+	return g.start <= t && t <= g.until
 }
 
 // segIndex locates the segment containing t: the first whose end exceeds t.
@@ -246,12 +286,13 @@ func segIndex(segs []envSegment, t float64) int {
 	return lo
 }
 
-// decayFactorWith is DecayFactor with row-invariant stressors read from
-// prebuilt timelines. The roster order, multiplication order, segment walk,
-// and guard structure mirror DecayFactor exactly; a cached stressor's
-// segment value equals what its ScaleAt would return anywhere inside the
-// segment (the piecewise-constant Stressor contract plus row-invariance),
-// so the two paths agree bit for bit - the property the batch tests pin.
+// decayFactorWith is decayFactorRef with row-invariant stressors read from
+// compiled timelines. The roster order, multiplication order, segment walk,
+// and guard structure mirror decayFactorRef exactly; where a compiled
+// segment is trusted its values are what the stressor's ScaleAt and
+// NextChange return there (row-invariance plus the checks in
+// buildTimeline), and elsewhere the stressor is evaluated directly, so the
+// two paths agree bit for bit.
 func (e *Env) decayFactorWith(cached [][]envSegment, row int, tret, t0, t1 float64, base retention.DecayModel) float64 {
 	if t1 <= t0 {
 		return 1
@@ -263,12 +304,13 @@ func (e *Env) decayFactorWith(cached [][]envSegment, row int, tret, t0, t1 float
 		next := t1
 		for si, s := range e.Stressors {
 			if segs := cached[si]; segs != nil {
-				j := segIndex(segs, t)
-				scale *= segs[j].scale
-				if n := segs[j].end; n < next {
-					next = n
+				if seg := &segs[segIndex(segs, t)]; seg.trusted(t) {
+					scale *= seg.scale
+					if seg.end < next {
+						next = seg.end
+					}
+					continue
 				}
-				continue
 			}
 			scale *= s.ScaleAt(row, tret, t)
 			if n := s.NextChange(row, tret, t); n < next {
@@ -296,9 +338,46 @@ func (e *Env) Validate() error {
 		return fmt.Errorf("scenario: env duration must be positive, got %g", e.Duration)
 	}
 	for _, s := range e.Stressors {
-		if s == nil {
-			return fmt.Errorf("scenario: %s carries a nil stressor", e.Ref)
+		if err := validateStressor(s); err != nil {
+			return fmt.Errorf("scenario: %s: %w", e.Ref, err)
 		}
+	}
+	return nil
+}
+
+// validateStressor rejects the configurations that would make a stressor
+// divide by zero or never advance: every period, window and step count must
+// be positive, and a gate needs an inner stressor.
+func validateStressor(s Stressor) error {
+	positive := func(what string, v float64) error {
+		if !(v > 0) {
+			return fmt.Errorf("stressor %q: %s must be positive, got %g", s.Name(), what, v)
+		}
+		return nil
+	}
+	switch s := s.(type) {
+	case nil:
+		return fmt.Errorf("nil stressor")
+	case TempCycle:
+		if err := positive("period", s.Period); err != nil {
+			return err
+		}
+		return positive("steps", float64(s.Steps))
+	case AgingRamp:
+		if err := positive("window", s.Window); err != nil {
+			return err
+		}
+		return positive("steps", float64(s.Steps))
+	case PatternAdversary:
+		return positive("frame period", s.FramePeriod)
+	case Gate:
+		if err := positive("period", s.Period); err != nil {
+			return err
+		}
+		if s.Inner == nil {
+			return fmt.Errorf("stressor %q: gate has no inner stressor", s.Name())
+		}
+		return validateStressor(s.Inner)
 	}
 	return nil
 }

@@ -2,12 +2,15 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"vrldram/internal/fault"
 	"vrldram/internal/retention"
 )
 
@@ -337,7 +340,7 @@ func TestFprintCatalogListsEveryScenario(t *testing.T) {
 // TestDecayFactorsMatchesScalar pins the dram.BatchModulator contract on
 // every catalog scenario: DecayFactors over a mixed batch - repeated rows,
 // varied retention times, degenerate (t1 <= t0) spans, intervals crossing
-// segment change-points - must reproduce the scalar DecayFactor loop bit for
+// segment change-points - must reproduce the reference segment walk bit for
 // bit. This is what lets the batched simulator backend route scenario runs
 // through the columnar kernel without perturbing a single violation.
 func TestDecayFactorsMatchesScalar(t *testing.T) {
@@ -367,12 +370,285 @@ func TestDecayFactorsMatchesScalar(t *testing.T) {
 			}
 			env.DecayFactors(rows, tret, t0, t1, base, out)
 			for i := 0; i < n; i++ {
-				want := env.DecayFactor(rows[i], tret[i], t0[i], t1[i], base)
+				want := env.decayFactorRef(rows[i], tret[i], t0[i], t1[i], base)
 				if out[i] != want {
-					t.Fatalf("op %d (row %d tret %g [%g,%g]): batch %.17g, scalar %.17g",
+					t.Fatalf("op %d (row %d tret %g [%g,%g]): batch %.17g, reference %.17g",
 						i, rows[i], tret[i], t0[i], t1[i], out[i], want)
 				}
 			}
 		})
 	}
+}
+
+// exactnessEnvs is every catalog scenario plus kitchen-sink with a
+// weak-cell telegraph appended after BuildEnv, the way fleet devices
+// compose weak cells into their scenario.
+func exactnessEnvs(t testing.TB) map[string]*Env {
+	envs := make(map[string]*Env)
+	for _, name := range Names() {
+		env, err := BuildEnv(Ref{Name: name}, testWindow, testSeed)
+		if err != nil {
+			t.Fatalf("BuildEnv(%q): %v", name, err)
+		}
+		envs[name] = env
+	}
+	env, err := BuildEnv(Ref{Name: "kitchen-sink"}, testWindow, testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Stressors = append(env.Stressors, VRTStressor{Label: "weak-cells", V: *fault.DefaultTransientWeakCells(testSeed + 1)})
+	envs["kitchen-sink+weak-cells"] = env
+	return envs
+}
+
+// decayCase is one DecayFactor query.
+type decayCase struct {
+	row          int
+	tret, t0, t1 float64
+}
+
+// exactnessCases builds the probe set for one Env: random spans, spans
+// starting or ending exactly on a compiled segment end and one ulp either
+// side, the whole window, and spans past the window's end.
+func exactnessCases(env *Env, rng *rand.Rand) []decayCase {
+	d := env.Duration
+	var cs []decayCase
+	add := func(t0, t1 float64) {
+		cs = append(cs, decayCase{row: rng.Intn(96), tret: 0.02 + rng.Float64()*0.5, t0: t0, t1: t1})
+	}
+	for i := 0; i < 300; i++ {
+		t0 := d * rng.Float64()
+		add(t0, t0+(d-t0)*rng.Float64())
+	}
+	for _, segs := range env.compiledSchedule() {
+		for _, seg := range segs {
+			if seg.end > d {
+				continue
+			}
+			for _, x := range []float64{math.Nextafter(seg.end, 0), seg.end, math.Nextafter(seg.end, d)} {
+				add(x, d)
+				add(x, x+(d-x)*rng.Float64())
+				add(0, x)
+				add(x*rng.Float64(), x)
+			}
+		}
+	}
+	add(0, d)
+	add(0, math.Nextafter(d, math.Inf(1)))
+	add(d*rng.Float64(), 1.5*d)
+	add(-0.1*d, d/2)
+	return cs
+}
+
+// checkAgainstReference requires DecayFactor and DecayFactors to equal
+// decayFactorRef bit for bit on every case, and reports the first mismatch.
+func checkAgainstReference(env *Env, cs []decayCase) error {
+	base := retention.ExpDecay{}
+	rows := make([]int, len(cs))
+	tret := make([]float64, len(cs))
+	t0 := make([]float64, len(cs))
+	t1 := make([]float64, len(cs))
+	out := make([]float64, len(cs))
+	for i, c := range cs {
+		rows[i], tret[i], t0[i], t1[i] = c.row, c.tret, c.t0, c.t1
+	}
+	env.DecayFactors(rows, tret, t0, t1, base, out)
+	for i, c := range cs {
+		want := env.decayFactorRef(c.row, c.tret, c.t0, c.t1, base)
+		if got := env.DecayFactor(c.row, c.tret, c.t0, c.t1, base); got != want {
+			return fmt.Errorf("case %d (row %d tret %g [%.17g,%.17g]): DecayFactor %.17g, reference %.17g",
+				i, c.row, c.tret, c.t0, c.t1, got, want)
+		}
+		if out[i] != want {
+			return fmt.Errorf("case %d (row %d tret %g [%.17g,%.17g]): DecayFactors %.17g, reference %.17g",
+				i, c.row, c.tret, c.t0, c.t1, out[i], want)
+		}
+	}
+	return nil
+}
+
+// TestCompiledScheduleMatchesReference pins the compiled schedule to the
+// reference walk: every catalog scenario, and one with a stressor appended
+// after BuildEnv, through both the scalar and the batch entry points.
+func TestCompiledScheduleMatchesReference(t *testing.T) {
+	for name, env := range exactnessEnvs(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := checkAgainstReference(env, exactnessCases(env, rand.New(rand.NewSource(23)))); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCompiledScheduleConcurrentFirstCall has two goroutines race to the
+// first decay call on one Env; under -race this checks the lazy build is
+// properly synchronised, and both must still see the reference's bits.
+func TestCompiledScheduleConcurrentFirstCall(t *testing.T) {
+	probe := exactnessEnvs(t)["kitchen-sink+weak-cells"]
+	cs := exactnessCases(probe, rand.New(rand.NewSource(29)))
+	env := exactnessEnvs(t)["kitchen-sink+weak-cells"]
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = checkAgainstReference(env, cs)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// FuzzEnvDecayFactor requires the compiled path to equal the reference walk
+// for any scenario, seed, row, retention and span the fuzzer picks; odd
+// multiples of the catalog size in idx append a weak-cell telegraph. A
+// non-zero edge moves t0 onto a compiled segment end, up to three ulps
+// either side, where the compiled and direct schedules can disagree.
+func FuzzEnvDecayFactor(f *testing.F) {
+	f.Add(uint8(5), int64(42), uint16(3), 0.1, 0.0, testWindow, uint16(0))
+	f.Add(uint8(1), int64(7), uint16(90), 0.3, 0.2, 0.5, uint16(0))
+	f.Add(uint8(4), int64(-1), uint16(0), 0.02, 0.7, 1.2, uint16(0))
+	f.Add(uint8(6), int64(9), uint16(17), 0.05, 0.064, 0.128, uint16(0))
+	f.Add(uint8(11), int64(3), uint16(40), 0.2, 0.0, 0.6, uint16(0x53))
+	names := Names()
+	base := retention.ExpDecay{}
+	f.Fuzz(func(t *testing.T, idx uint8, seed int64, row uint16, tret, t0, t1 float64, edge uint16) {
+		if !(tret > 0) || math.IsInf(tret, 0) || math.IsNaN(t0) || math.IsNaN(t1) ||
+			math.Abs(t0) > 4*testWindow || math.Abs(t1) > 4*testWindow {
+			return
+		}
+		env, err := BuildEnv(Ref{Name: names[int(idx)%len(names)]}, testWindow, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(idx)/len(names)%2 == 1 {
+			env.Stressors = append(env.Stressors, VRTStressor{Label: "weak-cells", V: *fault.DefaultTransientWeakCells(seed)})
+		}
+		if edge != 0 {
+			var ends []float64
+			for _, segs := range env.compiledSchedule() {
+				for _, seg := range segs {
+					ends = append(ends, seg.end)
+				}
+			}
+			if len(ends) > 0 {
+				t0 = ends[int(edge>>3)%len(ends)]
+				ulps, dir := int(edge&7)-3, math.Inf(1)
+				if ulps < 0 {
+					ulps, dir = -ulps, math.Inf(-1)
+				}
+				for ; ulps > 0; ulps-- {
+					t0 = math.Nextafter(t0, dir)
+				}
+			}
+		}
+		want := env.decayFactorRef(int(row), tret, t0, t1, base)
+		if got := env.DecayFactor(int(row), tret, t0, t1, base); got != want {
+			t.Fatalf("DecayFactor %.17g, reference %.17g", got, want)
+		}
+		out := make([]float64, 1)
+		env.DecayFactors([]int{int(row)}, []float64{tret}, []float64{t0}, []float64{t1}, base, out)
+		if out[0] != want {
+			t.Fatalf("DecayFactors %.17g, reference %.17g", out[0], want)
+		}
+	})
+}
+
+// TestValidateRejectsDegenerateStressors: every configuration here would
+// divide by zero or stall inside the decay walk, so Validate must refuse it
+// and name the offending stressor.
+func TestValidateRejectsDegenerateStressors(t *testing.T) {
+	temp := NewTempCycle(testSeed, "bad-cycle", retention.DefaultTempModel(), 85, 8, 0.1, 12)
+	aging := AgingRamp{Label: "bad-ramp", Model: retention.DefaultAgingModel(), Years: 8, Window: 0.5, Steps: 16}
+	adv := NewPatternAdversary(testSeed, "bad-adversary", 0.05, 0.25, retention.PatternAlternating)
+	gate := NewGate(testSeed, "bad-gate", 0.1, 0.5, temp)
+	cases := []struct {
+		name string
+		s    Stressor
+		want string
+	}{
+		{"cycle zero steps", func() Stressor { c := temp; c.Steps = 0; return c }(), "bad-cycle"},
+		{"cycle negative steps", func() Stressor { c := temp; c.Steps = -3; return c }(), "bad-cycle"},
+		{"cycle zero period", func() Stressor { c := temp; c.Period = 0; return c }(), "bad-cycle"},
+		{"cycle NaN period", func() Stressor { c := temp; c.Period = math.NaN(); return c }(), "bad-cycle"},
+		{"ramp zero steps", func() Stressor { a := aging; a.Steps = 0; return a }(), "bad-ramp"},
+		{"ramp negative window", func() Stressor { a := aging; a.Window = -1; return a }(), "bad-ramp"},
+		{"ramp NaN window", func() Stressor { a := aging; a.Window = math.NaN(); return a }(), "bad-ramp"},
+		{"adversary zero frame", func() Stressor { a := adv; a.FramePeriod = 0; return a }(), "bad-adversary"},
+		{"adversary NaN frame", func() Stressor { a := adv; a.FramePeriod = math.NaN(); return a }(), "bad-adversary"},
+		{"gate zero period", func() Stressor { g := gate; g.Period = 0; return g }(), "bad-gate"},
+		{"gate NaN period", func() Stressor { g := gate; g.Period = math.NaN(); return g }(), "bad-gate"},
+		{"gate nil inner", func() Stressor { g := gate; g.Inner = nil; return g }(), "bad-gate"},
+		{"gate degenerate inner", func() Stressor { c := temp; c.Steps = 0; g := gate; g.Inner = c; return g }(), "bad-cycle"},
+		{"nil stressor", nil, "nil stressor"},
+	}
+	for _, tc := range cases {
+		env := &Env{Ref: Ref{Name: "custom"}, Seed: testSeed, Duration: testWindow, Stressors: []Stressor{temp, tc.s}}
+		err := env.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
+	}
+	ok := &Env{Ref: Ref{Name: "custom"}, Seed: testSeed, Duration: testWindow, Stressors: []Stressor{temp, aging, adv, gate}}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("well-formed stressors rejected: %v", err)
+	}
+}
+
+// BenchmarkEnvDecayFactor times the scalar path on kitchen-sink: spans from
+// scattered restore times to later instants, as scrub patrol reads ask.
+func BenchmarkEnvDecayFactor(b *testing.B) {
+	env, cs := benchDecayCases(b)
+	base := retention.ExpDecay{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := cs[i%len(cs)]
+		env.DecayFactor(c.row, c.tret, c.t0, c.t1, base)
+	}
+}
+
+// BenchmarkEnvDecayFactors times the batch path on kitchen-sink, one
+// 256-row batch per op. Once the schedule is compiled it must not allocate.
+func BenchmarkEnvDecayFactors(b *testing.B) {
+	env, cs := benchDecayCases(b)
+	base := retention.ExpDecay{}
+	n := len(cs)
+	rows := make([]int, n)
+	tret := make([]float64, n)
+	t0 := make([]float64, n)
+	t1 := make([]float64, n)
+	out := make([]float64, n)
+	for i, c := range cs {
+		rows[i], tret[i], t0[i], t1[i] = c.row, c.tret, c.t0, c.t1
+	}
+	env.DecayFactors(rows, tret, t0, t1, base, out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.DecayFactors(rows, tret, t0, t1, base, out)
+	}
+}
+
+func benchDecayCases(b *testing.B) (*Env, []decayCase) {
+	env, err := BuildEnv(Ref{Name: "kitchen-sink"}, testWindow, testSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	cs := make([]decayCase, 256)
+	for i := range cs {
+		t0 := testWindow * rng.Float64()
+		cs[i] = decayCase{row: rng.Intn(1024), tret: 0.02 + rng.Float64()*0.5, t0: t0, t1: t0 + (testWindow-t0)*rng.Float64()/4}
+	}
+	return env, cs
 }
