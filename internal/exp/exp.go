@@ -30,10 +30,11 @@ type Config struct {
 	Backend sim.Backend
 
 	// Workers bounds the number of concurrent cells an experiment may
-	// evaluate. 0 (the default) means runtime.GOMAXPROCS(0); 1 forces the
-	// historical sequential behavior. Results are identical for every
-	// Workers value: cells are independent and reassembled in submission
-	// order (see forEachCell).
+	// evaluate, and WriteMarkdownReport's number of concurrent experiments,
+	// so a report may have up to Workers² cells in flight. 0 (the default)
+	// means runtime.GOMAXPROCS(0); 1 forces the historical sequential
+	// behavior. Results are identical for every Workers value: cells are
+	// independent and reassembled in submission order (see forEachCell).
 	Workers int
 }
 

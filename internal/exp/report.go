@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -9,35 +11,61 @@ import (
 
 // WriteMarkdownReport runs every registered experiment and renders the
 // results as a Markdown document: the generator behind EXPERIMENTS.md and
-// the cmd/vrlreport binary. It returns the first experiment error.
+// the cmd/vrlreport binary.
+//
+// The experiments run concurrently on cfg.workers() goroutines (each one
+// fans its own cells out on the same bound) and render in registry order,
+// so the text is the same at every Workers value apart from the wall-clock
+// fields. Every experiment runs even if another fails; rendering stops at
+// the first failed one in registry order and returns its error, as a
+// sequential loop would. Otherwise it returns the first write error.
 func WriteMarkdownReport(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "# VRL-DRAM reproduction report\n\n")
-	fmt.Fprintf(w, "Generated by `vrlreport` against the in-repository simulator.\n\n")
-	fmt.Fprintf(w, "Configuration: bank %s at 90 nm, seed %d, simulation window %.0f ms,\n",
-		cfg.Geom, cfg.Seed, cfg.Duration*1000)
-	fmt.Fprintf(w, "tCK %.3g ns, guardband %.2f, nbits 2.\n\n", cfg.Params.TCK*1e9, 0.86)
-
-	for _, e := range Registry {
-		start := time.Now()
-		res, err := e.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		fmt.Fprintf(w, "## %s — %s\n\n", res.ID, e.Title)
-		if err := writeMarkdownTable(w, res); err != nil {
-			return err
-		}
-		for _, n := range res.Notes {
-			fmt.Fprintf(w, "- %s\n", n)
-		}
-		fmt.Fprintf(w, "- regenerated in %s by `vrlexp -exp %s`\n\n", time.Since(start).Round(time.Millisecond), res.ID)
+	reg := Registry
+	type outcome struct {
+		res     *Result
+		err     error
+		elapsed time.Duration
 	}
-	return nil
+	outs := make([]outcome, len(reg))
+	// The cell function never fails, so forEachCell cannot cancel the rest.
+	_ = forEachCell(cfg, len(reg), func(_ context.Context, i int) error {
+		start := time.Now()
+		res, err := reg[i].Run(cfg)
+		outs[i] = outcome{res: res, err: err, elapsed: time.Since(start)}
+		return nil
+	})
+
+	// bufio's write error is sticky, so Flush reports the first failed write
+	// of any line below.
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# VRL-DRAM reproduction report\n\n")
+	fmt.Fprintf(bw, "Generated by `vrlreport` against the in-repository simulator.\n\n")
+	fmt.Fprintf(bw, "Configuration: bank %s at 90 nm, seed %d, simulation window %.0f ms,\n",
+		cfg.Geom, cfg.Seed, cfg.Duration*1000)
+	fmt.Fprintf(bw, "tCK %.3g ns, guardband %.2f, nbits 2.\n\n", cfg.Params.TCK*1e9, 0.86)
+	for i, e := range reg {
+		o := outs[i]
+		if o.err != nil {
+			// Keep the sections rendered so far; the experiment error takes
+			// precedence over a write error.
+			_ = bw.Flush()
+			return fmt.Errorf("%s: %w", e.ID, o.err)
+		}
+		fmt.Fprintf(bw, "## %s — %s\n\n", o.res.ID, e.Title)
+		writeMarkdownTable(bw, o.res)
+		for _, n := range o.res.Notes {
+			fmt.Fprintf(bw, "- %s\n", n)
+		}
+		fmt.Fprintf(bw, "- regenerated in %s by `vrlexp -exp %s`\n\n", o.elapsed.Round(time.Millisecond), o.res.ID)
+	}
+	return bw.Flush()
 }
 
-func writeMarkdownTable(w io.Writer, r *Result) error {
+// writeMarkdownTable renders r's table; w's sticky error carries any write
+// failure to the caller's Flush.
+func writeMarkdownTable(w *bufio.Writer, r *Result) {
 	if len(r.Headers) == 0 {
-		return nil
+		return
 	}
 	esc := func(s string) string { return strings.ReplaceAll(s, "|", "\\|") }
 	row := func(cells []string) string {
@@ -49,16 +77,12 @@ func writeMarkdownTable(w io.Writer, r *Result) error {
 		}
 		return "| " + strings.Join(parts, " | ") + " |"
 	}
-	if _, err := fmt.Fprintln(w, row(r.Headers)); err != nil {
-		return err
-	}
+	fmt.Fprintln(w, row(r.Headers))
 	sep := make([]string, len(r.Headers))
 	for i := range sep {
 		sep[i] = "---"
 	}
-	if _, err := fmt.Fprintln(w, "| "+strings.Join(sep, " | ")+" |"); err != nil {
-		return err
-	}
+	fmt.Fprintln(w, "| "+strings.Join(sep, " | ")+" |")
 	// Cap very long tables (fig1a/fig1b/fig3a/fig5 curves) at a readable
 	// excerpt; the full series regenerates via vrlexp.
 	const maxRows = 24
@@ -69,15 +93,10 @@ func writeMarkdownTable(w io.Writer, r *Result) error {
 		truncated = true
 	}
 	for _, cells := range rows {
-		if _, err := fmt.Fprintln(w, row(cells)); err != nil {
-			return err
-		}
+		fmt.Fprintln(w, row(cells))
 	}
 	if truncated {
-		if _, err := fmt.Fprintf(w, "| ... %d more rows ... |\n", len(r.Rows)-maxRows); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "| ... %d more rows ... |\n", len(r.Rows)-maxRows)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	fmt.Fprintln(w)
 }

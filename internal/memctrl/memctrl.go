@@ -18,7 +18,6 @@
 package memctrl
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"math"
@@ -160,46 +159,6 @@ type Options struct {
 	Scrub *scrub.Scrubber
 }
 
-// event types for the unified timeline.
-type evKind int
-
-const (
-	evRefresh evKind = iota
-	evRequest
-	evScrub // patrol read: background priority, loses every arbitration tie
-)
-
-type event struct {
-	cycle int64
-	kind  evKind
-	row   int   // refresh row
-	due   int64 // refresh: originally scheduled cycle (for elastic postponement)
-	req   int   // request index
-	seq   int64
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind // refreshes win ties: the controller must not starve them
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Run services the request stream against the bank under the refresh
 // scheduler. Requests must be in arrival order. The returned per-request
 // slice carries the individual latencies for distribution analysis.
@@ -223,15 +182,7 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 	monitor, _ := sched.(core.SenseMonitor)
 
 	// Seed the refresh timeline (same golden-ratio stagger as internal/sim).
-	h := make(eventHeap, 0, bank.Geom.Rows+len(reqs))
-	var seq int64
-	pushRefresh := func(row int, atCycle, due int64) {
-		if atCycle >= horizon {
-			return
-		}
-		seq++
-		heap.Push(&h, event{cycle: atCycle, kind: evRefresh, row: row, due: due, seq: seq})
-	}
+	q := newEventQueue(horizon, bank.Geom.Rows+1, len(reqs))
 	for r := 0; r < bank.Geom.Rows; r++ {
 		p := sched.Period(r)
 		if p <= 0 {
@@ -239,20 +190,13 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 		}
 		frac := staggerFrac(r)
 		first := int64(frac * p / opts.TCK)
-		pushRefresh(r, first, first)
-	}
-	pushScrub := func(atCycle int64) {
-		if atCycle >= horizon {
-			return
-		}
-		seq++
-		heap.Push(&h, event{cycle: atCycle, kind: evScrub, seq: seq})
+		q.push(event{cycle: first, kind: evRefresh, row: r, due: first})
 	}
 	if opts.Scrub != nil {
 		if opts.Scrub.Rows() != bank.Geom.Rows {
 			return Stats{}, nil, fmt.Errorf("memctrl: scrubber patrols %d rows, bank has %d", opts.Scrub.Rows(), bank.Geom.Rows)
 		}
-		pushScrub(int64(math.Ceil(opts.Scrub.NextDue() / opts.TCK)))
+		q.push(event{cycle: int64(math.Ceil(opts.Scrub.NextDue() / opts.TCK)), kind: evScrub})
 	}
 	out := make([]Request, len(reqs))
 	copy(out, reqs)
@@ -269,8 +213,7 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 			out = out[:i]
 			break
 		}
-		seq++
-		heap.Push(&h, event{cycle: out[i].Arrival, kind: evRequest, req: i, seq: seq})
+		q.pushRequest(out[i].Arrival)
 	}
 
 	// Bank state.
@@ -361,8 +304,7 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 		}
 	}
 
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(event)
+	for ev, ok := q.pop(); ok; ev, ok = q.pop() {
 		switch ev.kind {
 		case evRefresh:
 			// Elastic refresh: while requests are pending and slack remains,
@@ -386,8 +328,7 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 						retry = deadline
 					}
 					st.RefreshesPostponed++
-					seq++
-					heap.Push(&h, event{cycle: retry, kind: evRefresh, row: ev.row, due: ev.due, seq: seq})
+					q.push(event{cycle: retry, kind: evRefresh, row: ev.row, due: ev.due})
 					continue
 				}
 			}
@@ -445,7 +386,7 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 			// Schedule from the ORIGINAL due time so postponement debt does
 			// not accumulate across periods.
 			nextDue := ev.due + int64(sched.Period(ev.row)/opts.TCK)
-			pushRefresh(ev.row, nextDue, nextDue)
+			q.push(event{cycle: nextDue, kind: evRefresh, row: ev.row, due: nextDue})
 		case evScrub:
 			now := float64(ev.cycle) * opts.TCK
 			visited, err := opts.Scrub.Tick(now, float64(bankFree)*opts.TCK)
@@ -473,7 +414,7 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 			if next <= ev.cycle {
 				next = ev.cycle + 1
 			}
-			pushScrub(next)
+			q.push(event{cycle: next, kind: evScrub})
 		case evRequest:
 			if ev.cycle < lastRefreshEnd {
 				// Arrived while a refresh held the bank.
@@ -486,7 +427,7 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 				if next < ev.cycle {
 					next = ev.cycle
 				}
-				if h.Len() > 0 && h[0].cycle <= next && h[0].kind == evRefresh {
+				if top, ok := q.peek(); ok && top.cycle <= next && top.kind == evRefresh {
 					break // let the refresh in first
 				}
 				serveOne(next)

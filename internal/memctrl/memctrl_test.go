@@ -17,7 +17,7 @@ type fixture struct {
 	opts    Options
 }
 
-func setup(t *testing.T) *fixture {
+func setup(t testing.TB) *fixture {
 	t.Helper()
 	p := device.Default90nm()
 	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)

@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -206,16 +205,7 @@ func RunMulti(banks []*dram.Bank, scheds []core.Scheduler, reqs []MultiRequest, 
 	horizon := int64(opts.Duration / opts.TCK)
 	st := MultiStats{Granularity: opts.Granularity.String(), Scheduler: scheds[0].Name(), Banks: n}
 
-	h := make(eventHeap, 0, rows*n+len(reqs))
-	var seq int64
-	push := func(ev event) {
-		if ev.cycle >= horizon {
-			return
-		}
-		seq++
-		ev.seq = seq
-		heap.Push(&h, ev)
-	}
+	q := newEventQueue(horizon, rows*n, len(reqs))
 	// Refresh timeline: per-bank events carry bank in `req`; all-bank events
 	// carry only the row.
 	period := func(row int) float64 {
@@ -235,7 +225,7 @@ func RunMulti(banks []*dram.Bank, scheds []core.Scheduler, reqs []MultiRequest, 
 				if p <= 0 {
 					return MultiStats{}, nil, fmt.Errorf("memctrl: bank %d row %d period %g", b, r, p)
 				}
-				push(event{cycle: int64(staggerFrac(r*n+b) * p / opts.TCK), kind: evRefresh, row: r, req: b})
+				q.push(event{cycle: int64(staggerFrac(r*n+b) * p / opts.TCK), kind: evRefresh, row: r, req: b})
 			}
 		}
 	case AllBankRefresh:
@@ -244,7 +234,7 @@ func RunMulti(banks []*dram.Bank, scheds []core.Scheduler, reqs []MultiRequest, 
 			if p <= 0 {
 				return MultiStats{}, nil, fmt.Errorf("memctrl: row %d period %g", r, p)
 			}
-			push(event{cycle: int64(staggerFrac(r) * p / opts.TCK), kind: evRefresh, row: r, req: -1})
+			q.push(event{cycle: int64(staggerFrac(r) * p / opts.TCK), kind: evRefresh, row: r, req: -1})
 		}
 	default:
 		return MultiStats{}, nil, fmt.Errorf("memctrl: unknown granularity %d", opts.Granularity)
@@ -265,7 +255,7 @@ func RunMulti(banks []*dram.Bank, scheds []core.Scheduler, reqs []MultiRequest, 
 			out = out[:i]
 			break
 		}
-		push(event{cycle: out[i].Arrival, kind: evRequest, req: i})
+		q.pushRequest(out[i].Arrival)
 	}
 
 	states := make([]*bankState, n)
@@ -285,8 +275,7 @@ func RunMulti(banks []*dram.Bank, scheds []core.Scheduler, reqs []MultiRequest, 
 		return end, nil
 	}
 
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(event)
+	for ev, ok := q.pop(); ok; ev, ok = q.pop() {
 		switch ev.kind {
 		case evRefresh:
 			st.RefreshCommands++
@@ -301,7 +290,7 @@ func RunMulti(banks []*dram.Bank, scheds []core.Scheduler, reqs []MultiRequest, 
 				if _, err := refreshBank(b, ev.row, start); err != nil {
 					return MultiStats{}, nil, err
 				}
-				push(event{cycle: ev.cycle + int64(scheds[b].Period(ev.row)/opts.TCK), kind: evRefresh, row: ev.row, req: b})
+				q.push(event{cycle: ev.cycle + int64(scheds[b].Period(ev.row)/opts.TCK), kind: evRefresh, row: ev.row, req: b})
 			} else {
 				// All-bank refresh: synchronize, refresh everywhere, block
 				// every bank until the slowest finishes.
@@ -325,7 +314,7 @@ func RunMulti(banks []*dram.Bank, scheds []core.Scheduler, reqs []MultiRequest, 
 				for b := 0; b < n; b++ {
 					states[b].free = end
 				}
-				push(event{cycle: ev.cycle + int64(period(ev.row)/opts.TCK), kind: evRefresh, row: ev.row, req: -1})
+				q.push(event{cycle: ev.cycle + int64(period(ev.row)/opts.TCK), kind: evRefresh, row: ev.row, req: -1})
 			}
 		case evRequest:
 			b := out[ev.req].Bank
@@ -337,8 +326,8 @@ func RunMulti(banks []*dram.Bank, scheds []core.Scheduler, reqs []MultiRequest, 
 				}
 				// Yield only to refreshes that touch THIS bank (its own
 				// per-bank refresh or a rank-wide command).
-				if h.Len() > 0 && h[0].cycle <= next && h[0].kind == evRefresh &&
-					(h[0].req == b || h[0].req < 0) {
+				if top, ok := q.peek(); ok && top.cycle <= next && top.kind == evRefresh &&
+					(top.req == b || top.req < 0) {
 					break
 				}
 				states[b].serveOne(next, out, &st.RowHits)

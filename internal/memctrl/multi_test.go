@@ -1,11 +1,13 @@
 package memctrl
 
 import (
+	"strings"
 	"testing"
 
 	"vrldram/internal/core"
 	"vrldram/internal/device"
 	"vrldram/internal/dram"
+	"vrldram/internal/ecc"
 	"vrldram/internal/rank"
 	"vrldram/internal/retention"
 	"vrldram/internal/trace"
@@ -227,6 +229,32 @@ func TestSALPValidation(t *testing.T) {
 	oob := []Request{{Arrival: 5, Row: 1 << 30}}
 	if _, _, err := RunSALP(bank, sched, oob, opts, 4); err == nil {
 		t.Fatal("out-of-range row must be rejected")
+	}
+}
+
+// TestSALPRejectsUnsupportedOptions: RunSALP models none of Run's elastic,
+// ECC or scrub extensions, so setting any of them is an error naming the
+// field, not a run as if it were off.
+func TestSALPRejectsUnsupportedOptions(t *testing.T) {
+	f := setup(t)
+	sched := f.sched(t, func() (core.Scheduler, error) { return core.NewVRL(f.profile, core.Config{Restore: f.rm}) })
+	b := f.bank(t)
+	cls := ecc.DefaultClassifier()
+	for _, c := range []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"ElasticSlack", func(o *Options) { o.ElasticSlack = 0.1 }},
+		{"ECC", func(o *Options) { o.ECC = &cls }},
+		{"DemoteOnCorrect", func(o *Options) { o.DemoteOnCorrect = true }},
+		{"Scrub", func(o *Options) { o.Scrub = f.scrubber(t, b, sched) }},
+	} {
+		opts := f.opts
+		c.set(&opts)
+		_, _, err := RunSALP(b, sched, nil, opts, 4)
+		if err == nil || !strings.Contains(err.Error(), "Options."+c.field) {
+			t.Errorf("%s set: error %v, want one naming Options.%s", c.field, err, c.field)
+		}
 	}
 }
 

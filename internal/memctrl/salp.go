@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -40,13 +39,30 @@ type SALPStats struct {
 
 // RunSALP services the request stream against one bank whose rows are
 // spread over nSub independent subarrays (contiguous row ranges). nSub = 1
-// reduces to a single-row-buffer bank.
+// reduces to a single-row-buffer bank. Of opts it reads Timing, TCK and
+// Duration; setting ElasticSlack, ECC, DemoteOnCorrect or Scrub is an
+// error.
 func RunSALP(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options, nSub int) (SALPStats, []Request, error) {
 	if err := opts.Timing.Validate(); err != nil {
 		return SALPStats{}, nil, err
 	}
 	if opts.TCK <= 0 || opts.Duration <= 0 {
 		return SALPStats{}, nil, fmt.Errorf("memctrl: TCK and Duration must be positive")
+	}
+	// The subarray engine models none of Run's elastic, ECC or scrub
+	// extensions; reject them rather than run as if they were off.
+	for _, o := range []struct {
+		set  bool
+		name string
+	}{
+		{opts.ElasticSlack != 0, "ElasticSlack"},
+		{opts.ECC != nil, "ECC"},
+		{opts.DemoteOnCorrect, "DemoteOnCorrect"},
+		{opts.Scrub != nil, "Scrub"},
+	} {
+		if o.set {
+			return SALPStats{}, nil, fmt.Errorf("memctrl: RunSALP does not support Options.%s", o.name)
+		}
 	}
 	rows := bank.Geom.Rows
 	if nSub < 1 || nSub > rows {
@@ -58,22 +74,13 @@ func RunSALP(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options
 	horizon := int64(opts.Duration / opts.TCK)
 	st := SALPStats{Scheduler: sched.Name(), Subarrays: nSub}
 
-	h := make(eventHeap, 0, rows+len(reqs))
-	var seq int64
-	push := func(ev event) {
-		if ev.cycle >= horizon {
-			return
-		}
-		seq++
-		ev.seq = seq
-		heap.Push(&h, ev)
-	}
+	q := newEventQueue(horizon, rows, len(reqs))
 	for r := 0; r < rows; r++ {
 		p := sched.Period(r)
 		if p <= 0 {
 			return SALPStats{}, nil, fmt.Errorf("memctrl: row %d period %g", r, p)
 		}
-		push(event{cycle: int64(staggerFrac(r) * p / opts.TCK), kind: evRefresh, row: r})
+		q.push(event{cycle: int64(staggerFrac(r) * p / opts.TCK), kind: evRefresh, row: r})
 	}
 
 	out := make([]Request, len(reqs))
@@ -91,7 +98,7 @@ func RunSALP(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options
 			out = out[:i]
 			break
 		}
-		push(event{cycle: out[i].Arrival, kind: evRequest, req: i})
+		q.pushRequest(out[i].Arrival)
 	}
 
 	// Per-subarray service state, reusing the multi-bank engine's bankState
@@ -106,8 +113,7 @@ func RunSALP(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options
 	}
 	lastRefreshEnd := make([]int64, nSub)
 
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(event)
+	for ev, ok := q.pop(); ok; ev, ok = q.pop() {
 		switch ev.kind {
 		case evRefresh:
 			sub := subOf(ev.row)
@@ -129,7 +135,7 @@ func RunSALP(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options
 			if len(s.pending) > 0 {
 				st.StalledByRefresh += int64(len(s.pending))
 			}
-			push(event{cycle: ev.cycle + int64(sched.Period(ev.row)/opts.TCK), kind: evRefresh, row: ev.row})
+			q.push(event{cycle: ev.cycle + int64(sched.Period(ev.row)/opts.TCK), kind: evRefresh, row: ev.row})
 		case evRequest:
 			sub := subOf(adapt[ev.req].Row)
 			s := states[sub]
@@ -142,8 +148,8 @@ func RunSALP(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options
 				if next < ev.cycle {
 					next = ev.cycle
 				}
-				if h.Len() > 0 && h[0].cycle <= next && h[0].kind == evRefresh &&
-					subOf(h[0].row) == sub {
+				if top, ok := q.peek(); ok && top.cycle <= next && top.kind == evRefresh &&
+					subOf(top.row) == sub {
 					break
 				}
 				s.serveOne(next, adapt, &st.RowHits)
