@@ -168,7 +168,7 @@ func BenchmarkSimRefreshOnly(b *testing.B) {
 // BenchmarkSimRefreshOnlyReusable is BenchmarkSimRefreshOnly with an
 // explicit sim.Reusable, isolating the steady-state cost once the event
 // queue is owned by the caller instead of the internal pool. One warm run
-// populates the timing wheel's lazily-allocated buckets outside the timed
+// grows the period lanes and the fast-forward columns outside the timed
 // loop, so the numbers reflect the reuse path rather than first-run growth.
 func BenchmarkSimRefreshOnlyReusable(b *testing.B) {
 	p := device.Default90nm()
@@ -235,7 +235,7 @@ func BenchmarkProfileConstruction(b *testing.B) {
 
 // BenchmarkBankBatchRefresh measures the raw columnar kernel: one
 // RefreshBatch over every row of the paper bank per iteration, the shape the
-// batched simulator backend drains a timing-wheel bucket in. The per-op time
+// batched simulator backend drains one batch window in. The per-op time
 // bumps between iterations keep every batch valid without re-allocating it.
 func BenchmarkBankBatchRefresh(b *testing.B) {
 	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)

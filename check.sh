@@ -79,6 +79,7 @@ internal/scenario:FuzzScenarioDecode
 internal/scenario:FuzzEnvDecayFactor
 internal/dram:FuzzRefreshBatch
 internal/sim:FuzzFastForwardPlan
+internal/sim:FuzzRunEquivalence
 "
 for entry in $FUZZ_TARGETS; do
     pkg=${entry%%:*}

@@ -13,7 +13,7 @@ import (
 
 // This file extends the facade with the crash-safety envelope: cancellable,
 // checkpointed simulation runs that a killed process can resume to
-// bit-identical results (see internal/checkpoint and docs/ARCHITECTURE.md).
+// bit-identical results (see internal/checkpoint and ARCHITECTURE.md).
 
 // RunControl configures cancellation and checkpointing for a simulation
 // run. The zero value runs exactly like Simulate: no context, no
@@ -42,9 +42,10 @@ type RunControl struct {
 	// source, fallback to an older generation) for operator visibility.
 	OnEvent func(msg string)
 	// Backend selects the simulator execution strategy by name ("" = auto;
-	// see BackendNames). Every backend except the opt-in "batch-lut"
-	// produces statistics and checkpoints bit-identical to the scalar
-	// reference, so this is a speed knob, not a semantics knob.
+	// see BackendNames): "auto" is the batched runner with fast-forward,
+	// "scalar" the per-event reference. Both produce bit-identical
+	// statistics and checkpoints, so this is a speed knob, not a semantics
+	// knob.
 	Backend string
 }
 

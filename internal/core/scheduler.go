@@ -52,7 +52,7 @@ type BatchScheduler interface {
 }
 
 // SteadyScheduler is an optional Scheduler capability the fast-forward
-// backend keys on: StablePeriodUntil returns a time up to which the row's
+// engine keys on: StablePeriodUntil returns a time up to which the row's
 // refresh period - and the per-row op sequence it drives - cannot change
 // except through the simulator's own visible hooks (OnAccess from a trace
 // record, Upgrade/Demote from an ECC or scrub response), all of which the

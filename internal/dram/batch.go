@@ -1,7 +1,7 @@
 // Columnar batch kernels over the bank's structure-of-arrays row state.
 //
 // The simulator's hot path senses and restores one row per refresh event;
-// these kernels amortize that work across a whole timing-wheel bucket: the
+// these kernels amortize that work across a whole batch window: the
 // per-op error checks are hoisted into one validation pass, and decay,
 // sensing, and restore then run as tight loops over the charge/lastT/tret
 // columns. The batched arithmetic is expression-for-expression identical to

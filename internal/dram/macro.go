@@ -1,8 +1,11 @@
 // Macro-step fast-forward kernel: whole-window columnar replay.
 //
-// RefreshStream (stream.go) replays the lane merge event by event, which
-// costs one random cache-line access per event. RefreshMacro restructures
-// the same quiescent window into row-major passes by exploiting what is
+// In a quiescent steady state - no trace records, no scrub ticks, no
+// checkpoint boundary, schedule stable - every refresh event is "sense,
+// restore, re-arm at t+period", and internal/sim's period lanes already
+// hold the events in sorted order. Replaying the lane merge event by event
+// would cost one random cache-line access per event; RefreshMacro instead
+// restructures the whole window into row-major passes by exploiting what is
 // actually order-dependent in the pipeline:
 //
 //   - A row's refresh times depend only on its first pending event and its
@@ -32,8 +35,9 @@
 //
 // Shapes the kernel cannot take - a row whose period left its lane, counts
 // that are not a two-valued non-increasing prefix, duplicate rows in a lane
-// - are detected in pass A before any mutation, returning Bailed with the
-// queue untouched so the caller can fall back to RefreshStream.
+// - are detected in pass A before any mutation, returning Bailed with bank
+// and lanes untouched so the caller can run the window through its
+// per-event path instead.
 package dram
 
 import (
@@ -85,10 +89,12 @@ type macroCursor struct {
 }
 
 // RefreshMacro consumes every event with time < horizon from the lanes in
-// global (time, row) order via columnar whole-window replay, equivalent to
-// RefreshStream bit for bit. acc is the caller's ChargeRestored accumulator.
-// On Bailed the queue and bank are untouched; the caller should fall back to
-// RefreshStream, which handles ragged shapes incrementally.
+// global (time, row) order via columnar whole-window replay, bit-identical
+// to processing the same events one by one through Refresh (same charges,
+// violations in the same order, the same ChargeRestored sum order) and
+// re-arming each row at t + period in its lane. acc is the caller's
+// ChargeRestored accumulator. On Bailed the lanes and bank are untouched;
+// the caller should process the window through its per-event path.
 func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon float64, cfg *StreamConfig, acc float64) (StreamResult, error) {
 	res := StreamResult{ChargeRestored: acc}
 	if !(cfg.AlphaFull >= 0 && cfg.AlphaFull <= 1) {
@@ -131,7 +137,7 @@ func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon floa
 		}
 		// Bound the per-row lap count from the lane's earliest event so the
 		// columns can be sized before the counting walk.
-		stride := ffLaps(l.Events[l.Head].T, p, horizon) + 1
+		stride := LapsBelow(l.Events[l.Head].T, p, horizon) + 1
 		pl.stride = stride
 		need := evTotal + macroCap(n, stride)
 		if cap(sc.times) < need {
@@ -276,8 +282,7 @@ func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon floa
 			// Two-entry MRU register memo: a row's dt ALTERNATES between two
 			// rounding values near binade crossings of t, so one register
 			// thrashes where a pair captures the cycle; the pinned per-row
-			// overflow memo (shared with RefreshStream) backs both across
-			// windows.
+			// overflow memo backs both across windows.
 			dtA, fA := math.NaN(), 0.0
 			dtB, fB := math.NaN(), 0.0
 			t := l.Events[l.Head+j].T
@@ -435,7 +440,7 @@ outer:
 			}
 			k8 := c.k << 3
 			for j := c.j; j < lim; j++ {
-				idx := evb + (j>>3)*st8 + k8 + (j&7)
+				idx := evb + (j>>3)*st8 + k8 + (j & 7)
 				t := times[idx]
 				if t > prevT && t < tBound {
 					prevT = t
@@ -589,22 +594,33 @@ func macroSortedReplay(sc *StreamScratch, plan []macroLane, acc float64) (float6
 	return acc, lastOp, lastT
 }
 
-// ffLaps returns the largest k >= 0 with t + k*period < horizon, against
-// the same float iteration the lanes perform (duplicated from internal/sim's
-// planner to keep the package dependency-free; used only as a capacity
-// bound, with the exact count settled by the generation walk itself).
-func ffLaps(t, period, horizon float64) int {
+// MaxLaps saturates LapsBelow. A window holds at most a few hundred
+// thousand events, so no real lane comes near it; the bound exists so the
+// float -> int conversion never meets values outside int range, which Go
+// leaves implementation-defined.
+const MaxLaps = 1 << 30
+
+// LapsBelow returns the largest k >= 0 with t + k*period < horizon,
+// computed against the same float expression the caller evaluates (t +
+// float64(k)*period), so the count never promises a lap that lands on or
+// past the horizon, saturating at MaxLaps. Degenerate inputs (non-positive
+// or NaN period, t already at or past the horizon) give zero. RefreshMacro
+// uses it as a capacity bound, with the exact count settled by the
+// generation walk itself.
+func LapsBelow(t, period, horizon float64) int {
 	if !(period > 0) || !(t < horizon) {
 		return 0
 	}
 	r := (horizon - t) / period
-	const max = 1 << 30
-	k := max
-	if r < max {
+	k := MaxLaps
+	if r < MaxLaps {
 		k = int(r)
 	}
-	// Bisect a saturated estimate (horizon-t can overflow to +Inf) onto the
-	// actual repeated-add expression, then settle the rounding steps.
+	// The division is one rounding away from the repeated-add reality on
+	// either side - and arbitrarily far off when horizon-t overflows to
+	// +Inf, where the estimate saturates. Bisect the saturated estimate
+	// down onto the actual expression (t itself is below the horizon, so
+	// k=0 always qualifies), then settle the last rounding steps linearly.
 	if !(t+float64(k)*period < horizon) {
 		lo, hi := 0, k
 		for hi-lo > 1 {
@@ -620,7 +636,7 @@ func ffLaps(t, period, horizon float64) int {
 	for k > 0 && !(t+float64(k)*period < horizon) {
 		k--
 	}
-	for k < max && t+float64(k+1)*period < horizon {
+	for k < MaxLaps && t+float64(k+1)*period < horizon {
 		k++
 	}
 	return k

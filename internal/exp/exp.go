@@ -25,8 +25,8 @@ type Config struct {
 
 	// Backend selects the simulator runner for every experiment that runs
 	// the refresh simulator. The zero value (sim.BackendAuto) is the
-	// batched-exact path; sim.BackendBatchLUT opts into the gated
-	// lookup-table decay curves.
+	// batched-exact path with fast-forward; sim.BackendScalar runs the
+	// per-event reference, with bit-identical results.
 	Backend sim.Backend
 
 	// Workers bounds the number of concurrent cells an experiment may

@@ -90,12 +90,12 @@ type Spec struct {
 	Spares     int
 	ScrubSweep float64
 
-	// Backend selects the simulator runner for every device run. The zero
-	// value (sim.BackendAuto) is the batched-exact path;
-	// sim.BackendBatchLUT opts into the gated lookup-table decay curves.
-	// The backend is part of the spec's canonical identity (a LUT campaign
-	// must not resume onto an exact campaign's manifest), which is why the
-	// container tags moved to version 3.
+	// Backend selects the simulator runner for every device run: the zero
+	// value (sim.BackendAuto) is the batched-exact path with fast-forward,
+	// sim.BackendScalar the per-event reference. Both give bit-identical
+	// results. The backend is part of the spec's canonical identity, and
+	// Validate rejects any value other than the two, including the retired
+	// values an older manifest may carry.
 	Backend sim.Backend
 }
 
@@ -161,6 +161,9 @@ func (s Spec) Validate() error {
 	}
 	if s.ScrubSweep < 0 {
 		return fmt.Errorf("fleet: scrub sweep period must be non-negative, got %g", s.ScrubSweep)
+	}
+	if err := s.Backend.Validate(); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	return nil
 }

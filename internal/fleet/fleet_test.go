@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vrldram/internal/scenario"
+	"vrldram/internal/sim"
 )
 
 func testFleetSpec() Spec {
@@ -42,6 +43,7 @@ func TestSpecValidateCatchesEachField(t *testing.T) {
 		{"shardsize", func(s *Spec) { s.ShardSize = -1 }, "shard size"},
 		{"tempswing", func(s *Spec) { s.TempSwingC = -2 }, "swing"},
 		{"weakfrac", func(s *Spec) { s.WeakFrac = 1.5 }, "weak"},
+		{"backend", func(s *Spec) { s.Backend = sim.Backend(99) }, "undefined backend 99"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vrldram/internal/sim"
 )
 
 func TestManifestPersistsTransitions(t *testing.T) {
@@ -161,6 +164,29 @@ func TestManifestAllGenerationsCorruptStartsFresh(t *testing.T) {
 	}
 	if m3.ResumedDone() != 1 {
 		t.Fatalf("post-wreckage save not recoverable: resumed=%d", m3.ResumedDone())
+	}
+}
+
+// TestDecodeRejectsUndefinedBackends covers specs that arrive encoded - a
+// manifest on disk, a shard spec over the wire - carrying a backend value
+// that names no runner: 99, or 4, which an older build wrote for the
+// retired fast-forward backend. Both must fail decoding with an error that
+// names the backend, rather than run some default path.
+func TestDecodeRejectsUndefinedBackends(t *testing.T) {
+	for _, b := range []sim.Backend{99, 4} {
+		spec := testFleetSpec()
+		spec.Backend = b
+		want := fmt.Sprintf("undefined backend %d", b)
+		entries := make([]shardEntry, spec.NumShards())
+		for i := range entries {
+			entries[i].state = ShardPlanned
+		}
+		if _, _, err := decodeManifestPayload(encodeManifestPayload(spec, entries)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("manifest with backend %d decoded with %v, want %q", b, err, want)
+		}
+		if _, err := DecodeShardSpec(spec.Shards()[0].Encode()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("shard spec with backend %d decoded with %v, want %q", b, err, want)
+		}
 	}
 }
 

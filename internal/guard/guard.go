@@ -232,7 +232,7 @@ func (g *Guard) OnAccess(row int, now float64) { g.inner.OnAccess(row, now) }
 // StablePeriodUntil implements core.SteadyScheduler with the conservative
 // bound: the controller re-evaluates its ladder on every sense (OnSense can
 // demote, escalate, or trip the breaker on the very next event), so a
-// guarded schedule is never stable past now. The fast-forward backend reads
+// guarded schedule is never stable past now. The fast-forward engine reads
 // this as "do not fast-forward" - exactly right, since skipping senses would
 // skip the controller's inputs.
 func (g *Guard) StablePeriodUntil(_ int, now float64) float64 { return now }

@@ -79,7 +79,7 @@ func (c TempCycle) NextChange(row int, tret, t float64) float64 {
 }
 
 // NominalUntil implements the nominalReporter capability for the
-// fast-forward backend: a tread whose thermal scale is exactly 1 is nominal
+// fast-forward engine: a tread whose thermal scale is exactly 1 is nominal
 // until the next tread boundary (the boundary itself ends the window even if
 // the next tread is also scale 1, because the segment-walk split there is
 // itself non-identity).
@@ -280,7 +280,7 @@ func (g Gate) RowInvariant() bool {
 // NominalUntil implements the nominalReporter capability: a calm (inactive)
 // episode is identity until its boundary; an active episode is never nominal
 // regardless of the inner stressor's current value (the inner change-points
-// would split the walk anyway). This is what lets the fast-forward backend
+// would split the walk anyway). This is what lets the fast-forward engine
 // macro-step the calm stretches of a VRT storm.
 func (g Gate) NominalUntil(from float64) float64 {
 	if g.active(frameOf(from, g.Period)) {

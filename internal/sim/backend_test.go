@@ -37,7 +37,7 @@ func TestBatchQueueMatchesHeapPopOrder(t *testing.T) {
 		rows := 1 + rng.Intn(200)
 		var bq batchQueue
 		bq.reset()
-		heap := eventQueue{useHeap: true}
+		var heap eventQueue
 		periods := make([]float64, rows)
 		minPeriod := math.Inf(1)
 		for r := 0; r < rows; r++ {
@@ -91,7 +91,7 @@ func TestBatchQueuePendingSortedMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var bq batchQueue
 	bq.reset()
-	heap := eventQueue{useHeap: true}
+	var heap eventQueue
 	for r := 0; r < 300; r++ {
 		e := event{T: rng.Float64(), Row: r}
 		if r%2 == 0 {
@@ -117,8 +117,7 @@ func TestBatchQueuePendingSortedMatchesHeap(t *testing.T) {
 // backendHarness builds one fully-featured run configuration for the
 // backend equivalence matrix: a mis-binned retention profile (so ECC
 // classification fires), an access trace, checkpointing, and optional
-// scenario and scrub layers. Smaller than the wheel harness because the
-// matrix is much wider.
+// scenario and scrub layers.
 type backendHarness struct {
 	geom    device.BankGeometry
 	profile *retention.BankProfile
@@ -130,8 +129,24 @@ type backendHarness struct {
 
 func newBackendHarness(t *testing.T, seed int64) *backendHarness {
 	t.Helper()
+	h := newHarnessGeom(t, device.BankGeometry{Rows: 256, Cols: 32}, seed)
+	h.recs = make([]trace.Record, 1200)
+	for i := range h.recs {
+		op := trace.Read
+		if i%3 == 0 {
+			op = trace.Write
+		}
+		h.recs[i] = trace.Record{Time: float64(i) * 0.768 / float64(len(h.recs)), Op: op, Row: (i * 37) % h.geom.Rows}
+	}
+	return h
+}
+
+// newHarnessGeom builds the harness without a trace: a sampled profile with
+// 5 % of its rows mis-binned, the paper restore model, and ECC-classified
+// options over one bin hyperperiod.
+func newHarnessGeom(t testing.TB, geom device.BankGeometry, seed int64) *backendHarness {
+	t.Helper()
 	p := device.Default90nm()
-	geom := device.BankGeometry{Rows: 256, Cols: 32}
 	prof, err := retention.NewSampledProfile(geom, retention.DefaultCellDistribution(), seed)
 	if err != nil {
 		t.Fatal(err)
@@ -144,26 +159,17 @@ func newBackendHarness(t *testing.T, seed int64) *backendHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]trace.Record, 1200)
-	for i := range recs {
-		op := trace.Read
-		if i%3 == 0 {
-			op = trace.Write
-		}
-		recs[i] = trace.Record{Time: float64(i) * 0.768 / float64(len(recs)), Op: op, Row: (i * 37) % geom.Rows}
-	}
 	cls := ecc.DefaultClassifier()
 	return &backendHarness{
 		geom:    geom,
 		profile: bad,
 		rm:      rm,
-		recs:    recs,
 		seed:    seed,
 		opts:    Options{Duration: 0.768, TCK: p.TCK, ECC: &cls},
 	}
 }
 
-func (h *backendHarness) sched(t *testing.T, name string) core.Scheduler {
+func (h *backendHarness) sched(t testing.TB, name string) core.Scheduler {
 	t.Helper()
 	cfg := core.Config{Restore: h.rm}
 	var (
@@ -188,10 +194,10 @@ func (h *backendHarness) sched(t *testing.T, name string) core.Scheduler {
 	return s
 }
 
-// runOnce executes one full checkpointed run on the requested backend and
-// returns the stats plus the gob-encoded checkpoint stream. scenName names
-// a catalog scenario to decay under ("" = bare bank).
-func (h *backendHarness) runOnce(t *testing.T, schedName, scenName string, withScrub bool, backend Backend) (Stats, [][]byte) {
+// build assembles one run on the harness: a fresh bank and scheduler, and
+// the harness options with the backend set and the named catalog scenario
+// ("" = bare bank) and optional patrol scrubber attached.
+func (h *backendHarness) build(t testing.TB, schedName, scenName string, withScrub bool, backend Backend) (*dram.Bank, core.Scheduler, Options) {
 	t.Helper()
 	bank, err := dram.NewBank(h.profile, retention.ExpDecay{}, retention.PatternAllZeros)
 	if err != nil {
@@ -235,16 +241,31 @@ func (h *backendHarness) runOnce(t *testing.T, schedName, scenName string, withS
 		}
 		opts.Scrub = scr
 	}
-	var blobs [][]byte
-	opts.CheckpointEvery = opts.Duration / 4
-	opts.CheckpointSink = func(cp *Checkpoint) error {
+	return bank, sched, opts
+}
+
+// blobSink returns a CheckpointSink that gob-encodes every checkpoint into
+// *blobs and then returns ret.
+func blobSink(blobs *[][]byte, ret func() error) func(*Checkpoint) error {
+	return func(cp *Checkpoint) error {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
 			return err
 		}
-		blobs = append(blobs, buf.Bytes())
-		return nil
+		*blobs = append(*blobs, buf.Bytes())
+		return ret()
 	}
+}
+
+// runOnce executes one full checkpointed run on the requested backend and
+// returns the stats plus the gob-encoded checkpoint stream. scenName names
+// a catalog scenario to decay under ("" = bare bank).
+func (h *backendHarness) runOnce(t *testing.T, schedName, scenName string, withScrub bool, backend Backend) (Stats, [][]byte) {
+	t.Helper()
+	bank, sched, opts := h.build(t, schedName, scenName, withScrub, backend)
+	var blobs [][]byte
+	opts.CheckpointEvery = opts.Duration / 4
+	opts.CheckpointSink = blobSink(&blobs, func() error { return nil })
 	r := NewReusable(h.geom.Rows)
 	st, err := r.Run(bank, sched, trace.NewSliceSource(h.recs), opts)
 	if err != nil {
@@ -254,12 +275,13 @@ func (h *backendHarness) runOnce(t *testing.T, schedName, scenName string, withS
 }
 
 // comparePair runs the same configuration on the scalar reference and the
-// batched runner and demands bit-identical Stats and bit-identical
-// serialized checkpoints.
+// auto backend and demands bit-identical Stats and bit-identical serialized
+// checkpoints. With the harness's ECC classification on, auto is the plain
+// batched runner (fast-forward is statically ineligible).
 func (h *backendHarness) comparePair(t *testing.T, schedName, scenName string, withScrub bool) {
 	t.Helper()
 	scalarStats, scalarBlobs := h.runOnce(t, schedName, scenName, withScrub, BackendScalar)
-	batchStats, batchBlobs := h.runOnce(t, schedName, scenName, withScrub, BackendBatch)
+	batchStats, batchBlobs := h.runOnce(t, schedName, scenName, withScrub, BackendAuto)
 	if !reflect.DeepEqual(scalarStats, batchStats) {
 		t.Fatalf("stats diverged:\nscalar: %+v\nbatch:  %+v", scalarStats, batchStats)
 	}
@@ -314,37 +336,5 @@ func TestBatchMatchesScalarSecondSeed(t *testing.T) {
 				h.comparePair(t, "vrl", scen, withScrub)
 			})
 		}
-	}
-}
-
-// TestBatchLUTBackend covers the opt-in LUT backend: the run succeeds, the
-// refresh schedule is unchanged (it never depends on cell charge), the
-// violation verdicts agree with the exact backend on this workload, and the
-// bank's decay model is restored afterwards (the LUT swap must not leak out
-// of the run).
-func TestBatchLUTBackend(t *testing.T) {
-	h := newBackendHarness(t, 7)
-	exact, _ := h.runOnce(t, "vrl", "kitchen-sink", false, BackendBatch)
-	approx, _ := h.runOnce(t, "vrl", "kitchen-sink", false, BackendBatchLUT)
-	if approx.FullRefreshes != exact.FullRefreshes || approx.PartialRefreshes != exact.PartialRefreshes ||
-		approx.BusyCycles != exact.BusyCycles {
-		t.Fatalf("LUT backend changed the refresh schedule:\nexact: %+v\nlut:   %+v", exact, approx)
-	}
-	if approx.Violations != exact.Violations {
-		t.Fatalf("LUT backend changed violations: exact %d, lut %d", exact.Violations, approx.Violations)
-	}
-
-	// The decay swap must be scoped to the run.
-	bank, err := dram.NewBank(h.profile, retention.ExpDecay{}, retention.PatternAllZeros)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := h.opts
-	opts.Backend = BackendBatchLUT
-	if _, err := Run(bank, h.sched(t, "vrl"), nil, opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := bank.Decay.(retention.ExpDecay); !ok {
-		t.Fatalf("bank.Decay not restored after LUT run: %T", bank.Decay)
 	}
 }

@@ -2,27 +2,23 @@ package sim
 
 import (
 	"math"
-	"slices"
 
 	"vrldram/internal/dram"
 )
 
-// Batched event queue. The timing wheel in wheel.go made pop O(1) amortized,
-// but it still pays a per-event bucket hash on push and a per-bucket sort on
-// drain, which together profile as the dominant cost of a refresh-only run.
-// The batch queue exploits the structure the wheel ignores: almost every
-// event is a re-push at "now + period" for a period drawn from a handful of
-// distinct values (the retention bins), and the runner processes events in
-// ascending time order - so the re-pushes of one period value arrive already
-// sorted. Keeping one FIFO lane per distinct period makes push an append and
-// drain a k-way merge of sorted lanes, with no hashing and no sorting on the
-// hot path. Events that do not come with a period (initial seeds, resume
-// snapshots) or that would break a lane's ordering go to a "mixed" intake
-// lane that is sorted lazily, once per disturbance.
+// Batched event queue. Almost every refresh event is a re-push at
+// "now + period" for a period drawn from a handful of distinct values (the
+// retention bins), and the runner processes events in ascending time order
+// - so the re-pushes of one period value arrive already sorted. Keeping one
+// FIFO lane per distinct period makes push an append and drain a k-way
+// merge of sorted lanes, with no hashing and no sorting on the hot path.
+// Events that do not come with a period (initial seeds, resume snapshots)
+// or that would break a lane's ordering go to a "mixed" intake lane that is
+// sorted lazily, once per disturbance.
 //
-// Ordering invariant: identical to the other queues - events leave in
+// Ordering invariant: identical to the reference heap - events leave in
 // strictly increasing (time, row) order, so the batched runner observes
-// exactly the sequence the reference heap would emit.
+// exactly the sequence the scalar runner would.
 const (
 	// batchWindow is the batch granularity: the batched runner drains
 	// [tFirst, tFirst+batchWindow) as one batch (further cut by
@@ -47,79 +43,17 @@ func eventLess(a, b event) bool {
 	return a.T < b.T || (a.T == b.T && a.Row < b.Row)
 }
 
-// sortEvents orders s by (time, row) with a natural merge sort, reusing the
-// caller's scratch buffers across calls. Hand-rolled rather than
-// slices.SortFunc (the generic comparator indirection was the single largest
-// line in a refresh-only profile) and run-aware because the mixed lane's
-// contents are typically a few concatenated sorted runs, which merge in ~2
-// comparisons per event where a general sort pays the full n log n.
-func sortEvents(s []event, scratch *[]event, bounds *[]int, keys *[]uint64) {
-	n := len(s)
-	if n < 2 {
-		return
-	}
-	// Split into maximal ascending runs; runs[i] is the start of run i.
-	runs := append((*bounds)[:0], 0)
-	for i := 1; i < n; i++ {
+// sortEvents orders s by (time, row), reusing the caller's scratch buffers
+// across calls. Input that is already sorted - a resume snapshot, which
+// checkpoints store in canonical order - costs one pass; anything else (the
+// initial seed phase, which arrives in row order with effectively random
+// stagger times, or a spilled lane) goes through the byte radix.
+func sortEvents(s []event, scratch *[]event, keys *[]uint64) {
+	for i := 1; i < len(s); i++ {
 		if eventLess(s[i], s[i-1]) {
-			runs = append(runs, i)
-		}
-	}
-	*bounds = runs
-	if len(runs) == 1 {
-		return // already sorted
-	}
-	if len(runs) > 8 && len(runs) > n/8 {
-		// Run structure too fragmented for merging to pay (e.g. the initial
-		// seed phase, which arrives in row order with effectively random
-		// stagger times): sort comparison-free instead - byte radix when
-		// large enough to amortize the histograms, else quicksort.
-		if n >= 256 {
 			radixSortEvents(s, scratch, keys)
-		} else {
-			quickSortEvents(s)
+			return
 		}
-		return
-	}
-	if cap(*scratch) < n {
-		*scratch = make([]event, n)
-	}
-	tmp := (*scratch)[:n]
-	// Bottom-up passes merging adjacent runs in place (left half staged
-	// through tmp) until one run remains.
-	for len(runs) > 1 {
-		out := runs[:0]
-		for i := 0; i < len(runs); i += 2 {
-			out = append(out, runs[i])
-			if i+1 >= len(runs) {
-				break
-			}
-			a, b := runs[i], runs[i+1]
-			c := n
-			if i+2 < len(runs) {
-				c = runs[i+2]
-			}
-			// Merge s[a:b] and s[b:c]: stage the left run in tmp, then
-			// merge back into s[a:c].
-			left := tmp[:copy(tmp, s[a:b])]
-			li, ri, w := 0, b, a
-			for li < len(left) && ri < c {
-				if eventLess(s[ri], left[li]) {
-					s[w] = s[ri]
-					ri++
-				} else {
-					s[w] = left[li]
-					li++
-				}
-				w++
-			}
-			for li < len(left) {
-				s[w] = left[li]
-				li++
-				w++
-			}
-		}
-		runs = out
 	}
 }
 
@@ -203,59 +137,6 @@ func radixSortEvents(s []event, scratch *[]event, keyBuf *[]uint64) {
 	}
 }
 
-// quickSortEvents orders s by (time, row): median-of-three quicksort with
-// insertion sort below 24 elements, all with concrete inlined comparisons.
-func quickSortEvents(s []event) {
-	for len(s) > 24 {
-		// Median of first/middle/last as pivot, swapped to s[0].
-		lo, mid := 0, len(s)/2
-		if eventLess(s[mid], s[lo]) {
-			lo, mid = mid, lo
-		}
-		if hi := len(s) - 1; eventLess(s[hi], s[mid]) {
-			mid = hi
-			if eventLess(s[mid], s[lo]) {
-				lo, mid = mid, lo
-			}
-		}
-		s[0], s[mid] = s[mid], s[0]
-		pivot := s[0]
-		i, j := 1, len(s)-1
-		for {
-			for i <= j && eventLess(s[i], pivot) {
-				i++
-			}
-			for i <= j && eventLess(pivot, s[j]) {
-				j--
-			}
-			if i > j {
-				break
-			}
-			s[i], s[j] = s[j], s[i]
-			i++
-			j--
-		}
-		s[0], s[j] = s[j], s[0]
-		// Recurse into the smaller side, loop on the larger.
-		if j < len(s)-i {
-			quickSortEvents(s[:j])
-			s = s[i:]
-		} else {
-			quickSortEvents(s[i:])
-			s = s[:j]
-		}
-	}
-	for i := 1; i < len(s); i++ {
-		e := s[i]
-		j := i
-		for j > 0 && eventLess(e, s[j-1]) {
-			s[j] = s[j-1]
-			j--
-		}
-		s[j] = e
-	}
-}
-
 // batchLane is one FIFO of events sharing a re-push period. Its unconsumed
 // tail Events[Head:] is sorted by (time, row) by construction: the runner
 // pushes in ascending event-time order, and adding a shared constant
@@ -290,9 +171,8 @@ type batchQueue struct {
 	mixedSorted bool
 	count       int
 
-	sortTmp    []event  // merge/radix staging buffer for the mixed lane
-	sortBounds []int    // run-boundary scratch for the mixed lane
-	sortKeys   []uint64 // radix key scratch for the mixed lane
+	sortTmp  []event  // radix staging buffer for the mixed lane
+	sortKeys []uint64 // radix key scratch for the mixed lane
 }
 
 // reset empties the queue while keeping every allocation for reuse.
@@ -360,7 +240,7 @@ func (bq *batchQueue) ensureMixedSorted() {
 			bq.mixed = bq.mixed[:0]
 			bq.mixedHead = 0
 		}
-		sortEvents(bq.mixed[bq.mixedHead:], &bq.sortTmp, &bq.sortBounds, &bq.sortKeys)
+		sortEvents(bq.mixed[bq.mixedHead:], &bq.sortTmp, &bq.sortKeys)
 		bq.mixedSorted = true
 	}
 }
@@ -499,18 +379,6 @@ func (bq *batchQueue) pendingSorted() []PendingEvent {
 	for _, e := range bq.mixed[bq.mixedHead:] {
 		out = append(out, PendingEvent{Time: e.T, Row: e.Row})
 	}
-	slices.SortFunc(out, func(a, b PendingEvent) int {
-		switch {
-		case a.Time < b.Time:
-			return -1
-		case a.Time > b.Time:
-			return 1
-		case a.Row < b.Row:
-			return -1
-		case a.Row > b.Row:
-			return 1
-		}
-		return 0
-	})
+	sortPending(out)
 	return out
 }

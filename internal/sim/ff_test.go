@@ -29,12 +29,12 @@ func newFFHarness(t *testing.T, seed int64) *backendHarness {
 }
 
 // compareFF runs the same configuration on the scalar reference and the
-// fast-forward backend and demands bit-identical Stats and bit-identical
+// auto backend (fast-forward eligible) and demands bit-identical Stats and bit-identical
 // serialized checkpoints.
 func (h *backendHarness) compareFF(t *testing.T, schedName, scenName string, withScrub bool) {
 	t.Helper()
 	scalarStats, scalarBlobs := h.runOnce(t, schedName, scenName, withScrub, BackendScalar)
-	ffStats, ffBlobs := h.runOnce(t, schedName, scenName, withScrub, BackendFastForward)
+	ffStats, ffBlobs := h.runOnce(t, schedName, scenName, withScrub, BackendAuto)
 	if !reflect.DeepEqual(scalarStats, ffStats) {
 		t.Fatalf("stats diverged:\nscalar:       %+v\nfast-forward: %+v", scalarStats, ffStats)
 	}
@@ -53,8 +53,8 @@ func (h *backendHarness) compareFF(t *testing.T, schedName, scenName string, wit
 
 // TestFastForwardMatchesScalarFullRuns is the keystone equivalence property
 // of the fast-forward engine: across all four schedulers, scrub on and off,
-// and every catalog scenario (plus the bare bank), a run on the fast-forward
-// backend must produce bit-identical Stats and bit-identical serialized
+// and every catalog scenario (plus the bare bank), a fast-forward eligible
+// run on the auto backend must produce bit-identical Stats and bit-identical serialized
 // checkpoints to the same run on the scalar reference. Schedulers or
 // scenarios that do not declare steady capability simply keep the engine
 // disengaged - equivalence must hold either way.
@@ -95,13 +95,12 @@ func TestFastForwardMatchesScalarSecondSeed(t *testing.T) {
 }
 
 // TestFastForwardFallsBackUnderECC pins the static-ineligibility path: with
-// ECC classification on, an explicit BackendFastForward request must quietly
-// run the plain batched path and still match the scalar reference bit for
-// bit.
+// ECC classification on, the auto backend must quietly run the plain
+// batched path and still match the scalar reference bit for bit.
 func TestFastForwardFallsBackUnderECC(t *testing.T) {
 	h := newBackendHarness(t, 7) // keeps ECC set
 	scalarStats, scalarBlobs := h.runOnce(t, "vrl", "", false, BackendScalar)
-	ffStats, ffBlobs := h.runOnce(t, "vrl", "", false, BackendFastForward)
+	ffStats, ffBlobs := h.runOnce(t, "vrl", "", false, BackendAuto)
 	if !reflect.DeepEqual(scalarStats, ffStats) {
 		t.Fatalf("stats diverged under ECC:\nscalar:       %+v\nfast-forward: %+v", scalarStats, ffStats)
 	}
@@ -141,7 +140,7 @@ func TestFastForwardEngagesOnQuietRun(t *testing.T) {
 	h := newFFHarness(t, 7)
 	opts := Options{Duration: 4 * 0.768, TCK: h.opts.TCK}
 	scalarStats, _ := ffQuietRun(t, h, BackendScalar, opts)
-	ffStats, windows := ffQuietRun(t, h, BackendFastForward, opts)
+	ffStats, windows := ffQuietRun(t, h, BackendAuto, opts)
 	if windows == 0 {
 		t.Fatal("fast-forward engine never engaged on a quiet steady-state run")
 	}
@@ -172,7 +171,7 @@ func TestFastForwardMidSkipResume(t *testing.T) {
 		blobs = append(blobs, buf.Bytes())
 		return nil
 	}
-	ffStats, windows := ffQuietRun(t, h, BackendFastForward, opts)
+	ffStats, windows := ffQuietRun(t, h, BackendAuto, opts)
 	if windows == 0 {
 		t.Fatal("checkpointed run never fast-forwarded; resume test is vacuous")
 	}
@@ -192,7 +191,7 @@ func TestFastForwardMidSkipResume(t *testing.T) {
 		resume := base
 		resume.Resume = &cp
 		var scalarTail, ffTail Stats
-		for _, backend := range []Backend{BackendScalar, BackendFastForward} {
+		for _, backend := range []Backend{BackendScalar, BackendAuto} {
 			bank, err := dram.NewBank(h.profile, retention.ExpDecay{}, retention.PatternAllZeros)
 			if err != nil {
 				t.Fatal(err)
@@ -240,7 +239,7 @@ func TestFastForwardBoundedWindows(t *testing.T) {
 	}
 
 	// Uninterrupted: the budget alone cuts the span.
-	whole, r, err := run(base, BackendFastForward)
+	whole, r, err := run(base, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +285,7 @@ func TestFastForwardBoundedWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	cpOpts.CheckpointSink = capture(&ffBlobs, nil)
-	ffCP, _, err := run(cpOpts, BackendFastForward)
+	ffCP, _, err := run(cpOpts, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +307,7 @@ func TestFastForwardBoundedWindows(t *testing.T) {
 	errKill := errors.New("killed")
 	var killBlobs [][]byte
 	cpOpts.CheckpointSink = capture(&killBlobs, errKill)
-	if _, _, err := run(cpOpts, BackendFastForward); !errors.Is(err, errKill) {
+	if _, _, err := run(cpOpts, BackendAuto); !errors.Is(err, errKill) {
 		t.Fatalf("killed run returned %v, want the sink's kill error", err)
 	}
 	var cp Checkpoint
@@ -317,7 +316,7 @@ func TestFastForwardBoundedWindows(t *testing.T) {
 	}
 	resume := base
 	resume.Resume = &cp
-	resumed, _, err := run(resume, BackendFastForward)
+	resumed, _, err := run(resume, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,12 +336,12 @@ func TestFFPlanProperties(t *testing.T) {
 	}
 }
 
-// checkFFPlan verifies the planner invariants for one input triple: the skip
-// count is never negative, a planned skip never lands an event at or past
-// the horizon, the plan is maximal (one more lap would cross), and the
-// horizon composition returns the minimum of its caps.
+// checkFFPlan verifies the planner invariants for one input triple: the
+// kernel's lap count (dram.LapsBelow) is never negative, never lands an
+// event at or past the horizon, and is maximal (one more lap would cross),
+// and the horizon composition returns the minimum of its caps.
 func checkFFPlan(t0, period, horizon float64) bool {
-	k := ffSkip(t0, period, horizon)
+	k := dram.LapsBelow(t0, period, horizon)
 	if k < 0 {
 		return false
 	}
@@ -351,8 +350,8 @@ func checkFFPlan(t0, period, horizon float64) bool {
 			return false
 		}
 	}
-	if k < ffSkipMax && period > 0 && t0 < horizon {
-		// Maximality: the next lap must not also fit (ffSkipMax saturates).
+	if k < dram.MaxLaps && period > 0 && t0 < horizon {
+		// Maximality: the next lap must not also fit (MaxLaps saturates).
 		if t0+float64(k+1)*period < horizon {
 			return false
 		}
@@ -412,7 +411,7 @@ func checkFFBudget(t0, p, slow float64, n1, n2 uint8) bool {
 
 // FuzzFastForwardPlan fuzzes the fast-forward planner: for arbitrary
 // (start, period, horizon) triples - including NaNs, infinities, negatives,
-// and denormals - the skip count must be non-negative, never plan an event
+// and denormals - the lap count must be non-negative, never plan an event
 // at or past the horizon, and be maximal; the horizon composition must be
 // the minimum of its caps. The same inputs, as lane periods with the two
 // counts, drive the event-budget cap properties (checkFFBudget).
@@ -430,8 +429,8 @@ func FuzzFastForwardPlan(f *testing.F) {
 	f.Add(3.0, 64e-3, 256e-3, uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, t0, period, horizon float64, n1, n2 uint8) {
 		if !checkFFPlan(t0, period, horizon) {
-			t.Fatalf("plan invariant violated for t=%g period=%g horizon=%g (skip=%d)",
-				t0, period, horizon, ffSkip(t0, period, horizon))
+			t.Fatalf("plan invariant violated for t=%g period=%g horizon=%g (laps=%d)",
+				t0, period, horizon, dram.LapsBelow(t0, period, horizon))
 		}
 		if !checkFFBudget(t0, period, horizon, n1, n2) {
 			t.Fatalf("budget cap invariant violated for t=%g periods=(%g, %g) counts=(%d, %d)",

@@ -5,10 +5,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -21,40 +23,27 @@ import (
 )
 
 // Backend selects the simulator's runner implementation, in the same spirit
-// as the SPICE solver's banded/dense switch: the scalar per-event loop is
-// the checked reference, and the batched runner - which drains whole
-// timing-wheel buckets and applies decay/sense/restore through the columnar
-// dram kernels - is bit-identical to it (Stats and checkpoint blobs; the
-// backend equivalence tests pin this across schedulers, scrub modes, and
-// scenarios).
+// as the SPICE solver's banded/dense switch: the scalar per-event loop over
+// a binary heap is the checked reference, and the batched runner - which
+// drains the period lanes in windows, applies decay/sense/restore through
+// the columnar dram kernels, and fast-forwards quiescent spans through
+// dram.Bank.RefreshMacro - is bit-identical to it (Stats and checkpoint
+// blobs; the backend equivalence tests and FuzzRunEquivalence pin this
+// across schedulers, scrub modes, scenarios, and kill/resume points).
+//
+// The numeric values are part of the fleet manifest encoding; retired
+// values (2-4 named the batch, batch-lut and fast-forward runners) are
+// rejected by Validate rather than reused.
 type Backend int
 
 const (
-	// BackendAuto picks the batched runner: it is exact, so there is no
-	// accuracy trade-off to opt into.
+	// BackendAuto is the batched runner with fast-forward: it is exact, so
+	// there is no accuracy trade-off to opt into. Fast-forward engages on
+	// its own whenever the run is eligible (no ECC classification, no sense
+	// monitor, a streamable decay law, a steady scheduler and modulator).
 	BackendAuto Backend = iota
 	// BackendScalar forces the reference per-event loop.
 	BackendScalar
-	// BackendBatch forces the batched runner explicitly.
-	BackendBatch
-	// BackendBatchLUT runs the batched runner with the bank's decay law
-	// swapped for its precomputed monotone-LUT fit (retention.DecayLUTFor)
-	// for the duration of the run. Unlike every other backend this one is
-	// approximate - deviations are bounded by the LUT's 1e-9 equivalence
-	// gate, not bit-identical - which is why it is strictly opt-in and never
-	// what Auto resolves to.
-	BackendBatchLUT
-	// BackendFastForward runs the batched runner with the steady-state
-	// fast-forward engine enabled on top: when the schedule is provably
-	// quiescent - scheduler periods stable (core.SteadyScheduler), scenario
-	// nominal (dram.SteadyModulator), no trace record, scrub sweep, or
-	// checkpoint boundary before the horizon - whole spans of refresh events
-	// are consumed by one fused kernel call (dram.Bank.RefreshStream)
-	// instead of per-bucket drains. It is exact: the kernel replays the
-	// per-event arithmetic in the same global order, so Stats and checkpoint
-	// blobs stay bit-identical to the scalar reference. BackendAuto resolves
-	// to it whenever the run is eligible.
-	BackendFastForward
 )
 
 // String returns the backend's CLI name.
@@ -64,20 +53,24 @@ func (b Backend) String() string {
 		return "auto"
 	case BackendScalar:
 		return "scalar"
-	case BackendBatch:
-		return "batch"
-	case BackendBatchLUT:
-		return "batch-lut"
-	case BackendFastForward:
-		return "fast-forward"
 	default:
 		return fmt.Sprintf("backend(%d)", int(b))
 	}
 }
 
+// Validate rejects any value that does not name a runner: a Backend can
+// arrive from a decoded fleet manifest or a shard spec on the wire, where
+// an out-of-range value must fail loudly instead of running some default.
+func (b Backend) Validate() error {
+	if b != BackendAuto && b != BackendScalar {
+		return fmt.Errorf("undefined backend %d (valid: %s)", int(b), strings.Join(BackendNames(), ", "))
+	}
+	return nil
+}
+
 // BackendNames lists the valid CLI backend names in menu order.
 func BackendNames() []string {
-	return []string{"auto", "scalar", "batch", "batch-lut", "fast-forward"}
+	return []string{"auto", "scalar"}
 }
 
 // ParseBackend maps a CLI name to its Backend. The empty string means Auto.
@@ -87,12 +80,6 @@ func ParseBackend(name string) (Backend, error) {
 		return BackendAuto, nil
 	case "scalar":
 		return BackendScalar, nil
-	case "batch":
-		return BackendBatch, nil
-	case "batch-lut":
-		return BackendBatchLUT, nil
-	case "fast-forward":
-		return BackendFastForward, nil
 	default:
 		return 0, fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(BackendNames(), ", "))
 	}
@@ -104,7 +91,7 @@ type Options struct {
 	TCK      float64 // DRAM clock period (s), for the overhead fraction
 
 	// Backend selects the runner implementation; the zero value (Auto) runs
-	// the batched-exact path.
+	// the batched-exact path with fast-forward.
 	Backend Backend
 
 	// ECC, when set, classifies every sub-limit sensing event into
@@ -240,27 +227,28 @@ func (s Stats) OverheadFraction(tck float64) float64 {
 // refresh event queue -------------------------------------------------------
 
 // event aliases dram.StreamEvent so the batch queue's period lanes can be
-// handed to the fast-forward kernel (dram.Bank.RefreshStream) without
+// handed to the fast-forward kernel (dram.Bank.RefreshMacro) without
 // copying or converting.
 type event = dram.StreamEvent
 
-// eventHeap is a binary min-heap ordered by (time, row). It deliberately
-// does NOT implement container/heap: that interface boxes every pushed and
-// popped element into an interface{}, costing two heap allocations per
-// refresh event in the simulator's hottest loop. The inlined sift functions
-// below keep events on the slice. The (time, row) order is total - no two
-// events share both fields - so the pop sequence is uniquely determined by
-// the comparator and independent of the heap's internal layout.
-type eventHeap []event
+// eventQueue is the scalar reference's refresh event queue: a binary
+// min-heap ordered by (time, row). It deliberately does NOT implement
+// container/heap: that interface boxes every pushed and popped element into
+// an interface{}, costing two heap allocations per refresh event in the
+// simulator's hottest loop. The inlined sift functions below keep events on
+// the slice. The (time, row) order is total - no two events share both
+// fields - so the pop sequence is uniquely determined by the comparator and
+// independent of the heap's internal layout.
+type eventQueue []event
 
-func (h eventHeap) less(i, j int) bool {
+func (h eventQueue) less(i, j int) bool {
 	if h[i].T != h[j].T {
 		return h[i].T < h[j].T
 	}
 	return h[i].Row < h[j].Row
 }
 
-func (h eventHeap) siftUp(i int) {
+func (h eventQueue) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
@@ -271,7 +259,7 @@ func (h eventHeap) siftUp(i int) {
 	}
 }
 
-func (h eventHeap) siftDown(i int) {
+func (h eventQueue) siftDown(i int) {
 	n := len(h)
 	for {
 		left := 2*i + 1
@@ -290,19 +278,21 @@ func (h eventHeap) siftDown(i int) {
 	}
 }
 
-// init establishes the heap invariant over arbitrary contents.
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
+// reset empties the queue, keeping its allocation.
+func (h *eventQueue) reset() { *h = (*h)[:0] }
 
-func (h *eventHeap) push(e event) {
+func (h *eventQueue) size() int { return len(*h) }
+
+func (h *eventQueue) push(e event) {
 	*h = append(*h, e)
 	h.siftUp(len(*h) - 1)
 }
 
-func (h *eventHeap) pop() event {
+// pushNext implements refreshQueue; the heap takes no advantage of the
+// period hint.
+func (h *eventQueue) pushNext(e event, _ float64) { h.push(e) }
+
+func (h *eventQueue) pop() event {
 	old := *h
 	n := len(old) - 1
 	top := old[0]
@@ -312,32 +302,60 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// peekTime returns the earliest outstanding event time, or +Inf when empty.
+func (h *eventQueue) peekTime() float64 {
+	if len(*h) == 0 {
+		return math.Inf(1)
+	}
+	return (*h)[0].T
+}
+
+// pendingSorted returns the outstanding events in canonical (time, row)
+// order. Checkpoints store this form, so checkpoint blobs are independent of
+// the queue implementation and of any queue-internal layout.
+func (h *eventQueue) pendingSorted() []PendingEvent {
+	out := make([]PendingEvent, len(*h))
+	for i, e := range *h {
+		out[i] = PendingEvent{Time: e.T, Row: e.Row}
+	}
+	sortPending(out)
+	return out
+}
+
+// sortPending orders a checkpoint's event listing by (time, row).
+func sortPending(out []PendingEvent) {
+	slices.SortFunc(out, func(a, b PendingEvent) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Row, b.Row))
+	})
+}
+
 // Scratch holds the simulator's reusable per-run allocations - the refresh
-// event queues (a timing wheel for the scalar backend, the bucket ring for
-// the batched one) and the batch gather columns. A Scratch may be reused
-// across any number of sequential runs; concurrent runs need one Scratch
-// each. The zero value is usable.
+// event queues (the heap for the scalar backend, the period lanes for the
+// batched one) and the batch gather columns. A Scratch may be reused across
+// any number of sequential runs; concurrent runs need one Scratch each. The
+// zero value is usable.
 type Scratch struct {
 	queue eventQueue
 	batch batchQueue
 
-	// Batch gather columns: one bucket's worth of (row, time) pairs and
-	// their sensed charges.
+	// Batch gather columns: one batch window's worth of (row, time) pairs
+	// and their sensed charges.
 	bRows    []int
 	bTimes   []float64
 	bCharge  []float64
 	bOps     []core.Op
 	bPeriods []float64
 
-	// ffScratch is the fast-forward kernel's gathered row state. Keeping it
-	// on the Scratch (not the bank) lets its decay memo stay warm across
+	// ffScratch is the fast-forward kernel's scratch columns and decay memo.
+	// Keeping it on the Scratch (not the bank) lets the memo stay warm across
 	// sequential runs that share a Scratch - the kernel invalidates any row
 	// whose retention changed, so reuse across different banks is safe.
 	ffScratch dram.StreamScratch
-	// ffWindows counts fast-forward kernel windows executed by the last run
-	// (a debug/observability counter, deliberately NOT part of Stats - Stats
-	// must stay bit-identical across backends).
-	ffWindows int
+	// ffWindows counts fast-forward kernel windows executed by the last run,
+	// and ffBails the windows the kernel refused (debug/observability
+	// counters, deliberately NOT part of Stats - Stats must stay
+	// bit-identical across backends).
+	ffWindows, ffBails int
 }
 
 // refreshQueue is the queue contract shared by the scalar and batched
@@ -363,7 +381,7 @@ func NewScratch(rows int) *Scratch {
 	if rows < 0 {
 		rows = 0
 	}
-	return &Scratch{queue: eventQueue{heap: make(eventHeap, 0, rows)}}
+	return &Scratch{queue: make(eventQueue, 0, rows)}
 }
 
 // scratchPool recycles Scratch buffers across Run/RunContext calls, so even
@@ -386,7 +404,7 @@ func NewReusable(rows int) *Reusable {
 	if rows < 0 {
 		rows = 0
 	}
-	return &Reusable{scratch: Scratch{queue: eventQueue{heap: make(eventHeap, 0, rows)}}}
+	return &Reusable{scratch: Scratch{queue: make(eventQueue, 0, rows)}}
 }
 
 // Run is Run with this context's buffers.
@@ -446,6 +464,9 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	if opts.TCK <= 0 {
 		return Stats{}, fmt.Errorf("sim: TCK must be positive, got %g", opts.TCK)
 	}
+	if err := opts.Backend.Validate(); err != nil {
+		return Stats{}, fmt.Errorf("sim: %w", err)
+	}
 	if opts.CheckpointEvery < 0 {
 		return Stats{}, fmt.Errorf("sim: CheckpointEvery must be non-negative, got %g", opts.CheckpointEvery)
 	}
@@ -494,22 +515,12 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		}
 	}
 
-	if opts.Backend == BackendBatchLUT {
-		lutDecay, err := retention.DecayLUTFor(bank.Decay)
-		if err != nil {
-			return Stats{}, fmt.Errorf("sim: %v", err)
-		}
-		orig := bank.Decay
-		bank.Decay = lutDecay
-		defer func() { bank.Decay = orig }()
-	}
-
 	rows := bank.Geom.Rows
 	// Backend split: both runners share the prologue, drains, checkpointing,
 	// and epilogue through the refreshQueue interface; only the hot loop
 	// differs. BackendAuto is the batched runner - it is bit-identical to
 	// the scalar reference, so there is nothing to trade away.
-	batched := opts.Backend != BackendScalar
+	batched := opts.Backend == BackendAuto
 	var q refreshQueue
 	if batched {
 		q = &scratch.batch
@@ -517,10 +528,10 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		q = &scratch.queue
 	}
 	// Schedulers that declare row-independent state let the batched runner
-	// hoist a bucket's RefreshOp calls into one batch call.
+	// hoist a batch window's RefreshOp calls into one batch call.
 	bSched, _ := sched.(core.BatchScheduler)
 	q.reset()
-	scratch.ffWindows = 0
+	scratch.ffWindows, scratch.ffBails = 0, 0
 	var (
 		next          trace.Record
 		havePending   bool
@@ -707,11 +718,23 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		return cp, nil
 	}
 
-	nextCP := math.Inf(1)
+	// Checkpoint boundaries sit at CheckpointEvery*k for k = 1, 2, ...;
+	// cpK is the next boundary's index. Each boundary is one product rather
+	// than a running sum, so a resumed run - which starts the cadence from
+	// the snapshot's time - lands on bit-identical boundaries instead of
+	// drifting an ulp off the uninterrupted run's.
+	nextCP, cpK := math.Inf(1), 0.0
 	if opts.CheckpointEvery > 0 {
-		// Continue the absolute checkpoint cadence across resumes: the next
-		// boundary is the first multiple of CheckpointEvery past the start.
-		nextCP = opts.CheckpointEvery * (math.Floor(now/opts.CheckpointEvery) + 1)
+		// The next boundary is the first one strictly past the start: every
+		// boundary at or below an event the run processed was already taken.
+		cpK = math.Floor(now/opts.CheckpointEvery) + 1
+		for cpK > 1 && opts.CheckpointEvery*(cpK-1) > now {
+			cpK--
+		}
+		for opts.CheckpointEvery*cpK <= now {
+			cpK++
+		}
+		nextCP = opts.CheckpointEvery * cpK
 	}
 
 	// postRefresh is the shared tail of one refresh event - scheduler
@@ -720,7 +743,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	// of the next event it pushed for the row, so the batched loop can track
 	// the earliest queued time without re-peeking the queue per entry.
 	// period is the row's refresh period when the caller already gathered it
-	// (the batched loop, when no ECC repair can demote a row mid-bucket), or
+	// (the batched loop, when no ECC repair can demote a row mid-batch), or
 	// negative to read it from the scheduler here - after any demotion this
 	// event's ECC outcome just applied.
 	postRefresh := func(row int, t float64, op core.Op, res dram.RefreshResult, period float64) (float64, error) {
@@ -776,8 +799,8 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 
 	// processEvent runs one full scalar refresh: sense+restore through the
 	// scalar bank path, then the shared tail. The scalar backend runs on it
-	// exclusively; the batched backend uses it for events a sub-bucket
-	// period pushes back into the open batch window.
+	// exclusively; the batched backend uses it for events a period shorter
+	// than the batch window pushes back into the open batch window.
 	processEvent := func(ev event) error {
 		op := sched.RefreshOp(ev.Row, ev.T)
 		res, err := bank.Refresh(ev.Row, ev.T, op.Alpha)
@@ -795,9 +818,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	// scheduler must expose both its stability horizon and its decision
 	// columns. Per-window caps (trace, scrub, checkpoints, scenario change-
 	// points) are then handled by the horizon computation inside the loop.
-	ffEligible := batched &&
-		(opts.Backend == BackendAuto || opts.Backend == BackendFastForward) &&
-		opts.ECC == nil && !hasMonitor && bank.Streamable()
+	ffEligible := batched && opts.ECC == nil && !hasMonitor && bank.Streamable()
 	var (
 		ffSteady core.SteadyScheduler
 		ffMod    dram.SteadyModulator
@@ -859,12 +880,15 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				finalize(now)
 				return st, fmt.Errorf("sim: checkpoint at t=%.6g: %w", nextCP, err)
 			}
-			nextCP += opts.CheckpointEvery
+			cpK++
+			nextCP = opts.CheckpointEvery * cpK
 		}
 		if !batched {
 			ev := q.pop()
 			if ev.T >= opts.Duration {
-				continue
+				// The queue minimum is past the run window, so every
+				// outstanding event is: the run is over.
+				break
 			}
 			now = ev.T
 			if err := drainScrub(ev.T); err != nil {
@@ -882,7 +906,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			continue
 		}
 
-		// Batched: drain every event in the cursor bucket up to the nearest
+		// Batched: drain every event in the batch window up to the nearest
 		// non-refresh boundary, sense the whole batch through the columnar
 		// kernel, then apply the ops in (time, row) order. The horizon h is
 		// capped below every boundary where non-refresh activity (a
@@ -891,8 +915,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		tFirst := q.peekTime()
 		if tFirst >= opts.Duration {
 			// tFirst is the queue minimum, so no outstanding event can fire
-			// inside the run window anymore; the scalar path discards them
-			// one pop at a time, with identical effect.
+			// inside the run window anymore.
 			break
 		}
 		if err := drainScrub(tFirst); err != nil {
@@ -918,13 +941,13 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				traceNext = next.Time
 			}
 			hf := ffHorizon(opts.Duration, cpCap, scrubDue, traceNext, ffSteady.StablePeriodUntil(-1, tFirst))
-			// The event budget bounds the kernels' per-window buffers; like
+			// The event budget bounds the kernel's per-window buffers; like
 			// every other cap it only splits the span, never reorders it.
 			if budget := ffBudgetHorizon(bq.lanes, tFirst); budget < hf {
 				hf = budget
 			}
 			// Engagement gate, purely a cost heuristic (any choice keeps the
-			// output bit-identical): the kernels pay a full scan of every
+			// output bit-identical): the kernel pays a full scan of every
 			// lane row per window, so a window too short for even one lap of
 			// the densest lane - the norm on trace-dense runs, where the next
 			// record caps the horizon microseconds away - must go straight to
@@ -941,15 +964,10 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				}
 			}
 			if hf-tFirst >= minLap && (bq.mixedQuietBelow(hf) || bq.adoptMixed(ffCfg.Period, ffCfg.Periods)) {
-				ffGrowLanes(bq.lanes, hf)
-				// Kernel tiering: the macro kernel refuses (cleanly, before
-				// mutating anything) any lane shape outside its verified
-				// regular-lap structure; the rotor kernel then handles the
-				// same window event-by-event, bailing with partial progress
-				// only at a cross-lane row collision it cannot re-push.
 				res, err := bank.RefreshMacro(&scratch.ffScratch, bq.lanes, hf, &ffCfg, st.ChargeRestored)
-				if err == nil && res.Bailed && res.Events == 0 {
-					res, err = bank.RefreshStream(&scratch.ffScratch, bq.lanes, hf, &ffCfg, st.ChargeRestored)
+				if err != nil {
+					finalize(now)
+					return st, err
 				}
 				if res.Events > 0 {
 					// The kernel replayed res.Events iterations of the
@@ -966,29 +984,18 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 					busyUntil = res.LastTime + float64(res.LastCycles)*opts.TCK
 					now = res.LastTime
 					scratch.ffWindows++
-				}
-				if err != nil {
-					finalize(now)
-					return st, err
+					continue
 				}
 				if res.Bailed {
-					// The kernel stopped before an event it could not re-push
-					// exactly; that event is the queue minimum (the mixed
-					// intake is quiet below hf), so one scalar step clears it.
-					ev := q.pop()
-					now = ev.T
-					if err := processEvent(ev); err != nil {
-						finalize(ev.T)
-						return st, err
-					}
-					continue
+					scratch.ffBails++
 				}
-				if res.Events > 0 {
-					continue
-				}
-				// Events == 0 and no bail: the lanes held nothing below hf
-				// after all (tFirst came from a boundary edge); fall through
-				// to the batch path, which guarantees progress.
+				// No events: either the kernel refused a lane shape outside
+				// its verified lap structure (Bailed, with bank and lanes
+				// untouched) or the lanes held nothing below hf after all
+				// (tFirst came from a boundary edge). Either way the batch
+				// path below takes this window and guarantees progress; a
+				// single scalar step here would re-attempt the kernel once
+				// per event.
 			}
 		}
 		h := tFirst + batchWindow
@@ -1011,9 +1018,9 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		n := len(bRows)
 		if n == 0 {
 			// Every cap on h sits strictly above tFirst, so an empty batch
-			// can only mean a floating-point boundary edge (an event hashed
-			// into a bucket whose end precedes it). Process one event
-			// scalar-style to guarantee progress.
+			// can only mean a floating-point edge (tFirst + batchWindow
+			// rounding back onto tFirst). Process one event scalar-style to
+			// guarantee progress.
 			ev := q.pop()
 			now = ev.T
 			if err := processEvent(ev); err != nil {
@@ -1039,7 +1046,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			bOps = scratch.bOps[:n]
 			bSched.RefreshOps(bRows, bTimes, bOps)
 			if opts.ECC == nil {
-				// No ECC means no mid-bucket demotes/upgrades, so periods
+				// No ECC means no mid-batch demotes/upgrades, so periods
 				// are immutable across the batch and can be gathered too.
 				if cap(scratch.bPeriods) < n {
 					scratch.bPeriods = make([]float64, n)
@@ -1056,7 +1063,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		qNext := bq.peekTime()
 		for i := 0; i < n; i++ {
 			evT, evRow := bTimes[i], bRows[i]
-			// A row whose period is shorter than the bucket width can push
+			// A row whose period is shorter than the batch window can push
 			// its next refresh back inside the open batch window; process
 			// those scalar-style so the total (time, row) order - and with
 			// it every scheduler and accounting interaction - is preserved.

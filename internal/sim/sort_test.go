@@ -25,37 +25,18 @@ func refSorted(s []event) []event {
 	return out
 }
 
-// TestQuickSortEvents drives the median-of-3 quicksort (with its insertion
-// cutoff) across random inputs heavy in duplicate times and rows.
-func TestQuickSortEvents(t *testing.T) {
-	for trial := 0; trial < 2000; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		n := 1 + rng.Intn(300)
-		s := make([]event, n)
-		for i := range s {
-			s[i] = event{T: float64(rng.Intn(40)) / 16, Row: rng.Intn(50)}
-		}
-		want := refSorted(s)
-		got := append([]event(nil), s...)
-		quickSortEvents(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("quickSortEvents wrong at trial %d n=%d", trial, n)
-		}
-	}
-}
-
-// TestRadixSortEvents drives the LSD radix sort above its n >= 256 dispatch
-// floor, including the sign fixup, skip-uniform-byte passes, and the
-// insertion tie fix.
+// TestRadixSortEvents drives the LSD radix sort from single events up to a
+// few hundred, across negative and positive times, covering the sign fixup,
+// the skip-uniform-byte passes, and the insertion tie fix.
 func TestRadixSortEvents(t *testing.T) {
 	var scratch []event
 	var keys []uint64
 	for trial := 0; trial < 500; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		n := 256 + rng.Intn(600)
+		n := 1 + rng.Intn(600)
 		s := make([]event, n)
 		for i := range s {
-			s[i] = event{T: float64(rng.Intn(400)) / 16, Row: rng.Intn(50)}
+			s[i] = event{T: float64(rng.Intn(400)-40) / 16, Row: rng.Intn(50)}
 		}
 		want := refSorted(s)
 		got := append([]event(nil), s...)
@@ -66,11 +47,11 @@ func TestRadixSortEvents(t *testing.T) {
 	}
 }
 
-// TestSortEvents drives the top-level dispatcher (run merge vs radix vs
-// quicksort, chosen by run structure and size) across the same input family.
+// TestSortEvents drives the top-level entry point: already-sorted input
+// (the resume shape) must come back untouched, anything else sorted, across
+// the same input family.
 func TestSortEvents(t *testing.T) {
 	var scratch []event
-	var bounds []int
 	var keys []uint64
 	for trial := 0; trial < 2000; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 9000))
@@ -80,8 +61,11 @@ func TestSortEvents(t *testing.T) {
 			s[i] = event{T: float64(rng.Intn(100)) / 16, Row: rng.Intn(50)}
 		}
 		want := refSorted(s)
+		if trial%2 == 0 {
+			s = want
+		}
 		got := append([]event(nil), s...)
-		sortEvents(got, &scratch, &bounds, &keys)
+		sortEvents(got, &scratch, &keys)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("sortEvents wrong at trial %d n=%d", trial, n)
 		}
