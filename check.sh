@@ -77,6 +77,7 @@ internal/serve:FuzzFrameDecode
 internal/fleet:FuzzManifestDecode
 internal/scenario:FuzzScenarioDecode
 internal/scenario:FuzzEnvDecayFactor
+internal/scenario:FuzzStressorSegment
 internal/dram:FuzzRefreshBatch
 internal/sim:FuzzFastForwardPlan
 internal/sim:FuzzRunEquivalence

@@ -48,14 +48,16 @@ func DefaultVRT() VRT {
 
 // Validate reports the first unusable parameter.
 func (v VRT) Validate() error {
+	// Each check is written so that NaN fails it: every comparison with NaN
+	// is false.
 	switch {
-	case v.AffectedFrac < 0 || v.AffectedFrac > 1:
+	case !(v.AffectedFrac >= 0 && v.AffectedFrac <= 1):
 		return fmt.Errorf("retention: VRT AffectedFrac %g outside [0,1]", v.AffectedFrac)
-	case v.LowFactor <= 0 || v.LowFactor >= 1:
+	case !(v.LowFactor > 0 && v.LowFactor < 1):
 		return fmt.Errorf("retention: VRT LowFactor %g outside (0,1)", v.LowFactor)
-	case v.MeanDwell <= 0:
+	case !(v.MeanDwell > 0):
 		return fmt.Errorf("retention: VRT MeanDwell %g must be positive", v.MeanDwell)
-	case v.MinRetention < 0:
+	case !(v.MinRetention >= 0):
 		return fmt.Errorf("retention: VRT MinRetention %g must be non-negative", v.MinRetention)
 	}
 	return nil
@@ -124,6 +126,29 @@ func (v VRT) NextToggle(row int, tret, t float64) float64 {
 		next = t + 1e-9*d
 	}
 	return next
+}
+
+// Segment returns StateFactor(row, tret, t) and NextToggle(row, tret, t)
+// from one evaluation: the row's Affected, dwell and phase hashes are taken
+// once instead of once per method. The floor, the (k+1)*d - phase boundary
+// and the epsilon guard are the same arithmetic as in both methods, so the
+// pair is bit-identical to calling them separately.
+func (v VRT) Segment(row int, tret, t float64) (factor, next float64) {
+	if !v.Affected(row, tret) {
+		return 1, math.Inf(1)
+	}
+	d := v.dwell(row)
+	phase := v.unit(row, 0x0FF5E7) * 2 * d
+	k := math.Floor((t + phase) / d)
+	next = (k+1)*d - phase
+	if next <= t {
+		next = t + 1e-9*d
+	}
+	factor = 1
+	if int64(k)&1 == 1 {
+		factor = v.LowFactor
+	}
+	return factor, next
 }
 
 // DecayFactor integrates the decay of a row with base retention tret over

@@ -17,6 +17,10 @@ func TestVRTValidate(t *testing.T) {
 		func(v *VRT) { v.LowFactor = 1 },
 		func(v *VRT) { v.MeanDwell = 0 },
 		func(v *VRT) { v.MinRetention = -1 },
+		func(v *VRT) { v.AffectedFrac = math.NaN() },
+		func(v *VRT) { v.LowFactor = math.NaN() },
+		func(v *VRT) { v.MeanDwell = math.NaN() },
+		func(v *VRT) { v.MinRetention = math.NaN() },
 	}
 	for i, mut := range bad {
 		v := DefaultVRT()
@@ -83,6 +87,28 @@ func TestVRTStateFactorTelegraph(t *testing.T) {
 				t.Fatal("unaffected row left the high state")
 			}
 			break
+		}
+	}
+}
+
+// TestVRTSegmentMatchesStateAndToggle: Segment is StateFactor and
+// NextToggle from one evaluation, bit for bit, including at toggle
+// boundaries and one ulp either side of them, where the epsilon guard acts.
+func TestVRTSegmentMatchesStateAndToggle(t *testing.T) {
+	v := DefaultVRT()
+	v.AffectedFrac = 0.5
+	for row := 0; row < 64; row++ {
+		for _, tret := range []float64{0.1, 1.0} {
+			tt := 0.0
+			for i := 0; i < 20 && tt < 5; i++ {
+				for _, x := range []float64{math.Nextafter(tt, 0), tt, math.Nextafter(tt, 10), tt + 0.01} {
+					f, n := v.Segment(row, tret, x)
+					if wf, wn := v.StateFactor(row, tret, x), v.NextToggle(row, tret, x); f != wf || n != wn {
+						t.Fatalf("row %d tret %g t %.17g: Segment (%g, %.17g), want (%g, %.17g)", row, tret, x, f, n, wf, wn)
+					}
+				}
+				tt = v.NextToggle(row, tret, tt)
+			}
 		}
 	}
 }

@@ -61,6 +61,30 @@ type RowInvariant interface {
 	RowInvariant() bool
 }
 
+// segmenter is an optional Stressor capability: segment returns exactly
+// (ScaleAt(row, tret, t), NextChange(row, tret, t)), bit for bit, from one
+// evaluation, so the decay walk pays one stressor evaluation per segment
+// instead of two.
+type segmenter interface {
+	segment(row int, tret, t float64) (scale, next float64)
+}
+
+// segmentOf evaluates one stressor at t: through its segmenter capability
+// when it has one, through ScaleAt and NextChange otherwise.
+func segmentOf(s Stressor, row int, tret, t float64) (scale, next float64) {
+	if sg, ok := s.(segmenter); ok {
+		return sg.segment(row, tret, t)
+	}
+	return s.ScaleAt(row, tret, t), s.NextChange(row, tret, t)
+}
+
+// split is the segmenter of a stressor without the capability.
+type split struct{ Stressor }
+
+func (s split) segment(row int, tret, t float64) (scale, next float64) {
+	return s.ScaleAt(row, tret, t), s.NextChange(row, tret, t)
+}
+
 // Env is a scenario instance bound to a seed and a run window: the stressor
 // composition the bank decays under. It satisfies dram's Modulator hook and
 // core.Snapshotter.
@@ -74,7 +98,7 @@ type Env struct {
 	Stressors []Stressor
 
 	compileOnce sync.Once
-	compiled    [][]envSegment // see compiledSchedule
+	compiled    []stressorPlan // see compiledSchedule
 }
 
 // ScaleAt returns the product of all stressors' retention multipliers for
@@ -175,6 +199,15 @@ func (e *Env) NominalUntil(from float64) float64 {
 	return until
 }
 
+// stressorPlan is how decayFactorWith evaluates one stressor of the roster:
+// from its compiled timeline where a segment is trusted, and through eval
+// everywhere else. eval is the stressor's own segmenter, a memoGate for a
+// gate, or split for a stressor without the capability.
+type stressorPlan struct {
+	segs []envSegment // row-invariant timeline over the run window; nil = none
+	eval segmenter
+}
+
 // envSegment is one compiled segment of a row-invariant stressor's
 // schedule: ScaleAt(start) and NextChange(start), evaluated once.
 //
@@ -203,23 +236,75 @@ const maxCachedSegments = 4096
 // query almost never lands in it.
 const edgeGuard = 1e-9
 
-// compiledSchedule returns the Env's row-invariant schedule, building it on
-// the first call: one timeline over [0, Duration] for every stressor that
-// declares RowInvariant, indexed like e.Stressors (nil = evaluate that
-// stressor directly). The timelines are kept per stressor rather than
-// multiplied together, so decayFactorWith can keep the roster's
+// compiledSchedule returns the Env's evaluation plan, building it on the
+// first call, indexed like e.Stressors: one timeline over [0, Duration] for
+// every stressor among the first walkCursors that declares RowInvariant,
+// and for every Gate without a timeline, its episode draws memoized over
+// the run window (see memoGate). The timelines are kept per stressor rather
+// than multiplied together, so decayFactorWith can keep the roster's
 // multiplication order and with it the reference's bits. The build is lazy
 // because callers may append stressors between BuildEnv and the run.
-func (e *Env) compiledSchedule() [][]envSegment {
+func (e *Env) compiledSchedule() []stressorPlan {
 	e.compileOnce.Do(func() {
-		e.compiled = make([][]envSegment, len(e.Stressors))
+		e.compiled = make([]stressorPlan, len(e.Stressors))
 		for si, s := range e.Stressors {
-			if inv, ok := s.(RowInvariant); ok && inv.RowInvariant() {
-				e.compiled[si] = buildTimeline(s, e.Duration)
+			p := &e.compiled[si]
+			if inv, ok := s.(RowInvariant); ok && inv.RowInvariant() && si < walkCursors {
+				p.segs = buildTimeline(s, e.Duration)
+			}
+			if sg, ok := s.(segmenter); ok {
+				p.eval = sg
+			} else {
+				p.eval = split{s}
+			}
+			if g, ok := s.(Gate); ok && p.segs == nil {
+				if m := newMemoGate(g, e.Duration); m != nil {
+					p.eval = m
+				}
 			}
 		}
 	})
 	return e.compiled
+}
+
+// memoGate is a Gate whose episode draws over the run window are computed
+// once per Env: on[k] = Gate.active(k) for k in [0, frameOf(Duration)+1].
+// Any other k is drawn directly, so the memo is exact by construction, and
+// a walk through a calm episode costs one frame computation and never
+// touches the inner stressor.
+type memoGate struct {
+	Gate
+	on []bool
+}
+
+// newMemoGate memoizes the gate's episodes over [0, duration], or returns
+// nil when the window spans more than maxCachedSegments episodes (or none
+// that frameOf can count); the gate is then evaluated directly.
+func newMemoGate(g Gate, duration float64) *memoGate {
+	n := frameOf(duration, g.Period) + 2
+	if n <= 0 || n > maxCachedSegments {
+		return nil
+	}
+	m := &memoGate{Gate: g, on: make([]bool, n)}
+	for k := range m.on {
+		m.on[k] = g.active(int64(k))
+	}
+	return m
+}
+
+// active returns episode k's activity from the memo when k is in range and
+// from the draw otherwise.
+func (m *memoGate) active(k int64) bool {
+	if uint64(k) < uint64(len(m.on)) {
+		return m.on[k]
+	}
+	return m.Gate.active(k)
+}
+
+// segment implements segmenter with the memoized episode draws.
+func (m *memoGate) segment(row int, tret, t float64) (scale, next float64) {
+	k, boundary := frame(t, m.Period)
+	return gateSegment(m.active(k), boundary, m.Inner, row, tret, t)
 }
 
 // DecayFactors implements dram.BatchModulator: out[i] is
@@ -286,25 +371,45 @@ func segIndex(segs []envSegment, t float64) int {
 	return lo
 }
 
-// decayFactorWith is decayFactorRef with row-invariant stressors read from
-// compiled timelines. The roster order, multiplication order, segment walk,
-// and guard structure mirror decayFactorRef exactly; where a compiled
-// segment is trusted its values are what the stressor's ScaleAt and
-// NextChange return there (row-invariance plus the checks in
-// buildTimeline), and elsewhere the stressor is evaluated directly, so the
-// two paths agree bit for bit.
-func (e *Env) decayFactorWith(cached [][]envSegment, row int, tret, t0, t1 float64, base retention.DecayModel) float64 {
+// walkCursors is how many roster positions a walk keeps a timeline cursor
+// for on the stack; only those positions get a compiled timeline.
+const walkCursors = 8
+
+// decayFactorWith is decayFactorRef evaluated through the compiled plan.
+// The roster order, multiplication order, segment walk, and guard structure
+// mirror decayFactorRef exactly. Where a compiled segment is trusted its
+// values are what the stressor's ScaleAt and NextChange return there
+// (row-invariance plus the checks in buildTimeline); elsewhere the plan's
+// evaluator returns them in one call (segmenter, memoGate). So the two
+// paths agree bit for bit.
+//
+// t only increases along the walk, so each timeline is located by binary
+// search once, at t0, and then followed by a cursor that steps forward to
+// the first segment whose end exceeds t: the index segIndex would return.
+func (e *Env) decayFactorWith(plan []stressorPlan, row int, tret, t0, t1 float64, base retention.DecayModel) float64 {
 	if t1 <= t0 {
 		return 1
+	}
+	var cursor [walkCursors]int
+	for si := range plan {
+		if segs := plan[si].segs; segs != nil {
+			cursor[si] = segIndex(segs, t0)
+		}
 	}
 	factor := 1.0
 	t := t0
 	for t < t1 {
 		scale := 1.0
 		next := t1
-		for si, s := range e.Stressors {
-			if segs := cached[si]; segs != nil {
-				if seg := &segs[segIndex(segs, t)]; seg.trusted(t) {
+		for si := range plan {
+			p := &plan[si]
+			if segs := p.segs; segs != nil {
+				i := cursor[si]
+				for i < len(segs)-1 && segs[i].end <= t {
+					i++
+				}
+				cursor[si] = i
+				if seg := &segs[i]; seg.trusted(t) {
 					scale *= seg.scale
 					if seg.end < next {
 						next = seg.end
@@ -312,8 +417,9 @@ func (e *Env) decayFactorWith(cached [][]envSegment, row int, tret, t0, t1 float
 					continue
 				}
 			}
-			scale *= s.ScaleAt(row, tret, t)
-			if n := s.NextChange(row, tret, t); n < next {
+			s, n := p.eval.segment(row, tret, t)
+			scale *= s
+			if n < next {
 				next = n
 			}
 		}
@@ -347,7 +453,8 @@ func (e *Env) Validate() error {
 
 // validateStressor rejects the configurations that would make a stressor
 // divide by zero or never advance: every period, window and step count must
-// be positive, and a gate needs an inner stressor.
+// be positive, a telegraph must pass retention.VRT.Validate, and a gate
+// needs an inner stressor.
 func validateStressor(s Stressor) error {
 	positive := func(what string, v float64) error {
 		if !(v > 0) {
@@ -370,6 +477,12 @@ func validateStressor(s Stressor) error {
 		return positive("steps", float64(s.Steps))
 	case PatternAdversary:
 		return positive("frame period", s.FramePeriod)
+	case VRTStressor:
+		// A non-positive or NaN dwell gives NaN change-points, which never
+		// split the walk.
+		if err := s.V.Validate(); err != nil {
+			return fmt.Errorf("stressor %q: %w", s.Name(), err)
+		}
 	case Gate:
 		if err := positive("period", s.Period); err != nil {
 			return err
@@ -503,6 +616,22 @@ func frameOf(t, period float64) int64 {
 	}
 	k := math.Floor(t / period)
 	return int64(k)
+}
+
+// frame returns frameOf(t, period) and frameNext(t, period) from one
+// division, with the same arithmetic as the two functions. The segmenters
+// use it; ScaleAt and NextChange keep the separate functions, so the
+// reference walk does not share this code with the production walk.
+func frame(t, period float64) (k int64, next float64) {
+	q := math.Floor(t / period)
+	if !(t <= 0) {
+		k = int64(q)
+	}
+	next = (q + 1) * period
+	if next <= t {
+		next = t + 1e-9*period
+	}
+	return k, next
 }
 
 // frameNext returns the first frame boundary strictly after t for the given

@@ -398,6 +398,18 @@ func exactnessEnvs(t testing.TB) map[string]*Env {
 	}
 	env.Stressors = append(env.Stressors, VRTStressor{Label: "weak-cells", V: *fault.DefaultTransientWeakCells(testSeed + 1)})
 	envs["kitchen-sink+weak-cells"] = env
+	// A roster longer than walkCursors: the row-invariant stressors past
+	// it get no timeline and are evaluated directly.
+	long, err := BuildEnv(Ref{Name: "kitchen-sink"}, testWindow, testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; len(long.Stressors) < walkCursors+2; i++ {
+		long.Stressors = append(long.Stressors,
+			NewTempCycle(testSeed, fmt.Sprintf("cycle-%d", i), retention.DefaultTempModel(), 70, 4, testWindow/3, 5),
+			AgingRamp{Label: fmt.Sprintf("ramp-%d", i), Model: retention.DefaultAgingModel(), Years: 1, Window: testWindow, Steps: 7})
+	}
+	envs["long-roster"] = long
 	return envs
 }
 
@@ -420,8 +432,8 @@ func exactnessCases(env *Env, rng *rand.Rand) []decayCase {
 		t0 := d * rng.Float64()
 		add(t0, t0+(d-t0)*rng.Float64())
 	}
-	for _, segs := range env.compiledSchedule() {
-		for _, seg := range segs {
+	for _, p := range env.compiledSchedule() {
+		for _, seg := range p.segs {
 			if seg.end > d {
 				continue
 			}
@@ -504,10 +516,50 @@ func TestCompiledScheduleConcurrentFirstCall(t *testing.T) {
 	}
 }
 
+// changePoints lists s's change-points for the row over [0, until], at most
+// limit of them: the frame, tread and toggle boundaries a walk splits at.
+func changePoints(s Stressor, row int, tret, until float64, limit int) []float64 {
+	var out []float64
+	for t := 0.0; len(out) < limit; {
+		n := s.NextChange(row, tret, t)
+		if !(n > t) || n > until {
+			break
+		}
+		out = append(out, n)
+		t = n
+	}
+	return out
+}
+
+// snapCandidates lists the instants where the walk's compiled and direct
+// evaluations meet for one row: the compiled segment ends, every gate's
+// episode boundaries, and the row's toggle times of every telegraph, gated
+// or not.
+func snapCandidates(env *Env, row int, tret float64) []float64 {
+	var out []float64
+	for _, p := range env.compiledSchedule() {
+		for _, seg := range p.segs {
+			out = append(out, seg.end)
+		}
+	}
+	for _, s := range env.Stressors {
+		if g, ok := s.(Gate); ok {
+			// A gate's change-points include every episode boundary.
+			out = append(out, changePoints(g, row, tret, env.Duration, 256)...)
+			s = g.Inner
+		}
+		if v, ok := s.(VRTStressor); ok {
+			out = append(out, changePoints(v, row, tret, env.Duration, 256)...)
+		}
+	}
+	return out
+}
+
 // FuzzEnvDecayFactor requires the compiled path to equal the reference walk
 // for any scenario, seed, row, retention and span the fuzzer picks; odd
 // multiples of the catalog size in idx append a weak-cell telegraph. A
-// non-zero edge moves t0 onto a compiled segment end, up to three ulps
+// non-zero edge moves t0 onto a snap candidate (a compiled segment end, a
+// gate episode boundary or one of the row's toggles), up to three ulps
 // either side, where the compiled and direct schedules can disagree.
 func FuzzEnvDecayFactor(f *testing.F) {
 	f.Add(uint8(5), int64(42), uint16(3), 0.1, 0.0, testWindow, uint16(0))
@@ -530,22 +582,7 @@ func FuzzEnvDecayFactor(f *testing.F) {
 			env.Stressors = append(env.Stressors, VRTStressor{Label: "weak-cells", V: *fault.DefaultTransientWeakCells(seed)})
 		}
 		if edge != 0 {
-			var ends []float64
-			for _, segs := range env.compiledSchedule() {
-				for _, seg := range segs {
-					ends = append(ends, seg.end)
-				}
-			}
-			if len(ends) > 0 {
-				t0 = ends[int(edge>>3)%len(ends)]
-				ulps, dir := int(edge&7)-3, math.Inf(1)
-				if ulps < 0 {
-					ulps, dir = -ulps, math.Inf(-1)
-				}
-				for ; ulps > 0; ulps-- {
-					t0 = math.Nextafter(t0, dir)
-				}
-			}
+			t0 = snap(t0, snapCandidates(env, int(row), tret), edge)
 		}
 		want := env.decayFactorRef(int(row), tret, t0, t1, base)
 		if got := env.DecayFactor(int(row), tret, t0, t1, base); got != want {
@@ -559,6 +596,110 @@ func FuzzEnvDecayFactor(f *testing.F) {
 	})
 }
 
+// snap moves t onto cands[sel>>3], then sel&7 - 3 ulps along the line; with
+// no candidates it returns t unchanged.
+func snap(t float64, cands []float64, sel uint16) float64 {
+	if len(cands) == 0 {
+		return t
+	}
+	t = cands[int(sel>>3)%len(cands)]
+	ulps, dir := int(sel&7)-3, math.Inf(1)
+	if ulps < 0 {
+		ulps, dir = -ulps, math.Inf(-1)
+	}
+	for ; ulps > 0; ulps-- {
+		t = math.Nextafter(t, dir)
+	}
+	return t
+}
+
+// segmentStressors is every stressor with the segmenter capability, each
+// also as the memoized gate compiledSchedule would install: a telegraph, a
+// pattern adversary, and gates over a row-dependent and a row-invariant
+// inner stressor.
+func segmentStressors(t testing.TB, seed int64) []Stressor {
+	vrt := NewVRTStressor(seed, "telegraph", stormVRT(testWindow))
+	vrt.V.AffectedFrac = 0.5
+	temp := NewTempCycle(seed, "cycle", retention.DefaultTempModel(), 85, 8, testWindow/2, 12)
+	out := []Stressor{
+		vrt,
+		NewPatternAdversary(seed, "adversary", testWindow/16, 0.25, retention.PatternAlternating),
+	}
+	for _, g := range []Gate{
+		NewGate(seed, "gate/vrt", testWindow/6, 0.5, vrt),
+		NewGate(seed, "gate/cycle", testWindow/5, 0.5, temp),
+	} {
+		m := newMemoGate(g, testWindow)
+		if m == nil {
+			t.Fatalf("%s: no episode memo over the test window", g.Label)
+		}
+		out = append(out, g, m)
+	}
+	return out
+}
+
+// FuzzStressorSegment requires every segmenter to return exactly
+// (ScaleAt, NextChange) for the fuzzed row, retention and instant; a
+// non-zero edge moves t onto one of that stressor's change-points for the
+// row, up to three ulps either side.
+func FuzzStressorSegment(f *testing.F) {
+	f.Add(int64(42), uint16(3), 0.1, 0.3, uint16(0))
+	f.Add(int64(7), uint16(90), 0.5, 0.0, uint16(0x53))
+	f.Add(int64(-1), uint16(11), 0.02, 1.2, uint16(0x1f))
+	f.Add(int64(9), uint16(0), 0.3, -0.5, uint16(0x7))
+	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+	f.Fuzz(func(t *testing.T, seed int64, row uint16, tret, tt float64, edge uint16) {
+		for _, s := range segmentStressors(t, seed) {
+			at := tt
+			if edge != 0 {
+				at = snap(at, changePoints(s, int(row), tret, 4*testWindow, 64), edge)
+			}
+			sg := s.(segmenter)
+			scale, next := sg.segment(int(row), tret, at)
+			wantScale, wantNext := s.ScaleAt(int(row), tret, at), s.NextChange(int(row), tret, at)
+			if !same(scale, wantScale) || !same(next, wantNext) {
+				t.Fatalf("%s (%T) row %d tret %g t %.17g: segment (%.17g, %.17g), want (%.17g, %.17g)",
+					s.Name(), s, row, tret, at, scale, next, wantScale, wantNext)
+			}
+		}
+	})
+}
+
+// TestMemoGateMatchesDraws: the memoized episodes equal Gate.active for
+// every k of the memo, past the window's end, and at k frameOf cannot
+// produce; and compiledSchedule installs the memo for the storm gate,
+// whose telegraph keeps it off the row-invariant timelines.
+func TestMemoGateMatchesDraws(t *testing.T) {
+	for _, seed := range []int64{testSeed, 7, -1} {
+		g := stormStressor(testWindow, seed).(Gate)
+		m := newMemoGate(g, testWindow)
+		if m == nil {
+			t.Fatal("storm gate has no episode memo")
+		}
+		if want := frameOf(testWindow, g.Period) + 2; int64(len(m.on)) != want {
+			t.Fatalf("memo spans %d episodes, want %d", len(m.on), want)
+		}
+		ks := []int64{-1, math.MinInt64, math.MaxInt64}
+		for k := int64(0); k < int64(len(m.on))+16; k++ {
+			ks = append(ks, k)
+		}
+		for _, k := range ks {
+			if m.active(k) != g.active(k) {
+				t.Fatalf("seed %d episode %d: memo %v, draw %v", seed, k, m.active(k), g.active(k))
+			}
+		}
+	}
+	env := buildNamed(t, "vrt-storm")
+	if _, ok := env.compiledSchedule()[0].eval.(*memoGate); !ok {
+		t.Fatalf("vrt-storm plan evaluates %T, want *memoGate", env.compiledSchedule()[0].eval)
+	}
+	fine := stormStressor(testWindow, testSeed).(Gate)
+	fine.Period = testWindow / (2 * maxCachedSegments)
+	if newMemoGate(fine, testWindow) != nil {
+		t.Fatal("a gate with more episodes than maxCachedSegments must be evaluated directly")
+	}
+}
+
 // TestValidateRejectsDegenerateStressors: every configuration here would
 // divide by zero or stall inside the decay walk, so Validate must refuse it
 // and name the offending stressor.
@@ -567,6 +708,7 @@ func TestValidateRejectsDegenerateStressors(t *testing.T) {
 	aging := AgingRamp{Label: "bad-ramp", Model: retention.DefaultAgingModel(), Years: 8, Window: 0.5, Steps: 16}
 	adv := NewPatternAdversary(testSeed, "bad-adversary", 0.05, 0.25, retention.PatternAlternating)
 	gate := NewGate(testSeed, "bad-gate", 0.1, 0.5, temp)
+	vrt := NewVRTStressor(testSeed, "bad-vrt", stormVRT(testWindow))
 	cases := []struct {
 		name string
 		s    Stressor
@@ -585,6 +727,9 @@ func TestValidateRejectsDegenerateStressors(t *testing.T) {
 		{"gate NaN period", func() Stressor { g := gate; g.Period = math.NaN(); return g }(), "bad-gate"},
 		{"gate nil inner", func() Stressor { g := gate; g.Inner = nil; return g }(), "bad-gate"},
 		{"gate degenerate inner", func() Stressor { c := temp; c.Steps = 0; g := gate; g.Inner = c; return g }(), "bad-cycle"},
+		{"VRTStressor zero dwell", func() Stressor { v := vrt; v.V.MeanDwell = 0; return v }(), "bad-vrt"},
+		{"VRTStressor NaN dwell", func() Stressor { v := vrt; v.V.MeanDwell = math.NaN(); return v }(), "bad-vrt"},
+		{"gate over a bad VRT", func() Stressor { v := vrt; v.V.MeanDwell = -1; g := gate; g.Inner = v; return g }(), "bad-vrt"},
 		{"nil stressor", nil, "nil stressor"},
 	}
 	for _, tc := range cases {
@@ -598,7 +743,7 @@ func TestValidateRejectsDegenerateStressors(t *testing.T) {
 			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
 	}
-	ok := &Env{Ref: Ref{Name: "custom"}, Seed: testSeed, Duration: testWindow, Stressors: []Stressor{temp, aging, adv, gate}}
+	ok := &Env{Ref: Ref{Name: "custom"}, Seed: testSeed, Duration: testWindow, Stressors: []Stressor{temp, aging, adv, gate, vrt}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("well-formed stressors rejected: %v", err)
 	}

@@ -121,6 +121,12 @@ func (s VRTStressor) NextChange(row int, tret, t float64) float64 {
 	return s.V.NextToggle(row, tret, t)
 }
 
+// segment implements segmenter: the telegraph state and next toggle from
+// one pass over the row's hashes.
+func (s VRTStressor) segment(row int, tret, t float64) (scale, next float64) {
+	return s.V.Segment(row, tret, t)
+}
+
 // PatternAdversary models write-heavy data-pattern dependence: an adversary
 // (or just an unlucky workload) periodically rewrites a fraction of rows
 // with a worst-case coupling pattern, derating their retention by the
@@ -167,6 +173,15 @@ func (a PatternAdversary) ScaleAt(row int, tret, t float64) float64 {
 // NextChange implements Stressor: the next rewrite frame.
 func (a PatternAdversary) NextChange(row int, tret, t float64) float64 {
 	return frameNext(t, a.FramePeriod)
+}
+
+// segment implements segmenter: one frame computation for both values.
+func (a PatternAdversary) segment(row int, tret, t float64) (scale, next float64) {
+	k, next := frame(t, a.FramePeriod)
+	if a.hot(row, k) {
+		return retention.PatternFactor(a.Pattern), next
+	}
+	return 1, next
 }
 
 // NominalUntil implements the nominalReporter capability. A frame with any
@@ -299,4 +314,25 @@ func (g Gate) NextChange(row int, tret, t float64) float64 {
 		}
 	}
 	return boundary
+}
+
+// segment implements segmenter: one episode draw, and the inner stressor
+// evaluated once and only inside an active episode.
+func (g Gate) segment(row int, tret, t float64) (scale, next float64) {
+	k, boundary := frame(t, g.Period)
+	return gateSegment(g.active(k), boundary, g.Inner, row, tret, t)
+}
+
+// gateSegment is a gate's segment once the episode's activity and boundary
+// are known: the inner stressor's values inside an active episode, capped
+// at the boundary exactly as NextChange caps them.
+func gateSegment(active bool, boundary float64, inner Stressor, row int, tret, t float64) (scale, next float64) {
+	if !active {
+		return 1, boundary
+	}
+	scale, next = segmentOf(inner, row, tret, t)
+	if !(next < boundary) {
+		next = boundary
+	}
+	return scale, next
 }
