@@ -47,9 +47,9 @@ func TestAgingModelValidate(t *testing.T) {
 }
 
 // TestVRTNextToggleMatchesDecaySegments pins the contract the scenario layer
-// builds on: segmenting [t0,t1] at NextToggle boundaries and multiplying
-// per-segment base factors scaled by StateFactor reproduces DecayFactor bit
-// for bit.
+// builds on: segmenting [t0,t1] at NextToggle boundaries and accumulating
+// the segments, retention scaled by StateFactor, through a DecayWalk
+// reproduces DecayFactor bit for bit.
 func TestVRTNextToggleMatchesDecaySegments(t *testing.T) {
 	v := VRT{AffectedFrac: 0.6, LowFactor: 0.25, MeanDwell: 0.07, MinRetention: 0.02, Seed: 5}
 	base := ExpDecay{}
@@ -63,16 +63,17 @@ func TestVRTNextToggleMatchesDecaySegments(t *testing.T) {
 			t0 := 0.09 * float64(i)
 			t1 := t0 + 0.23
 			want := v.DecayFactor(row, tret, t0, t1, base)
-			got := 1.0
+			walk := NewDecayWalk(base)
 			tt := t0
 			for tt < t1 {
 				next := v.NextToggle(row, tret, tt)
 				if next > t1 {
 					next = t1
 				}
-				got *= base.Factor(next-tt, tret*v.StateFactor(row, tret, tt))
+				walk.Add(next-tt, tret*v.StateFactor(row, tret, tt))
 				tt = next
 			}
+			got := walk.Factor()
 			if got != want {
 				t.Fatalf("row %d tret %g [%g,%g]: segmented %v, DecayFactor %v", row, tret, t0, t1, got, want)
 			}

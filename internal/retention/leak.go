@@ -37,6 +37,59 @@ func (ExpDecay) Factor(dt, tret float64) float64 {
 // Name implements DecayModel.
 func (ExpDecay) Name() string { return "exponential" }
 
+// DecayWalk integrates one decay over consecutive segments of a piecewise
+// retention schedule: Add each segment's length and retention in order,
+// then read Factor once. Under ExpDecay the segments' exponents add, so the
+// walk sums dt/tret and pays a single Exp2(-sum) at the end instead of one
+// Exp2 and one product rounding per segment. Under any other law it is the
+// product of base.Factor over the segments. Either way a walk of one
+// segment is base.Factor(dt, tret) bit for bit.
+type DecayWalk struct {
+	base DecayModel // nil under ExpDecay
+	acc  float64    // ExpDecay: the exponent sum; otherwise: the factor product
+}
+
+// NewDecayWalk starts an empty walk (Factor 1) under base.
+func NewDecayWalk(base DecayModel) DecayWalk {
+	if _, ok := base.(ExpDecay); ok {
+		return DecayWalk{}
+	}
+	return DecayWalk{base: base, acc: 1}
+}
+
+// Add appends a segment of length dt at retention tret. Under ExpDecay it
+// keeps ExpDecay.Factor's special cases: dt <= 0 adds nothing, a
+// non-positive retention decays the walk to 0, and NaN propagates.
+func (w *DecayWalk) Add(dt, tret float64) {
+	if w.base == nil && dt > 0 && tret > 0 {
+		w.acc += dt / tret
+	} else {
+		w.add(dt, tret)
+	}
+}
+
+// add is Add's general case, kept out of line so the common exponential
+// segment inlines into the walk.
+func (w *DecayWalk) add(dt, tret float64) {
+	switch {
+	case w.base != nil:
+		w.acc *= w.base.Factor(dt, tret)
+	case dt <= 0:
+	case tret <= 0:
+		w.acc += math.Inf(1)
+	default: // a NaN dt or tret: the sum turns NaN
+		w.acc += dt / tret
+	}
+}
+
+// Factor returns the fraction of charge remaining after the whole walk.
+func (w *DecayWalk) Factor() float64 {
+	if w.base != nil {
+		return w.acc
+	}
+	return math.Exp2(-w.acc)
+}
+
 // LinearDecay is the ablation alternative: charge decays linearly,
 // v(dt) = v0 - (1-SenseLimit)*dt/tret (clamped at 0), matching the same
 // full-to-threshold retention time. Early in the period the exponential law

@@ -87,104 +87,91 @@ func (v VRT) Affected(row int, tret float64) bool {
 	return v.unit(row, 0xA11CE) < v.AffectedFrac
 }
 
-// dwell returns the row's state dwell time (0.75x to 1.25x the mean).
-func (v VRT) dwell(row int) float64 {
-	return v.MeanDwell * (0.75 + 0.5*v.unit(row, 0xD3E11))
+// VRTRow is one row of a VRT process with its hashes taken: whether it is
+// affected, its dwell and its phase. Bind it with VRT.Row once and step it
+// through a walk with Segment; every per-instant method of VRT is a bound
+// row evaluated once, so they all share its arithmetic.
+type VRTRow struct {
+	affected bool
+	d, phase float64    // dwell time and phase offset (s)
+	state    [2]float64 // retention multiplier of the high and the low state
+}
+
+// Row binds the row with true retention tret.
+func (v VRT) Row(row int, tret float64) VRTRow {
+	if !v.Affected(row, tret) {
+		return VRTRow{}
+	}
+	// Dwell varies deterministically from 0.75x to 1.25x the mean.
+	d := v.MeanDwell * (0.75 + 0.5*v.unit(row, 0xD3E11))
+	return VRTRow{affected: true, d: d, phase: v.unit(row, 0x0FF5E7) * 2 * d, state: [2]float64{1, v.LowFactor}}
+}
+
+// Segment returns the row's retention multiplier at t (1 in the high state,
+// LowFactor in the low state) and the first instant strictly after t at
+// which it may change (+Inf for an unaffected row). The epsilon guard keeps
+// a walk advancing when t lands exactly on a toggle at floating-point
+// precision.
+func (r VRTRow) Segment(t float64) (factor, next float64) {
+	if !r.affected {
+		return 1, math.Inf(1)
+	}
+	k := math.Floor((t + r.phase) / r.d)
+	next = (k+1)*r.d - r.phase
+	if next <= t {
+		next = t + 1e-9*r.d
+	}
+	return r.state[int64(k)&1], next
 }
 
 // StateFactor returns the retention multiplier of the row at time t: 1 in
 // the high state, LowFactor in the low state. Unaffected rows always return
 // 1.
 func (v VRT) StateFactor(row int, tret, t float64) float64 {
-	if !v.Affected(row, tret) {
-		return 1
-	}
-	d := v.dwell(row)
-	phase := v.unit(row, 0x0FF5E7) * 2 * d
-	k := int64(math.Floor((t + phase) / d))
-	if k&1 == 1 {
-		return v.LowFactor
-	}
-	return 1
+	factor, _ := v.Row(row, tret).Segment(t)
+	return factor
 }
 
 // NextToggle returns the first instant strictly after t at which the row's
 // telegraph state may change, or +Inf for rows the process does not affect.
-// It uses exactly the boundary arithmetic of DecayFactor's segment loop
-// (including the epsilon guard), so an external integrator segmenting at
-// NextToggle boundaries and scaling by StateFactor reproduces DecayFactor
-// bit for bit - the contract the scenario layer's VRT stressor relies on.
+// DecayFactor segments its walk at exactly these instants, so an external
+// integrator segmenting at NextToggle boundaries, scaling by StateFactor and
+// accumulating through a DecayWalk reproduces DecayFactor bit for bit - the
+// contract the scenario layer's VRT stressor relies on.
 func (v VRT) NextToggle(row int, tret, t float64) float64 {
-	if !v.Affected(row, tret) {
-		return math.Inf(1)
-	}
-	d := v.dwell(row)
-	phase := v.unit(row, 0x0FF5E7) * 2 * d
-	k := math.Floor((t + phase) / d)
-	next := (k+1)*d - phase
-	if next <= t {
-		next = t + 1e-9*d
-	}
+	_, next := v.Row(row, tret).Segment(t)
 	return next
 }
 
 // Segment returns StateFactor(row, tret, t) and NextToggle(row, tret, t)
-// from one evaluation: the row's Affected, dwell and phase hashes are taken
-// once instead of once per method. The floor, the (k+1)*d - phase boundary
-// and the epsilon guard are the same arithmetic as in both methods, so the
-// pair is bit-identical to calling them separately.
+// from one bound row.
 func (v VRT) Segment(row int, tret, t float64) (factor, next float64) {
-	if !v.Affected(row, tret) {
-		return 1, math.Inf(1)
-	}
-	d := v.dwell(row)
-	phase := v.unit(row, 0x0FF5E7) * 2 * d
-	k := math.Floor((t + phase) / d)
-	next = (k+1)*d - phase
-	if next <= t {
-		next = t + 1e-9*d
-	}
-	factor = 1
-	if int64(k)&1 == 1 {
-		factor = v.LowFactor
-	}
-	return factor, next
+	return v.Row(row, tret).Segment(t)
 }
 
 // DecayFactor integrates the decay of a row with base retention tret over
-// [t0, t1], honoring the telegraph state at each instant. For the
-// exponential law this is exact: the exponents of the piecewise segments
-// add. For other laws the per-segment factors multiply, which is exact at
-// segment boundaries and conservative in between.
+// [t0, t1], honoring the telegraph state at each instant: the interval is
+// cut at the row's toggles and the segments accumulate through a
+// DecayWalk. For the exponential law the segments' exponents add, so the
+// walk sums them and pays one Exp2. For other laws the per-segment factors
+// multiply, which is exact at segment boundaries and conservative in
+// between. An unaffected row is one segment: base.Factor(t1-t0, tret).
 func (v VRT) DecayFactor(row int, tret, t0, t1 float64, base DecayModel) float64 {
 	if t1 <= t0 {
 		return 1
 	}
-	if !v.Affected(row, tret) {
+	r := v.Row(row, tret)
+	if !r.affected {
 		return base.Factor(t1-t0, tret)
 	}
-	d := v.dwell(row)
-	phase := v.unit(row, 0x0FF5E7) * 2 * d
-	factor := 1.0
-	t := t0
-	for t < t1 {
-		// Next toggle boundary after t; the epsilon guard keeps the loop
-		// advancing when t lands exactly on a boundary at floating-point
-		// precision.
-		k := math.Floor((t + phase) / d)
-		next := (k+1)*d - phase
-		if next <= t {
-			next = t + 1e-9*d
-		}
+	walk := NewDecayWalk(base)
+	for t := t0; t < t1; {
+		state, next := r.Segment(t)
 		if next > t1 {
 			next = t1
 		}
-		state := 1.0
-		if int64(k)&1 == 1 {
-			state = v.LowFactor
-		}
-		factor *= base.Factor(next-t, tret*state)
+		walk.Add(next-t, tret*state)
 		t = next
 	}
-	return factor
+	return walk.Factor()
 }

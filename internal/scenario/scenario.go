@@ -115,10 +115,11 @@ func (e *Env) ScaleAt(row int, tret, t float64) float64 {
 // [t0, t1] under the composed stress schedule: the interval is segmented at
 // the union of every stressor's change-points, and within each segment the
 // decay law sees the retention scaled by the product of the active
-// multipliers. For the exponential law this is exact (the exponents of the
-// segments add); for other laws it is exact at segment boundaries, matching
-// retention.VRT's contract. With no stressors it reduces to
-// base.Factor(t1-t0, tret) exactly.
+// multipliers. The segments accumulate through one retention.DecayWalk, as
+// in retention.VRT.DecayFactor: for the exponential law their exponents add
+// and the walk pays one Exp2 instead of one per segment; for other laws the
+// per-segment factors multiply, exact at segment boundaries.
+// With no stressors it reduces to base.Factor(t1-t0, tret) exactly.
 //
 // The row-invariant stressors are read from the schedule compiled on the
 // first call (see compiledSchedule) wherever a compiled segment is trusted;
@@ -137,7 +138,7 @@ func (e *Env) decayFactorRef(row int, tret, t0, t1 float64, base retention.Decay
 	if t1 <= t0 {
 		return 1
 	}
-	factor := 1.0
+	walk := retention.NewDecayWalk(base)
 	t := t0
 	for t < t1 {
 		scale := 1.0
@@ -157,18 +158,18 @@ func (e *Env) decayFactorRef(row int, tret, t0, t1 float64, base retention.Decay
 		if next > t1 {
 			next = t1
 		}
-		factor *= base.Factor(next-t, tret*scale)
+		walk.Add(next-t, tret*scale)
 		t = next
 	}
-	return factor
+	return walk.Factor()
 }
 
 // nominalReporter is the per-stressor side of Env.NominalUntil: the end of
 // the window starting at from over which the stressor is exactly the
 // identity - scale 1 for every row AND no change-point. The change-point
 // condition matters even when the scale stays 1, because DecayFactor splits
-// its float product at every NextChange boundary, and a split product is not
-// bitwise the unsplit factor. A return <= from means "not nominal at from".
+// its walk at every NextChange boundary, and a split walk is not bitwise the
+// unsplit factor. A return <= from means "not nominal at from".
 type nominalReporter interface {
 	NominalUntil(from float64) float64
 }
@@ -203,9 +204,68 @@ func (e *Env) NominalUntil(from float64) float64 {
 // from its compiled timeline where a segment is trusted, and through eval
 // everywhere else. eval is the stressor's own segmenter, a memoGate for a
 // gate, or split for a stressor without the capability.
+//
+// When eval is a telegraph (a VRTStressor, or a memoGate over one), vrt is
+// that telegraph's process: a walk binds its row to it once
+// (retention.VRT.Row) and evaluates the plan with boundSegment, instead of
+// re-hashing the row in every segment.
 type stressorPlan struct {
 	segs []envSegment // row-invariant timeline over the run window; nil = none
 	eval segmenter
+	vrt  *retention.VRT // the telegraph eval steps through; nil = none
+	gate *memoGate      // eval when it is a memoized gate over vrt
+}
+
+// newPlan returns the evaluation plan of one stressor over a run window.
+// walked reports whether a walk keeps state on its stack for the stressor's
+// roster position; only such a position gets a compiled timeline (when the
+// stressor declares RowInvariant) or a telegraph to bind. A Gate without a
+// timeline gets its episode draws memoized either way.
+func newPlan(s Stressor, duration float64, walked bool) stressorPlan {
+	var p stressorPlan
+	if inv, ok := s.(RowInvariant); ok && inv.RowInvariant() && walked {
+		p.segs = buildTimeline(s, duration)
+	}
+	if sg, ok := s.(segmenter); ok {
+		p.eval = sg
+	} else {
+		p.eval = split{s}
+	}
+	if g, ok := s.(Gate); ok && p.segs == nil {
+		if m := newMemoGate(g, duration); m != nil {
+			p.eval = m
+		}
+	}
+	if !walked {
+		return p
+	}
+	switch ev := p.eval.(type) {
+	case VRTStressor:
+		p.vrt = &ev.V
+	case *memoGate:
+		if v, ok := ev.Inner.(VRTStressor); ok {
+			p.vrt, p.gate = &v.V, ev
+		}
+	}
+	return p
+}
+
+// boundSegment is p.eval.segment(row, tret, t) for a plan with a telegraph,
+// with r = p.vrt.Row(row, tret): the same episode draw and boundary cap as
+// gateSegment for a memoized gate, the bound row's segment otherwise.
+func (p *stressorPlan) boundSegment(r *retention.VRTRow, t float64) (scale, next float64) {
+	if p.gate == nil {
+		return r.Segment(t)
+	}
+	k, boundary := frame(t, p.gate.Period)
+	if !p.gate.active(k) {
+		return 1, boundary
+	}
+	scale, next = r.Segment(t)
+	if !(next < boundary) {
+		next = boundary
+	}
+	return scale, next
 }
 
 // envSegment is one compiled segment of a row-invariant stressor's
@@ -248,20 +308,7 @@ func (e *Env) compiledSchedule() []stressorPlan {
 	e.compileOnce.Do(func() {
 		e.compiled = make([]stressorPlan, len(e.Stressors))
 		for si, s := range e.Stressors {
-			p := &e.compiled[si]
-			if inv, ok := s.(RowInvariant); ok && inv.RowInvariant() && si < walkCursors {
-				p.segs = buildTimeline(s, e.Duration)
-			}
-			if sg, ok := s.(segmenter); ok {
-				p.eval = sg
-			} else {
-				p.eval = split{s}
-			}
-			if g, ok := s.(Gate); ok && p.segs == nil {
-				if m := newMemoGate(g, e.Duration); m != nil {
-					p.eval = m
-				}
-			}
+			e.compiled[si] = newPlan(s, e.Duration, si < walkCursors)
 		}
 	})
 	return e.compiled
@@ -372,7 +419,8 @@ func segIndex(segs []envSegment, t float64) int {
 }
 
 // walkCursors is how many roster positions a walk keeps a timeline cursor
-// for on the stack; only those positions get a compiled timeline.
+// and a bound telegraph row for on the stack; only those positions get a
+// compiled timeline or a telegraph binding.
 const walkCursors = 8
 
 // decayFactorWith is decayFactorRef evaluated through the compiled plan.
@@ -380,23 +428,31 @@ const walkCursors = 8
 // mirror decayFactorRef exactly. Where a compiled segment is trusted its
 // values are what the stressor's ScaleAt and NextChange return there
 // (row-invariance plus the checks in buildTimeline); elsewhere the plan's
-// evaluator returns them in one call (segmenter, memoGate). So the two
-// paths agree bit for bit.
+// evaluator returns them in one call (segmenter, memoGate, or the bound
+// telegraph row), and both walks accumulate through retention.DecayWalk.
+// So the two paths agree bit for bit.
 //
 // t only increases along the walk, so each timeline is located by binary
 // search once, at t0, and then followed by a cursor that steps forward to
 // the first segment whose end exceeds t: the index segIndex would return.
+// The walk's row and tret never change, so each telegraph's row hashes are
+// taken once, at t0, and every segment steps the bound row.
 func (e *Env) decayFactorWith(plan []stressorPlan, row int, tret, t0, t1 float64, base retention.DecayModel) float64 {
 	if t1 <= t0 {
 		return 1
 	}
 	var cursor [walkCursors]int
+	var bound [walkCursors]retention.VRTRow
 	for si := range plan {
-		if segs := plan[si].segs; segs != nil {
-			cursor[si] = segIndex(segs, t0)
+		p := &plan[si]
+		if p.segs != nil {
+			cursor[si] = segIndex(p.segs, t0)
+		}
+		if p.vrt != nil {
+			bound[si] = p.vrt.Row(row, tret)
 		}
 	}
-	factor := 1.0
+	walk := retention.NewDecayWalk(base)
 	t := t0
 	for t < t1 {
 		scale := 1.0
@@ -417,7 +473,12 @@ func (e *Env) decayFactorWith(plan []stressorPlan, row int, tret, t0, t1 float64
 					continue
 				}
 			}
-			s, n := p.eval.segment(row, tret, t)
+			var s, n float64
+			if p.vrt != nil {
+				s, n = p.boundSegment(&bound[si], t)
+			} else {
+				s, n = p.eval.segment(row, tret, t)
+			}
 			scale *= s
 			if n < next {
 				next = n
@@ -429,10 +490,10 @@ func (e *Env) decayFactorWith(plan []stressorPlan, row int, tret, t0, t1 float64
 		if next > t1 {
 			next = t1
 		}
-		factor *= base.Factor(next-t, tret*scale)
+		walk.Add(next-t, tret*scale)
 		t = next
 	}
-	return factor
+	return walk.Factor()
 }
 
 // Validate checks the Env is runnable.

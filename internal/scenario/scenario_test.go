@@ -616,10 +616,12 @@ func snap(t float64, cands []float64, sel uint16) float64 {
 // segmentStressors is every stressor with the segmenter capability, each
 // also as the memoized gate compiledSchedule would install: a telegraph, a
 // pattern adversary, and gates over a row-dependent and a row-invariant
-// inner stressor.
+// inner stressor. The telegraph leaves half its rows unaffected and exempts
+// rows with retention below 0.05 s.
 func segmentStressors(t testing.TB, seed int64) []Stressor {
 	vrt := NewVRTStressor(seed, "telegraph", stormVRT(testWindow))
 	vrt.V.AffectedFrac = 0.5
+	vrt.V.MinRetention = 0.05
 	temp := NewTempCycle(seed, "cycle", retention.DefaultTempModel(), 85, 8, testWindow/2, 12)
 	out := []Stressor{
 		vrt,
@@ -638,8 +640,11 @@ func segmentStressors(t testing.TB, seed int64) []Stressor {
 	return out
 }
 
-// FuzzStressorSegment requires every segmenter to return exactly
-// (ScaleAt, NextChange) for the fuzzed row, retention and instant; a
+// FuzzStressorSegment requires every segmenter, and every plan that binds
+// the walk's row to a telegraph (the telegraph itself and memoized gates
+// over it), to return exactly (ScaleAt, NextChange) for the fuzzed row,
+// retention and instant; for the telegraph, the bound row's Segment must
+// also equal retention.VRT's Segment, StateFactor and NextToggle. A
 // non-zero edge moves t onto one of that stressor's change-points for the
 // row, up to three ulps either side.
 func FuzzStressorSegment(f *testing.F) {
@@ -647,19 +652,37 @@ func FuzzStressorSegment(f *testing.F) {
 	f.Add(int64(7), uint16(90), 0.5, 0.0, uint16(0x53))
 	f.Add(int64(-1), uint16(11), 0.02, 1.2, uint16(0x1f))
 	f.Add(int64(9), uint16(0), 0.3, -0.5, uint16(0x7))
+	f.Add(int64(42), uint16(5), 0.04, 0.2, uint16(0x2b))
 	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
 	f.Fuzz(func(t *testing.T, seed int64, row uint16, tret, tt float64, edge uint16) {
+		r := int(row)
 		for _, s := range segmentStressors(t, seed) {
 			at := tt
 			if edge != 0 {
-				at = snap(at, changePoints(s, int(row), tret, 4*testWindow, 64), edge)
+				at = snap(at, changePoints(s, r, tret, 4*testWindow, 64), edge)
 			}
-			sg := s.(segmenter)
-			scale, next := sg.segment(int(row), tret, at)
-			wantScale, wantNext := s.ScaleAt(int(row), tret, at), s.NextChange(int(row), tret, at)
-			if !same(scale, wantScale) || !same(next, wantNext) {
-				t.Fatalf("%s (%T) row %d tret %g t %.17g: segment (%.17g, %.17g), want (%.17g, %.17g)",
-					s.Name(), s, row, tret, at, scale, next, wantScale, wantNext)
+			wantScale, wantNext := s.ScaleAt(r, tret, at), s.NextChange(r, tret, at)
+			check := func(how string, scale, next float64) {
+				if !same(scale, wantScale) || !same(next, wantNext) {
+					t.Fatalf("%s (%T) row %d tret %g t %.17g: %s (%.17g, %.17g), want (%.17g, %.17g)",
+						s.Name(), s, row, tret, at, how, scale, next, wantScale, wantNext)
+				}
+			}
+			scale, next := s.(segmenter).segment(r, tret, at)
+			check("segment", scale, next)
+			p := newPlan(s, testWindow, true)
+			if p.vrt == nil {
+				continue
+			}
+			bound := p.vrt.Row(r, tret)
+			scale, next = p.boundSegment(&bound, at)
+			check("bound segment", scale, next)
+			if v, ok := s.(VRTStressor); ok {
+				scale, next = bound.Segment(at)
+				check("VRTRow.Segment", scale, next)
+				scale, next = v.V.Segment(r, tret, at)
+				check("VRT.Segment", scale, next)
+				check("StateFactor/NextToggle", v.V.StateFactor(r, tret, at), v.V.NextToggle(r, tret, at))
 			}
 		}
 	})
