@@ -115,12 +115,37 @@ if [ "$SERVED_STATUS" -ne 0 ]; then
     exit 1
 fi
 
+# Local resume smoke: a campaign whose only experiment times out (tab1 runs
+# six SPICE transients, so it cannot finish in 1ms) exits 4 with the failure
+# in its log; resuming without a timeout must re-run it and exit 0.
+echo "== vrlexp resume smoke =="
+EXP_DIR=$(mktemp -d /tmp/vrlexp-smoke.XXXXXX)
+trap 'rm -f "$SMOKE_LEDGER" "$SERVED_OUT"; rm -rf "$SERVED_DATA" "$EXP_DIR"; kill "$SERVED_PID" 2>/dev/null || true' EXIT
+# Built, not 'go run', for the real exit status.
+go build -o "$EXP_DIR/vrlexp" ./cmd/vrlexp
+EXP_STATUS=0
+"$EXP_DIR/vrlexp" -exp tab1 -timeout 1ms -checkpoint "$EXP_DIR/c" >/dev/null 2>&1 || EXP_STATUS=$?
+if [ "$EXP_STATUS" -ne 4 ]; then
+    echo "vrlexp -timeout 1ms must exit 4 (experiment failed), got $EXP_STATUS"
+    exit 1
+fi
+EXP_OUT=$("$EXP_DIR/vrlexp" -exp tab1 -checkpoint "$EXP_DIR/c" -resume 2>&1) || {
+    echo "resumed vrlexp campaign did not exit 0:"
+    echo "$EXP_OUT"
+    exit 1
+}
+if echo "$EXP_OUT" | grep -q "ERROR:"; then
+    echo "resumed vrlexp campaign replayed the stored failure:"
+    echo "$EXP_OUT"
+    exit 1
+fi
+
 # Fleet resume smoke: a tiny campaign takes an induced shard failure plus a
 # driver interrupt (-fail-shard makes vrlfleet cancel itself, exit 3), then
 # a rerun over the same manifest must resume and finish with full coverage.
 echo "== vrlfleet resume smoke =="
 FLEET_DIR=$(mktemp -d /tmp/vrlfleet-smoke.XXXXXX)
-trap 'rm -f "$SMOKE_LEDGER" "$SERVED_OUT"; rm -rf "$SERVED_DATA" "$FLEET_DIR"; kill "$SERVED_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "$SMOKE_LEDGER" "$SERVED_OUT"; rm -rf "$SERVED_DATA" "$EXP_DIR" "$FLEET_DIR"; kill "$SERVED_PID" 2>/dev/null || true' EXIT
 # Built, not 'go run': go run reports exit 1 for any nonzero child status,
 # and this smoke needs the real exit 3.
 go build -o "$FLEET_DIR/vrlfleet" ./cmd/vrlfleet

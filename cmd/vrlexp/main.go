@@ -1,9 +1,11 @@
 // Command vrlexp regenerates the tables and figures of the VRL-DRAM paper.
-// Experiments run as a crash-tolerant campaign: a panicking or erroring
-// experiment is recorded as a failure and the rest of the campaign
-// completes, -timeout bounds each experiment's wall-clock time, and
-// -checkpoint/-resume persist completed results across interruptions so a
-// killed campaign picks up where it left off.
+// Experiments run as a crash-tolerant campaign, up to -workers at a time
+// (each fanning its cells out on the same bound) and printed in the paper's
+// order: a panicking or erroring experiment is recorded as a failure and
+// the rest of the campaign completes, -timeout bounds each experiment's
+// wall-clock time from its start, and -checkpoint/-resume persist completed
+// results across interruptions so a killed campaign picks up where it left
+// off, re-running the experiments that failed.
 //
 // Usage:
 //
@@ -30,10 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -53,8 +52,8 @@ func main() {
 		format     = flag.String("format", "table", "output format: table or csv")
 		timeout    = flag.Duration("timeout", 0, "wall-clock limit per experiment (0 = none)")
 		ckptPath   = flag.String("checkpoint", "", "persist completed results to this file (atomic, CRC-checked)")
-		resume     = flag.Bool("resume", false, "reuse completed results from -checkpoint instead of re-running them")
-		workers    = flag.Int("workers", 0, "concurrent cells per experiment (0 = GOMAXPROCS; also VRLDRAM_WORKERS env; results are identical for any value)")
+		resume     = flag.Bool("resume", false, "reuse completed results from -checkpoint instead of re-running them (failed ones run again)")
+		workers    = flag.Int("workers", 0, "concurrent experiments, and concurrent cells per experiment (0 = GOMAXPROCS; also VRLDRAM_WORKERS env; results are identical for any value)")
 		remote     = flag.String("remote", "", "run the campaign on a vrlserved instance at this address")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile (pprof) to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (pprof) to this file at exit")
@@ -86,81 +85,31 @@ func main() {
 		os.Exit(runRemote(*remote, ids, *seed, *duration, *format))
 	}
 
-	cfg := exp.Default()
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *duration != 0 {
-		cfg.Duration = *duration
-	}
+	cfg := exp.DefaultWith(*seed, *duration)
 	cfg.Workers = resolveWorkers(*workers)
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		// Stopped explicitly in finish(): os.Exit skips defers, and an
-		// unstopped profile is truncated and unreadable.
-	}
-	finish := func(code int) {
-		if *cpuprofile != "" {
-			pprof.StopCPUProfile()
-		}
-		if *memprofile != "" {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "vrlexp: %v\n", err)
-				os.Exit(1)
-			}
-			runtime.GC() // settle allocations so the heap profile reflects live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "vrlexp: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-		os.Exit(code)
-	}
+	prof := cli.StartProfiles("vrlexp", *cpuprofile, *memprofile)
 
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 
 	opts := exp.CampaignOptions{IDs: ids, Timeout: *timeout}
 
-	// Campaign progress file: completed results accumulate and are
-	// re-persisted after every experiment, so a killed campaign loses at
-	// most the experiment in flight.
-	var completed []*exp.Result
+	// Campaign progress file: the log is re-saved after every experiment,
+	// so a killed campaign loses at most the experiments in flight.
 	if *ckptPath != "" {
-		mgr, err := checkpoint.NewManager(*ckptPath, 0)
+		progress, err := checkpoint.NewCampaignLog(*ckptPath)
 		if err != nil {
 			fatal(err)
 		}
 		if *resume {
-			from, err := mgr.Load(func(r io.Reader) error {
-				var derr error
-				completed, derr = checkpoint.DecodeCampaign(r)
-				return derr
-			})
-			if err != nil {
+			if from, err := progress.Load(); err != nil {
 				fmt.Fprintf(os.Stderr, "vrlexp: no resumable campaign state (%v); starting fresh\n", err)
 			} else {
-				fmt.Fprintf(os.Stderr, "vrlexp: resuming campaign from %s (%d experiment(s) already done)\n", from, len(completed))
+				fmt.Fprintf(os.Stderr, "vrlexp: resuming campaign from %s (%d experiment(s) logged; failed ones run again)\n", from, progress.Len())
 			}
 		}
-		restored := make(map[string]*exp.Result, len(completed))
-		for _, res := range completed {
-			restored[res.ID] = res
-		}
-		opts.Restore = func(id string) *exp.Result { return restored[id] }
-		opts.OnResult = func(res *exp.Result) error {
-			completed = append(completed, res)
-			return mgr.Save(func(w io.Writer) error { return checkpoint.EncodeCampaign(w, completed) })
-		}
+		opts.Restore, opts.OnResult = progress.Restore, progress.OnResult
 	}
 
 	start := time.Now()
@@ -174,12 +123,12 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "vrlexp: %v\n", err)
-		finish(1)
+		prof.Exit(1)
 	}
 	if countFailed(results) > 0 {
-		finish(4)
+		prof.Exit(4)
 	}
-	finish(0)
+	prof.Exit(0)
 }
 
 // runRemote submits the campaign to a vrlserved instance and returns the

@@ -25,13 +25,7 @@ func main() {
 	flag.Parse()
 	cli.InterruptExit("vrlreport")
 
-	cfg := exp.Default()
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *duration != 0 {
-		cfg.Duration = *duration
-	}
+	cfg := exp.DefaultWith(*seed, *duration)
 
 	w := os.Stdout
 	if *out != "" {

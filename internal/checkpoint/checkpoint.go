@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"vrldram/internal/core"
 	"vrldram/internal/dram"
@@ -389,4 +390,57 @@ func DecodeCampaign(r io.Reader) ([]*exp.Result, error) {
 		return nil, err
 	}
 	return results, nil
+}
+
+// CampaignLog is a campaign's durable progress: one result per experiment
+// ID, saved through a Manager after every fresh result, so a killed
+// campaign loses at most the experiments in flight. Restore and OnResult
+// are the exp.CampaignOptions hooks; the campaign driver never calls them
+// concurrently.
+type CampaignLog struct {
+	mgr     *Manager
+	results []*exp.Result
+}
+
+// NewCampaignLog returns an empty log that saves to path.
+func NewCampaignLog(path string) (*CampaignLog, error) {
+	mgr, err := NewManager(path, 0)
+	return &CampaignLog{mgr: mgr}, err
+}
+
+// Load replaces the log's results with the newest good generation on disk
+// and returns that generation's path. On error (wrapping ErrNoSnapshot) the
+// log is empty.
+func (l *CampaignLog) Load() (string, error) {
+	return l.mgr.Load(func(r io.Reader) error {
+		var err error
+		l.results, err = DecodeCampaign(r)
+		return err
+	})
+}
+
+// Len reports how many experiments have a result in the log.
+func (l *CampaignLog) Len() int { return len(l.results) }
+
+// Restore returns the logged result for id, or nil.
+func (l *CampaignLog) Restore(id string) *exp.Result {
+	if i := l.index(id); i >= 0 {
+		return l.results[i]
+	}
+	return nil
+}
+
+// OnResult records res, replacing any earlier result for its ID, and saves
+// the log.
+func (l *CampaignLog) OnResult(res *exp.Result) error {
+	if i := l.index(res.ID); i >= 0 {
+		l.results[i] = res
+	} else {
+		l.results = append(l.results, res)
+	}
+	return l.mgr.Save(func(w io.Writer) error { return EncodeCampaign(w, l.results) })
+}
+
+func (l *CampaignLog) index(id string) int {
+	return slices.IndexFunc(l.results, func(r *exp.Result) bool { return r.ID == id })
 }

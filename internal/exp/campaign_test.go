@@ -3,25 +3,20 @@ package exp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // withTestExperiments temporarily extends the registry with synthetic
 // experiments so campaign behavior can be driven deterministically.
-func withTestExperiments(t *testing.T, entries ...struct {
-	ID    string
-	Title string
-	Run   Runner
-}) {
+func withTestExperiments(t *testing.T, entries ...Experiment) {
 	t.Helper()
 	saved := Registry
-	Registry = append(append([]struct {
-		ID    string
-		Title string
-		Run   Runner
-	}{}, saved...), entries...)
+	Registry = append(append([]Experiment{}, saved...), entries...)
 	t.Cleanup(func() { Registry = saved })
 }
 
@@ -33,16 +28,8 @@ func okRunner(id string) Runner {
 	}
 }
 
-func entry(id string, run Runner) struct {
-	ID    string
-	Title string
-	Run   Runner
-} {
-	return struct {
-		ID    string
-		Title string
-		Run   Runner
-	}{id, "synthetic " + id, run}
+func entry(id string, run Runner) Experiment {
+	return Experiment{id, "synthetic " + id, run}
 }
 
 func TestCampaignIsolatesPanics(t *testing.T) {
@@ -188,12 +175,187 @@ func TestCampaignCancellation(t *testing.T) {
 		}),
 		entry("t-never", okRunner("t-never")),
 	)
-	results, err := RunCampaign(ctx, Default(), CampaignOptions{IDs: []string{"t-first", "t-never"}})
+	// Workers=1: "no later experiment ran" is the sequential contract.
+	cfg := Default()
+	cfg.Workers = 1
+	results, err := RunCampaign(ctx, cfg, CampaignOptions{IDs: []string{"t-first", "t-never"}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(results) > 1 {
 		t.Fatalf("campaign kept going after cancellation: %d results", len(results))
+	}
+}
+
+// TestCampaignParallelContract drives the campaign at Workers=4 with a
+// hanging experiment first in the plan, one restored experiment, and the
+// rest finishing in reverse plan order.
+func TestCampaignParallelContract(t *testing.T) {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	ids := []string{"t-hang"}
+	entries := []Experiment{entry("t-hang", func(Config) (*Result, error) {
+		<-release
+		return &Result{ID: "t-hang"}, nil
+	})}
+	const n = 12
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("t-p%d", i)
+		ids = append(ids, id)
+		delay := time.Duration(n-i) * time.Millisecond
+		entries = append(entries, entry(id, func(cfg Config) (*Result, error) {
+			time.Sleep(delay)
+			return okRunner(id)(cfg)
+		}))
+	}
+	withTestExperiments(t, entries...)
+	stored := &Result{ID: "t-p3", Notes: []string{"restored"}}
+
+	var (
+		inHook   atomic.Int32
+		overlaps atomic.Int32
+		mu       sync.Mutex
+		seen     []string
+	)
+	cfg := Default()
+	cfg.Workers = 4
+	results, err := RunCampaign(context.Background(), cfg, CampaignOptions{
+		IDs:     ids,
+		Timeout: 500 * time.Millisecond,
+		Restore: func(id string) *Result {
+			if id == stored.ID {
+				return stored
+			}
+			return nil
+		},
+		OnResult: func(r *Result) error {
+			if inHook.Add(1) != 1 {
+				overlaps.Add(1)
+			}
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			seen = append(seen, r.ID)
+			mu.Unlock()
+			inHook.Add(-1)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(ids) {
+		t.Fatalf("got %d results, want %d", len(results), len(ids))
+	}
+	for i, r := range results {
+		if r.ID != ids[i] {
+			t.Fatalf("result %d is %s, want %s: results must come back in plan order", i, r.ID, ids[i])
+		}
+	}
+	if results[4] != stored {
+		t.Error("restored result not reused verbatim")
+	}
+	if overlaps.Load() != 0 {
+		t.Errorf("OnResult calls overlapped %d time(s)", overlaps.Load())
+	}
+	count := map[string]int{}
+	for _, id := range seen {
+		count[id]++
+	}
+	for _, id := range ids {
+		want := 1
+		if id == stored.ID {
+			want = 0 // already persisted: never announced again
+		}
+		if count[id] != want {
+			t.Errorf("OnResult saw %s %d time(s), want %d", id, count[id], want)
+		}
+	}
+	if !results[0].Failed() || !strings.Contains(strings.Join(results[0].Notes, " "), "timed out") {
+		t.Errorf("hung experiment not recorded as timed out: %v", results[0].Notes)
+	}
+	if last := seen[len(seen)-1]; last != "t-hang" {
+		t.Errorf("last announced result is %s; the hung experiment held up the others: %v", last, seen)
+	}
+}
+
+// TestCampaignParallelCancellation: once every worker is busy and the
+// context is cancelled, no further experiment starts.
+func TestCampaignParallelCancellation(t *testing.T) {
+	const workers = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	var started atomic.Int32
+	allBusy := make(chan struct{})
+	ids := []string{"t-cancel"}
+	entries := []Experiment{entry("t-cancel", func(Config) (*Result, error) {
+		if started.Add(1) == workers {
+			close(allBusy)
+		}
+		select {
+		case <-allBusy:
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("the other workers never started")
+		}
+		cancel()
+		return &Result{ID: "t-cancel"}, nil
+	})}
+	for i := 0; i < 3*workers; i++ {
+		id := fmt.Sprintf("t-block%d", i)
+		ids = append(ids, id)
+		entries = append(entries, entry(id, func(Config) (*Result, error) {
+			if started.Add(1) == workers {
+				close(allBusy)
+			}
+			<-release
+			return &Result{ID: id}, nil
+		}))
+	}
+	withTestExperiments(t, entries...)
+	cfg := Default()
+	cfg.Workers = workers
+	results, err := RunCampaign(ctx, cfg, CampaignOptions{IDs: ids})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(results) > 1 {
+		t.Fatalf("got %d results; only t-cancel can have finished", len(results))
+	}
+	time.Sleep(20 * time.Millisecond) // let a wrongly started experiment show itself
+	if n := started.Load(); n != workers {
+		t.Fatalf("%d experiments started, want %d: experiments started after cancellation", n, workers)
+	}
+}
+
+// TestCampaignParallelHookErrorStops: after OnResult fails at Workers=4 it
+// is never called again, and only its result comes back.
+func TestCampaignParallelHookErrorStops(t *testing.T) {
+	var ids []string
+	var entries []Experiment
+	for i := 0; i < 32; i++ {
+		id := fmt.Sprintf("t-h%d", i)
+		ids = append(ids, id)
+		entries = append(entries, entry(id, okRunner(id)))
+	}
+	withTestExperiments(t, entries...)
+	boom := errors.New("disk full")
+	var calls atomic.Int32
+	cfg := Default()
+	cfg.Workers = 4
+	results, err := RunCampaign(context.Background(), cfg, CampaignOptions{
+		IDs: ids,
+		OnResult: func(*Result) error {
+			calls.Add(1)
+			time.Sleep(time.Millisecond) // let the other workers queue up on the hook
+			return boom
+		},
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want wrapped %v", err, boom)
+	}
+	if calls.Load() != 1 || len(results) != 1 {
+		t.Fatalf("OnResult called %d time(s), %d result(s) returned; want 1 and 1", calls.Load(), len(results))
 	}
 }
 

@@ -60,7 +60,7 @@ func ElasticSweep(cfg Config) (*Result, error) {
 		}
 	}
 	rows := make([][]string, len(grid))
-	err = forEachCell(cfg, len(grid), func(_ context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(grid), func(_ context.Context, i int) error {
 		c := grid[i]
 		sched, err := c.mk()
 		if err != nil {
@@ -138,7 +138,7 @@ func SALPSweep(cfg Config) (*Result, error) {
 		}
 	}
 	rows := make([][]string, len(grid))
-	err = forEachCell(cfg, len(grid), func(_ context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(grid), func(_ context.Context, i int) error {
 		c := grid[i]
 		sched, err := c.mk()
 		if err != nil {

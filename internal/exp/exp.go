@@ -30,11 +30,12 @@ type Config struct {
 	Backend sim.Backend
 
 	// Workers bounds the number of concurrent cells an experiment may
-	// evaluate, and WriteMarkdownReport's number of concurrent experiments,
-	// so a report may have up to Workers² cells in flight. 0 (the default)
-	// means runtime.GOMAXPROCS(0); 1 forces the historical sequential
-	// behavior. Results are identical for every Workers value: cells are
-	// independent and reassembled in submission order (see forEachCell).
+	// evaluate, and the registry driver's number of concurrent experiments
+	// (WriteMarkdownReport and RunCampaign), so a report or campaign may have
+	// up to Workers² cells in flight. 0 (the default) means
+	// runtime.GOMAXPROCS(0); 1 runs everything sequentially. Results are
+	// identical for every Workers value: cells and experiments are
+	// independent and reassembled in plan order (see forEachCell).
 	Workers int
 }
 
@@ -49,6 +50,20 @@ func Default() Config {
 		Seed:     42,
 		Duration: 0.768,
 	}
+}
+
+// DefaultWith is Default with the nonzero overrides applied: the seed and
+// simulation window the command-line tools and the service take, where zero
+// keeps the paper's value.
+func DefaultWith(seed int64, duration float64) Config {
+	cfg := Default()
+	if seed != 0 {
+		cfg.Seed = seed
+	}
+	if duration != 0 {
+		cfg.Duration = duration
+	}
+	return cfg
 }
 
 // Validate reports the first unusable field.
@@ -177,12 +192,16 @@ func (r *Result) FprintCSV(w io.Writer) error {
 // Runner is an experiment entry point.
 type Runner func(Config) (*Result, error)
 
-// Registry maps experiment IDs to their runners, in the paper's order.
-var Registry = []struct {
+// Experiment is one registry entry: a paper artifact's ID, title and
+// runner.
+type Experiment struct {
 	ID    string
 	Title string
 	Run   Runner
-}{
+}
+
+// Registry lists the paper's experiments, in the paper's order.
+var Registry = []Experiment{
 	{"fig1a", "Charge restoration vs fraction of tRFC (Observation 1)", Figure1a},
 	{"fig1b", "Full vs partial refresh over three refresh periods (Observation 2)", Figure1b},
 	{"fig3a", "DRAM retention time distribution", Figure3a},
@@ -211,14 +230,14 @@ var Registry = []struct {
 	{"profiling", "Profiling-mechanism survival under composite-stress scenarios", Profiling},
 }
 
-// Find returns the runner with the given ID.
-func Find(id string) (Runner, error) {
+// Find returns the registry entry with the given ID.
+func Find(id string) (Experiment, error) {
 	for _, e := range Registry {
 		if e.ID == id {
-			return e.Run, nil
+			return e, nil
 		}
 	}
-	return nil, fmt.Errorf("exp: unknown experiment %q", id)
+	return Experiment{}, fmt.Errorf("exp: unknown experiment %q", id)
 }
 
 // IDs lists the registered experiment IDs in order.

@@ -162,7 +162,7 @@ func Figure4(cfg Config) (*Result, error) {
 	benches := trace.PARSEC()
 	rows := make([][]string, len(benches))
 	ratios := make([]float64, len(benches))
-	err = forEachCell(cfg, len(benches), func(ctx context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(benches), func(ctx context.Context, i int) error {
 		b := benches[i]
 		src, err := tracecache.Source(b, cfg.Geom.Rows, cfg.Duration, cfg.Seed)
 		if err != nil {
@@ -285,7 +285,7 @@ func TauPartialSweep(cfg Config) (*Result, error) {
 	n := tpHi - tpLo + 1
 	rows := make([][]string, n)
 	ratios := make([]float64, n)
-	err = forEachCell(cfg, n, func(ctx context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, n, func(ctx context.Context, i int) error {
 		tp := tpLo + i
 		rm, err := profcache.RestoreModelFor(cfg.Params, cfg.Geom, tp)
 		if err != nil {
@@ -344,7 +344,7 @@ func GuardbandSweep(cfg Config) (*Result, error) {
 	}
 	guardbands := []float64{0.95, 0.90, 0.86, 0.80, 0.70, 0.60, 0.52}
 	rows := make([][]string, len(guardbands))
-	err = forEachCell(cfg, len(guardbands), func(ctx context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(guardbands), func(ctx context.Context, i int) error {
 		gb := guardbands[i]
 		scfg := core.Config{Restore: f.rm, Guardband: gb}
 		sched, err := core.NewVRL(f.profile, scfg)
@@ -392,7 +392,7 @@ func NBitsSweep(cfg Config) (*Result, error) {
 		Headers: []string{"nbits", "max partials", "VRL/RAIDR", "logic area (um^2)"},
 	}
 	rows := make([][]string, 4)
-	err = forEachCell(cfg, 4, func(ctx context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, 4, func(ctx context.Context, i int) error {
 		nb := i + 1
 		scfg := core.Config{Restore: f.rm, NBits: nb}
 		st, err := f.runCtx(ctx, func() (core.Scheduler, error) { return core.NewVRL(f.profile, scfg) }, nil)
@@ -430,7 +430,7 @@ func DecaySweep(cfg Config) (*Result, error) {
 	}
 	decays := []retention.DecayModel{retention.ExpDecay{}, retention.LinearDecay{}}
 	rows := make([][]string, len(decays))
-	err = forEachCell(cfg, len(decays), func(_ context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(decays), func(_ context.Context, i int) error {
 		scfg := core.Config{Restore: f.rm, Decay: decays[i]}
 		sched, err := core.NewVRL(f.profile, scfg)
 		if err != nil {
@@ -483,7 +483,7 @@ func CoverageSweep(cfg Config) (*Result, error) {
 	vrlRatio := float64(vrl.BusyCycles) / float64(raidr.BusyCycles)
 	coverages := []float64{0, 0.25, 0.5, 0.75, 1.0}
 	rows := make([][]string, len(coverages))
-	err = forEachCell(cfg, len(coverages), func(ctx context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(coverages), func(ctx context.Context, i int) error {
 		cov := coverages[i]
 		spec := trace.BenchmarkSpec{
 			Name: fmt.Sprintf("sweep-%.0f%%", cov*100), FootprintFrac: maxf(cov, 0.001),

@@ -30,7 +30,7 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Skip("runs every parallelized experiment four times")
 	}
 	for _, id := range parallelizedExperiments {
-		run, err := Find(id)
+		e, err := Find(id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -40,12 +40,12 @@ func TestParallelDeterminism(t *testing.T) {
 			cfg.Seed = seed
 
 			cfg.Workers = 1
-			seq, err := run(cfg)
+			seq, err := e.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s seed=%d workers=1: %v", id, seed, err)
 			}
 			cfg.Workers = 8
-			par, err := run(cfg)
+			par, err := e.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s seed=%d workers=8: %v", id, seed, err)
 			}
@@ -62,7 +62,7 @@ func TestForEachCellVisitsEveryIndex(t *testing.T) {
 		const n = 37
 		var visited [n]int32
 		cfg := Config{Workers: workers}
-		err := forEachCell(cfg, n, func(_ context.Context, i int) error {
+		err := forEachCell(context.Background(), cfg, n, func(_ context.Context, i int) error {
 			atomic.AddInt32(&visited[i], 1)
 			return nil
 		})
@@ -81,7 +81,7 @@ func TestForEachCellFirstErrorWinsAndCancels(t *testing.T) {
 	boom := errors.New("boom")
 	var cancelled int32
 	cfg := Config{Workers: 4}
-	err := forEachCell(cfg, 64, func(ctx context.Context, i int) error {
+	err := forEachCell(context.Background(), cfg, 64, func(ctx context.Context, i int) error {
 		if i == 5 {
 			return boom
 		}
@@ -96,12 +96,12 @@ func TestForEachCellFirstErrorWinsAndCancels(t *testing.T) {
 }
 
 func TestForEachCellZeroAndSequential(t *testing.T) {
-	if err := forEachCell(Config{}, 0, nil); err != nil {
+	if err := forEachCell(context.Background(), Config{}, 0, nil); err != nil {
 		t.Fatalf("n=0 must be a no-op, got %v", err)
 	}
-	// Workers=1 runs in submission order on the caller's goroutine.
+	// Workers=1 runs in submission order on a pool of one worker.
 	var order []int
-	err := forEachCell(Config{Workers: 1}, 5, func(_ context.Context, i int) error {
+	err := forEachCell(context.Background(), Config{Workers: 1}, 5, func(_ context.Context, i int) error {
 		order = append(order, i) // no atomics needed: sequential contract
 		return nil
 	})
@@ -116,7 +116,7 @@ func TestForEachCellZeroAndSequential(t *testing.T) {
 	// Sequential path stops at the first error without visiting the rest.
 	boom := errors.New("boom")
 	calls := 0
-	err = forEachCell(Config{Workers: 1}, 5, func(_ context.Context, i int) error {
+	err = forEachCell(context.Background(), Config{Workers: 1}, 5, func(_ context.Context, i int) error {
 		calls++
 		if i == 2 {
 			return boom

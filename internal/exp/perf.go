@@ -40,7 +40,7 @@ func PerfImpact(cfg Config) (*Result, error) {
 	// controller runs); fan the benchmarks out on the worker pool and stitch
 	// the per-benchmark row blocks back together in name order.
 	blocks := make([][][]string, len(benchNames))
-	err = forEachCell(cfg, len(benchNames), func(_ context.Context, bi int) error {
+	err = forEachCell(context.Background(), cfg, len(benchNames), func(_ context.Context, bi int) error {
 		name := benchNames[bi]
 		spec, err := trace.FindBenchmark(name)
 		if err != nil {

@@ -104,40 +104,26 @@ func (p *WorkerPool) Close() {
 
 // forEachCell is the experiment fan-out primitive. It evaluates fn(i) for
 // every i in [0, n) on a bounded pool of cfg.workers() goroutines and
-// returns the first error (by submission index order is NOT guaranteed for
-// errors; the first error to occur wins and cancels the rest via ctx).
+// returns the first error to occur (not necessarily the lowest index's),
+// which cancels the rest. When parent is cancelled no further cell starts
+// and forEachCell returns parent's error.
 //
 // Determinism contract: fn must write its output into a preallocated slot
 // for index i (typically cells[i] of a slice the caller owns) and must not
 // depend on evaluation order or shared mutable state. Under that contract
 // the assembled output is byte-identical for every worker count, including
 // Workers=1, because reassembly happens by index, not by completion order.
+// A pool of one worker runs the cells first in, first out, so Workers=1 is
+// the sequential loop and stops at its first error.
 //
 // fn receives a context it should propagate to cancellable work; after the
 // first failure remaining queued indices are skipped and in-flight cells may
 // observe ctx cancellation.
-func forEachCell(cfg Config, n int, fn func(ctx context.Context, i int) error) error {
+func forEachCell(parent context.Context, cfg Config, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	w := cfg.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		// Sequential fast path: no goroutines, no channels, deterministic
-		// by construction. Keeps Workers=1 behavior (and stack traces)
-		// identical to the pre-parallel harness.
-		ctx := context.Background()
-		for i := 0; i < n; i++ {
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
 	var (
@@ -151,25 +137,24 @@ func forEachCell(cfg Config, n int, fn func(ctx context.Context, i int) error) e
 		})
 	}
 
-	pool := NewWorkerPool(w)
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		i := i
+	pool := NewWorkerPool(min(cfg.workers(), n))
+	for i := 0; i < n && ctx.Err() == nil; i++ {
 		// Submit blocks while the queue is full, bounding in-flight work; a
 		// cancelled grid stops submitting and skips the remaining indices.
-		if err := pool.Submit(ctx, func() {
+		if pool.Submit(ctx, func() {
 			if ctx.Err() != nil {
 				return // drain without working once cancelled
 			}
 			if err := fn(ctx, i); err != nil {
 				fail(err)
 			}
-		}); err != nil {
+		}) != nil {
 			break
 		}
 	}
 	pool.Close()
+	if firstErr == nil {
+		return parent.Err()
+	}
 	return firstErr
 }

@@ -102,7 +102,7 @@ func Profiling(cfg Config) (*Result, error) {
 		}
 	}
 	rows := make([][]string, len(grid))
-	err = forEachCell(cfg, len(grid), func(ctx context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(grid), func(ctx context.Context, i int) error {
 		sc, m := grid[i].scen, grid[i].mech
 
 		schedProf := f.profile

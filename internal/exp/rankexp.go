@@ -66,7 +66,7 @@ func RankSweep(cfg Config) (*Result, error) {
 	}
 	rowsOut := make([][]string, len(grid))
 	busyOut := make([]int64, len(grid))
-	err = forEachCell(cfg, len(grid), func(_ context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(grid), func(_ context.Context, i int) error {
 		mode, pol := grid[i].mode, grid[i].pol
 		banks, scheds, err := rank.NewRank(nBanks, cfg.Dist, rows, cfg.Geom.Cols, cfg.Seed, pol.mk)
 		if err != nil {
@@ -180,7 +180,7 @@ func RankPerfSweep(cfg Config) (*Result, error) {
 		}
 	}
 	rowsOut := make([][]string, len(grid))
-	err = forEachCell(cfg, len(grid), func(_ context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(grid), func(_ context.Context, i int) error {
 		g, pol := grid[i].g, grid[i].pol
 		banks, scheds, err := rank.NewRank(nBanks, cfg.Dist, rows, cfg.Geom.Cols, cfg.Seed, pol.mk)
 		if err != nil {

@@ -13,27 +13,16 @@ import (
 // results as a Markdown document: the generator behind EXPERIMENTS.md and
 // the cmd/vrlreport binary.
 //
-// The experiments run concurrently on cfg.workers() goroutines (each one
-// fans its own cells out on the same bound) and render in registry order,
-// so the text is the same at every Workers value apart from the wall-clock
-// fields. Every experiment runs even if another fails; rendering stops at
-// the first failed one in registry order and returns its error, as a
-// sequential loop would. Otherwise it returns the first write error.
+// The experiments run through the campaign driver on cfg.workers()
+// goroutines (each one fans its own cells out on the same bound) and render
+// in registry order, so the text is the same at every Workers value apart
+// from the wall-clock fields. Every experiment runs even if another fails;
+// rendering stops at the first failed one in registry order and returns its
+// error, as a sequential loop would. Otherwise it returns the first write
+// error.
 func WriteMarkdownReport(w io.Writer, cfg Config) error {
-	reg := Registry
-	type outcome struct {
-		res     *Result
-		err     error
-		elapsed time.Duration
-	}
-	outs := make([]outcome, len(reg))
-	// The cell function never fails, so forEachCell cannot cancel the rest.
-	_ = forEachCell(cfg, len(reg), func(_ context.Context, i int) error {
-		start := time.Now()
-		res, err := reg[i].Run(cfg)
-		outs[i] = outcome{res: res, err: err, elapsed: time.Since(start)}
-		return nil
-	})
+	// No hook and no cancellation, so the driver cannot fail.
+	outs, _ := drive(context.Background(), cfg, CampaignOptions{})
 
 	// bufio's write error is sticky, so Flush reports the first failed write
 	// of any line below.
@@ -43,15 +32,14 @@ func WriteMarkdownReport(w io.Writer, cfg Config) error {
 	fmt.Fprintf(bw, "Configuration: bank %s at 90 nm, seed %d, simulation window %.0f ms,\n",
 		cfg.Geom, cfg.Seed, cfg.Duration*1000)
 	fmt.Fprintf(bw, "tCK %.3g ns, guardband %.2f, nbits 2.\n\n", cfg.Params.TCK*1e9, 0.86)
-	for i, e := range reg {
-		o := outs[i]
+	for _, o := range outs {
 		if o.err != nil {
 			// Keep the sections rendered so far; the experiment error takes
 			// precedence over a write error.
 			_ = bw.Flush()
-			return fmt.Errorf("%s: %w", e.ID, o.err)
+			return fmt.Errorf("%s: %w", o.ID, o.err)
 		}
-		fmt.Fprintf(bw, "## %s — %s\n\n", o.res.ID, e.Title)
+		fmt.Fprintf(bw, "## %s — %s\n\n", o.res.ID, o.Title)
 		writeMarkdownTable(bw, o.res)
 		for _, n := range o.res.Notes {
 			fmt.Fprintf(bw, "- %s\n", n)

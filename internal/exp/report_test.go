@@ -10,11 +10,7 @@ import (
 )
 
 // withRegistry replaces the registry with the given entries for one test.
-func withRegistry(t *testing.T, entries ...struct {
-	ID    string
-	Title string
-	Run   Runner
-}) {
+func withRegistry(t *testing.T, entries ...Experiment) {
 	t.Helper()
 	saved := Registry
 	Registry = entries

@@ -114,7 +114,7 @@ func Resilience(cfg Config) (*Result, error) {
 		}
 	}
 	rows := make([][]string, len(grid))
-	err = forEachCell(cfg, len(grid), func(ctx context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(grid), func(ctx context.Context, i int) error {
 		tc, pol := grid[i].tc, grid[i].pol
 		schedProf, bankProf, vrt, refresh, err := tc.prepare(f.profile)
 		if err != nil {

@@ -54,7 +54,7 @@ func TemperatureSweep(cfg Config) (*Result, error) {
 	}
 	temps := []float64{45, 65, 85, 95}
 	rows := make([][]string, len(temps))
-	err = forEachCell(cfg, len(temps), func(ctx context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(temps), func(ctx context.Context, i int) error {
 		tempC := temps[i]
 		atTemp := tm.AtTemperature(f.profile, tempC)
 		static, err := run(ctx, f.profile, atTemp)
@@ -123,7 +123,7 @@ func DensitySweep(cfg Config) (*Result, error) {
 	opts := sim.Options{Duration: cfg.Duration, TCK: cfg.Params.TCK, Backend: cfg.Backend}
 	rowCounts := []int{4096, 8192, 16384, 32768}
 	cells := make([][]string, len(rowCounts))
-	err = forEachCell(cfg, len(rowCounts), func(ctx context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(rowCounts), func(ctx context.Context, i int) error {
 		rows := rowCounts[i]
 		geom := device.BankGeometry{Rows: rows, Cols: cfg.Geom.Cols}
 		profile, err := profcache.SampledProfile(geom, cfg.Dist, cfg.Seed)

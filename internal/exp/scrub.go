@@ -55,7 +55,7 @@ func Scrub(cfg Config) (*Result, error) {
 		}
 	}
 	rows := make([][]string, len(grid))
-	err = forEachCell(cfg, len(grid), func(ctx context.Context, i int) error {
+	err = forEachCell(context.Background(), cfg, len(grid), func(ctx context.Context, i int) error {
 		tc, withScrub := grid[i].tc, grid[i].withScrub
 		schedProf, bankProf, vrt, refresh, err := tc.prepare(f.profile)
 		if err != nil {

@@ -94,13 +94,7 @@ func (c CampaignSpec) Validate() error {
 
 // config maps the spec onto an experiment configuration.
 func (c CampaignSpec) config(workers int) exp.Config {
-	cfg := exp.Default()
-	if c.Seed != 0 {
-		cfg.Seed = c.Seed
-	}
-	if c.Duration != 0 {
-		cfg.Duration = c.Duration
-	}
+	cfg := exp.DefaultWith(c.Seed, c.Duration)
 	cfg.Workers = workers
 	return cfg
 }

@@ -27,9 +27,10 @@ type Options struct {
 	// Workers sizes the shared simulation worker pool every session's job is
 	// multiplexed onto. Default GOMAXPROCS.
 	Workers int
-	// JobWorkers is the per-campaign cell parallelism (exp.Config.Workers).
-	// Default 1: the pool bounds total concurrency, each campaign runs its
-	// cells sequentially inside its one slot.
+	// JobWorkers is the per-campaign parallelism (exp.Config.Workers): the
+	// concurrent experiments, and the concurrent cells in each. Default 1:
+	// the pool bounds total concurrency, each campaign runs its experiments
+	// and their cells sequentially inside its one slot.
 	JobWorkers int
 	// IdleTimeout is how long a connection may stay silent (no frames, no
 	// pings) before the server considers it half-open and drops it. The

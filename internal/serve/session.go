@@ -631,46 +631,27 @@ func (s *session) runSim(ctx context.Context, spec SimSpec) error {
 }
 
 // runCampaign executes a campaign job, checkpointing after every completed
-// experiment so a restart replays none of them.
+// experiment so a restart replays none that succeeded.
 func (s *session) runCampaign(ctx context.Context, spec CampaignSpec) error {
-	mgr, err := checkpoint.NewManager(filepath.Join(s.dir, "camp.ckpt"), 0)
+	progress, err := checkpoint.NewCampaignLog(filepath.Join(s.dir, "camp.ckpt"))
 	if err != nil {
 		return err
 	}
-	done := map[string]*exp.Result{}
-	if _, statErr := os.Stat(mgr.Path()); statErr == nil {
-		var prev []*exp.Result
-		if _, err := mgr.Load(func(r io.Reader) error {
-			var derr error
-			prev, derr = checkpoint.DecodeCampaign(r)
-			return derr
-		}); err == nil {
-			for _, r := range prev {
-				done[r.ID] = r
-			}
-		}
-	}
-	var finished []*exp.Result
+	// A missing or wholly corrupt log restarts cold: every experiment is a
+	// pure function of the spec, so the result is unchanged.
+	_, _ = progress.Load()
 	total := float64(len(spec.IDs))
 	results, err := exp.RunCampaign(ctx, spec.config(s.srv.opts.JobWorkers), exp.CampaignOptions{
 		IDs:     spec.IDs,
-		Restore: func(id string) *exp.Result { return done[id] },
+		Restore: progress.Restore,
 		OnResult: func(r *exp.Result) error {
-			finished = append(finished, r)
 			if s.srv.crashed.Load() {
 				return errCrashed
 			}
-			all := make([]*exp.Result, 0, len(done)+len(finished))
-			for _, id := range spec.IDs {
-				if res, ok := done[id]; ok {
-					all = append(all, res)
-				}
-			}
-			all = append(all, finished...)
-			if err := mgr.Save(func(w io.Writer) error { return checkpoint.EncodeCampaign(w, all) }); err != nil {
+			if err := progress.OnResult(r); err != nil {
 				return err
 			}
-			s.notify(FrameProgress, Progress{T: float64(len(all)), Duration: total}.encode())
+			s.notify(FrameProgress, Progress{T: float64(progress.Len()), Duration: total}.encode())
 			return nil
 		},
 	})

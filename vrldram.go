@@ -320,15 +320,7 @@ func Experiments() []ExperimentInfo {
 // RunExperiment regenerates the identified table or figure with the default
 // (paper) configuration and renders it to w.
 func RunExperiment(id string, w io.Writer) error {
-	run, err := exp.Find(id)
-	if err != nil {
-		return err
-	}
-	res, err := run(exp.Default())
-	if err != nil {
-		return err
-	}
-	return res.Fprint(w)
+	return RunExperimentSeeded(id, w, 0, 0)
 }
 
 // RunExperimentSeeded is RunExperiment with an explicit seed and simulation
@@ -352,18 +344,11 @@ func RunExperimentCSV(id string, w io.Writer, seed int64, duration float64) erro
 }
 
 func runSeeded(id string, seed int64, duration float64) (*exp.Result, error) {
-	run, err := exp.Find(id)
+	e, err := exp.Find(id)
 	if err != nil {
 		return nil, err
 	}
-	cfg := exp.Default()
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	if duration != 0 {
-		cfg.Duration = duration
-	}
-	return run(cfg)
+	return e.Run(exp.DefaultWith(seed, duration))
 }
 
 // geomOf builds a bank geometry (facade-internal helper).
