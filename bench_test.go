@@ -77,6 +77,10 @@ func BenchmarkAblationMargin(b *testing.B) { benchExperiment(b, exp.SenseMarginS
 func BenchmarkAblationSALP(b *testing.B)   { benchExperiment(b, exp.SALPSweep, fastCfg()) }
 
 // --- Micro-benchmarks of the building blocks --------------------------------------
+//
+// The set-up of the hot kernels lives in the helpers below, shared with the
+// allocation ceilings (alloc_test.go) and the timing ratios (ratio_test.go),
+// so a gate always measures exactly what its benchmark measures.
 
 // BenchmarkAnalyticTauPre measures the closed-form model query of Table 1's
 // "Our Model" wall-clock column.
@@ -87,27 +91,51 @@ func BenchmarkAnalyticTauPre(b *testing.B) {
 	}
 }
 
+// preSenseGeom is Table 1's smallest configuration with the given column
+// count.
+func preSenseGeom(cols int) device.BankGeometry {
+	return device.BankGeometry{Rows: 2048, Cols: cols}
+}
+
+// warmPreSenseMeter builds a PreSenseMeter over preSenseGeom(cols) and
+// measures once, so circuit construction and solver buffer growth are paid
+// before the caller's loop.
+func warmPreSenseMeter(tb testing.TB, cols int) *netlists.PreSenseMeter {
+	tb.Helper()
+	m, err := netlists.NewPreSenseMeter(device.Default90nm(), preSenseGeom(cols), "ones", 0.95)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	measurePreSense(tb, m)
+	return m
+}
+
+func measurePreSense(tb testing.TB, m *netlists.PreSenseMeter) {
+	tb.Helper()
+	if _, err := m.Measure(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// coldPreSense is one cold MeasurePreSense call: netlist construction, solver
+// setup and simulation.
+func coldPreSense(tb testing.TB) {
+	tb.Helper()
+	if _, err := netlists.MeasurePreSense(device.Default90nm(), preSenseGeom(32), "ones", 0.95); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // BenchmarkSpicePreSense measures the transient-simulation counterpart of
 // Table 1's SPICE column (smallest configuration) in its steady state: one
 // PreSenseMeter re-measured per iteration, the shape repeated-measurement
-// campaigns (sweeps, profiling) actually run in. Circuit construction and
-// solver buffer growth are paid once outside the timed loop.
+// campaigns (sweeps, profiling) actually run in.
 func BenchmarkSpicePreSense(b *testing.B) {
-	p := device.Default90nm()
-	g := device.BankGeometry{Rows: 2048, Cols: 32}
-	m, err := netlists.NewPreSenseMeter(p, g, "ones", 0.95)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Measure(); err != nil { // warm the solver's workspaces
-		b.Fatal(err)
-	}
+	m := warmPreSenseMeter(b, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Measure(); err != nil {
-			b.Fatal(err)
-		}
+		measurePreSense(b, m)
 	}
 }
 
@@ -115,40 +143,50 @@ func BenchmarkSpicePreSense(b *testing.B) {
 // solver setup, and simulation all inside the timed loop, matching what a
 // single cold MeasurePreSense call costs.
 func BenchmarkSpicePreSenseCold(b *testing.B) {
-	p := device.Default90nm()
-	g := device.BankGeometry{Rows: 2048, Cols: 32}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := netlists.MeasurePreSense(p, g, "ones", 0.95); err != nil {
-			b.Fatal(err)
-		}
+		coldPreSense(b)
 	}
+}
+
+// paperModels returns the paper bank's retention profile (seed 42) and
+// restore model.
+func paperModels(tb testing.TB) (*retention.BankProfile, core.RestoreModel) {
+	tb.Helper()
+	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rm, err := core.PaperRestoreModel(device.Default90nm(), device.PaperBank)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prof, rm
+}
+
+// mprsfStep is one steady-state ComputeMPRSF query on the paper's restore
+// model.
+func mprsfStep(tb testing.TB) func() {
+	_, rm := paperModels(tb)
+	decay := retention.ExpDecay{}
+	return func() { _ = core.ComputeMPRSF(1.5, 0.256, rm, decay, core.ChargeGuardband, 3) }
 }
 
 // BenchmarkComputeMPRSF measures the per-row mechanism cost.
 func BenchmarkComputeMPRSF(b *testing.B) {
-	rm, err := core.PaperRestoreModel(device.Default90nm(), device.PaperBank)
-	if err != nil {
-		b.Fatal(err)
-	}
-	decay := retention.ExpDecay{}
+	step := mprsfStep(b)
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.ComputeMPRSF(1.5, 0.256, rm, decay, core.ChargeGuardband, 3)
+		step()
 	}
 }
 
 // BenchmarkSimRefreshOnly measures a refresh-only VRL run over one bin
-// hyperperiod on the paper bank.
+// hyperperiod on the paper bank, through sim.Run and its internal pool.
 func BenchmarkSimRefreshOnly(b *testing.B) {
 	p := device.Default90nm()
-	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rm, err := core.PaperRestoreModel(p, device.PaperBank)
-	if err != nil {
-		b.Fatal(err)
-	}
+	prof, rm := paperModels(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sched, err := core.NewVRL(prof, core.Config{Restore: rm})
@@ -167,45 +205,13 @@ func BenchmarkSimRefreshOnly(b *testing.B) {
 
 // BenchmarkSimRefreshOnlyReusable is BenchmarkSimRefreshOnly with an
 // explicit sim.Reusable, isolating the steady-state cost once the event
-// queue is owned by the caller instead of the internal pool. One warm run
-// grows the period lanes and the fast-forward columns outside the timed
-// loop, so the numbers reflect the reuse path rather than first-run growth.
+// queue is owned by the caller instead of the internal pool.
 func BenchmarkSimRefreshOnlyReusable(b *testing.B) {
-	p := device.Default90nm()
-	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rm, err := core.PaperRestoreModel(p, device.PaperBank)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := sim.NewReusable(device.PaperBank.Rows)
-	warmSched, err := core.NewVRL(prof, core.Config{Restore: rm})
-	if err != nil {
-		b.Fatal(err)
-	}
-	warmBank, err := dram.NewBank(prof, retention.ExpDecay{}, retention.PatternAllZeros)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := r.Run(warmBank, warmSched, nil, sim.Options{Duration: 0.768, TCK: p.TCK}); err != nil {
-		b.Fatal(err)
-	}
+	run := deviceYearRun(b, false, 0.768, sim.BackendAuto)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched, err := core.NewVRL(prof, core.Config{Restore: rm})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bank, err := dram.NewBank(prof, retention.ExpDecay{}, retention.PatternAllZeros)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Run(bank, sched, nil, sim.Options{Duration: 0.768, TCK: p.TCK}); err != nil {
-			b.Fatal(err)
-		}
+		run()
 	}
 }
 
@@ -233,39 +239,47 @@ func BenchmarkProfileConstruction(b *testing.B) {
 	}
 }
 
-// BenchmarkBankBatchRefresh measures the raw columnar kernel: one
-// RefreshBatch over every row of the paper bank per iteration, the shape the
-// batched simulator backend drains one batch window in. The per-op time
-// bumps between iterations keep every batch valid without re-allocating it.
-func BenchmarkBankBatchRefresh(b *testing.B) {
-	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
+// bankBatchRefresh prepares one RefreshBatch over every row of the paper
+// bank, warmed once so the bank's scratch columns are grown. step(i) runs
+// the i-th batch; the per-batch time bump keeps every batch valid without
+// re-allocating it. It also returns the number of rows per batch.
+func bankBatchRefresh(tb testing.TB) (step func(i int), rows int) {
+	tb.Helper()
+	prof, _ := paperModels(tb)
 	bank, err := dram.NewBank(prof, retention.ExpDecay{}, retention.PatternAllZeros)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	rows := bank.Geom.Rows
+	rows = bank.Geom.Rows
 	ops := make([]dram.BatchOp, rows)
 	results := make([]dram.RefreshResult, rows)
 	const period = 0.064
 	for r := range ops {
 		ops[r] = dram.BatchOp{Row: r, Time: period, Alpha: 1}
 	}
-	if err := bank.RefreshBatch(ops, results); err != nil { // warm scratch columns
-		b.Fatal(err)
+	if err := bank.RefreshBatch(ops, results); err != nil {
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		t := period * float64(i+2)
 		for r := range ops {
 			ops[r].Time = t
 		}
 		if err := bank.RefreshBatch(ops, results); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}, rows
+}
+
+// BenchmarkBankBatchRefresh measures the raw columnar kernel: one
+// RefreshBatch over every row of the paper bank per iteration, the shape the
+// batched simulator backend drains one batch window in.
+func BenchmarkBankBatchRefresh(b *testing.B) {
+	step, rows := bankBatchRefresh(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
 	}
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
@@ -275,123 +289,91 @@ func BenchmarkBankBatchRefresh(b *testing.B) {
 // fast-forward engagement) dominates the one-time run setup.
 const deviceYearWindow = 4 * 0.768
 
-// reportDeviceYear converts the measured wall-clock into the two north-star
-// metrics: the run cost extrapolated to one simulated device-year, and the
-// aggregate row-refresh throughput.
-func reportDeviceYear(b *testing.B, refreshes int64) {
-	const secPerYear = 365.25 * 24 * 3600
-	nsPerOp := b.Elapsed().Seconds() / float64(b.N) * 1e9
-	b.ReportMetric(nsPerOp*(secPerYear/deviceYearWindow)/1e6, "ms/device-year")
-	if refreshes > 0 {
-		b.ReportMetric(float64(refreshes)/b.Elapsed().Seconds(), "rows/s")
-	}
-}
-
-// BenchmarkDeviceYear tracks the ROADMAP north star ("a tREFW-scale
-// device-year should cost milliseconds"): a refresh-only VRL run over four
-// bin hyperperiods on the paper bank, with the wall-clock cost extrapolated
-// to one simulated device-year (ms/device-year) and the row-refresh
-// throughput (rows/s). The quiescent schedule makes this the fast-forward
-// engine's home turf: BackendAuto resolves to it for the whole run.
-func BenchmarkDeviceYear(b *testing.B) {
+// deviceYearRun prepares a refresh-only VRL run over window simulated
+// seconds on the paper bank under the given backend, through one
+// sim.Reusable warmed by a first run. Each call of the returned function
+// builds a fresh scheduler and bank, runs them and returns the row refreshes
+// performed. The active variant adds the dpd-adversary scenario and a
+// 4096-record trace spread over the window, which keep fast-forward
+// disengaged so the batched path carries the run.
+func deviceYearRun(tb testing.TB, active bool, window float64, backend sim.Backend) func() int64 {
+	tb.Helper()
 	p := device.Default90nm()
-	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rm, err := core.PaperRestoreModel(p, device.PaperBank)
-	if err != nil {
-		b.Fatal(err)
+	prof, rm := paperModels(tb)
+	var recs []trace.Record
+	if active {
+		const nAccesses = 4096
+		recs = make([]trace.Record, nAccesses)
+		for i := range recs {
+			op := trace.Read
+			if i%3 == 0 {
+				op = trace.Write
+			}
+			recs[i] = trace.Record{
+				Time: float64(i) * window / nAccesses,
+				Op:   op,
+				Row:  (i * 37) % device.PaperBank.Rows,
+			}
+		}
 	}
 	r := sim.NewReusable(device.PaperBank.Rows)
-	var refreshes int64
-	run := func() {
+	run := func() int64 {
 		sched, err := core.NewVRL(prof, core.Config{Restore: rm})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		bank, err := dram.NewBank(prof, retention.ExpDecay{}, retention.PatternAllZeros)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		st, err := r.Run(bank, sched, nil, sim.Options{Duration: deviceYearWindow, TCK: p.TCK})
+		opts := sim.Options{Duration: window, TCK: p.TCK, Backend: backend}
+		var src trace.Source
+		if active {
+			env, err := scenario.BuildEnv(scenario.Ref{Name: "dpd-adversary"}, window, 42)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if err := bank.SetModulator(env); err != nil {
+				tb.Fatal(err)
+			}
+			opts.Scenario = env
+			src = trace.NewSliceSource(recs)
+		}
+		st, err := r.Run(bank, sched, src, opts)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		refreshes += st.FullRefreshes + st.PartialRefreshes
+		return st.Refreshes()
 	}
 	run() // warm the queue's lazily-grown buffers
-	refreshes = 0
+	return run
+}
+
+// benchDeviceYear times deviceYearRun and reports the aggregate row-refresh
+// throughput (rows/s).
+func benchDeviceYear(b *testing.B, active bool) {
+	run := deviceYearRun(b, active, deviceYearWindow, sim.BackendAuto)
+	var refreshes int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run()
+		refreshes += run()
 	}
-	reportDeviceYear(b, refreshes)
+	b.ReportMetric(float64(refreshes)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkDeviceYearActive is the device-year cost when the run is NOT
+// BenchmarkDeviceYear is a refresh-only VRL run over four bin hyperperiods
+// on the paper bank. The quiescent schedule makes this the fast-forward
+// engine's home turf: BackendAuto resolves to it for the whole run. The
+// measured cost of a whole simulated device-year comes from the repository
+// benchmark's device-quiet workload (sim.rate), not from scaling this
+// window up.
+func BenchmarkDeviceYear(b *testing.B) { benchDeviceYear(b, false) }
+
+// BenchmarkDeviceYearActive is the device-year window when the run is NOT
 // quiescent: the dpd-adversary scenario perturbs the decay law and a trace
 // keeps access events interleaved with refreshes, so the fast-forward engine
 // must stay disengaged (no SteadyModulator, trace records inside every
-// horizon) and the batched path carries the run. The pair of device-year
-// numbers bounds what a mixed fleet should expect; the gap between them is
-// what fast-forwarding buys on steady devices, degrading gracefully to this
-// figure under activity.
-func BenchmarkDeviceYearActive(b *testing.B) {
-	p := device.Default90nm()
-	prof, err := retention.NewPaperProfile(retention.DefaultCellDistribution(), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rm, err := core.PaperRestoreModel(p, device.PaperBank)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const nAccesses = 4096
-	recs := make([]trace.Record, nAccesses)
-	for i := range recs {
-		op := trace.Read
-		if i%3 == 0 {
-			op = trace.Write
-		}
-		recs[i] = trace.Record{
-			Time: float64(i) * deviceYearWindow / nAccesses,
-			Op:   op,
-			Row:  (i * 37) % device.PaperBank.Rows,
-		}
-	}
-	r := sim.NewReusable(device.PaperBank.Rows)
-	var refreshes int64
-	run := func(seed int64) {
-		sched, err := core.NewVRL(prof, core.Config{Restore: rm})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bank, err := dram.NewBank(prof, retention.ExpDecay{}, retention.PatternAllZeros)
-		if err != nil {
-			b.Fatal(err)
-		}
-		env, err := scenario.BuildEnv(scenario.Ref{Name: "dpd-adversary"}, deviceYearWindow, seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := bank.SetModulator(env); err != nil {
-			b.Fatal(err)
-		}
-		opts := sim.Options{Duration: deviceYearWindow, TCK: p.TCK, Scenario: env}
-		st, err := r.Run(bank, sched, trace.NewSliceSource(recs), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		refreshes += st.FullRefreshes + st.PartialRefreshes
-	}
-	run(42) // warm the queue's lazily-grown buffers
-	refreshes = 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(42)
-	}
-	reportDeviceYear(b, refreshes)
-}
+// horizon) and the batched path carries the run. The gap between the two
+// device-year benchmarks is what fast-forwarding buys on steady devices.
+func BenchmarkDeviceYearActive(b *testing.B) { benchDeviceYear(b, true) }

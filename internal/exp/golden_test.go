@@ -22,10 +22,14 @@ const goldenPath = "testdata/golden.json"
 // are integers and must not move; the fig4 averages and the power ratio are
 // printed to three decimals and may move by two units in the last place,
 // which absorbs a reworded but equivalent computation without hiding a real
-// shift in the paper's headline ratios.
+// shift in the paper's headline ratios. The perf latencies may move by one
+// unit in their last printed place: two decimals of a cycle for the average
+// latency, one decimal of a millicycle for the refresh delay.
 const (
-	tolExact = 0
-	tolRatio = 0.002
+	tolExact   = 0
+	tolRatio   = 0.002
+	tolLatency = 0.01
+	tolDelay   = 0.1
 )
 
 // goldenMetric is one pinned number.
@@ -44,10 +48,10 @@ func goldenConfig(backend sim.Backend) Config {
 	return cfg
 }
 
-// goldenMetrics regenerates every pinned metric. The circuit tables do not
-// run the simulator and are taken once; the simulated ones are taken under
-// the given backend.
-func goldenMetrics(t *testing.T, backend sim.Backend, circuits bool) map[string]goldenMetric {
+// goldenMetrics regenerates every pinned metric. The circuit tables and the
+// perf experiment (the command-level controller) do not run the simulator
+// and are taken once; the simulated ones are taken under the given backend.
+func goldenMetrics(t *testing.T, backend sim.Backend, once bool) map[string]goldenMetric {
 	t.Helper()
 	cfg := goldenConfig(backend)
 	out := make(map[string]goldenMetric)
@@ -66,13 +70,21 @@ func goldenMetrics(t *testing.T, backend sim.Backend, circuits bool) map[string]
 		return res
 	}
 
-	if circuits {
+	if once {
 		for _, row := range run(Table1).Rows {
 			put("tab1/"+row[0]+"/spice_cycles", row[1], tolExact)
 			put("tab1/"+row[0]+"/model_cycles", row[3], tolExact)
 		}
 		for _, row := range run(Table2).Rows {
 			put("tab2/nbits="+row[0]+"/logic_area_um2", row[1], tolExact)
+		}
+		for _, row := range run(PerfImpact).Rows {
+			key := "perf/" + row[0] + "/" + row[1] + "/"
+			put(key+"avg_lat_cyc", row[2], tolLatency)
+			put(key+"refresh_delay_mcyc", row[3], tolDelay)
+			put(key+"max_lat_cyc", row[4], tolExact)
+			put(key+"refresh_busy", row[5], tolExact)
+			put(key+"stalled_reqs", row[6], tolExact)
 		}
 	}
 	for _, row := range run(Figure4).Rows {

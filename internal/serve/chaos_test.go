@@ -171,3 +171,69 @@ func TestFlakyConnectionsStillConverge(t *testing.T) {
 		t.Fatalf("stats over a flaky transport diverge:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestCrashDuringRecovery crashes a server while its Serve loop is still
+// re-enqueueing recovered ready sessions onto a one-worker pool, so Submit
+// is blocked on a full queue when the crash lands. The crash must wait for
+// that loop before it closes the pool; under -race a Submit racing the
+// pool's Close is reported (or panics with a send on a closed channel).
+func TestCrashDuringRecovery(t *testing.T) {
+	const ready = 48
+	opts := Options{DataDir: t.TempDir(), Workers: 1}
+	prev, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ready; i++ {
+		sess, err := newSession(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.mu.Lock()
+		sess.haveSpec, sess.state = true, StateReady
+		sess.spec = Submit{Kind: JobCampaign, Campaign: CampaignSpec{IDs: []string{"fig1a"}, Duration: 0.05}}
+		err = sess.saveMetaLocked()
+		sess.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev.Crash() // never served: this only stops its pool
+
+	srv, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(context.Background(), ln)
+	}()
+	// Crash once the worker is busy and the queue is full, i.e. while the
+	// recovery loop is blocked in Submit.
+	deadline := time.Now().Add(10 * time.Second)
+	for queued(srv) < 2 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	srv.Crash()
+	<-done
+}
+
+// queued counts the sessions whose job is in the pool's queue or running.
+func queued(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, sess := range s.sessions {
+		sess.mu.Lock()
+		if sess.queued {
+			n++
+		}
+		sess.mu.Unlock()
+	}
+	return n
+}

@@ -84,7 +84,7 @@ type Server struct {
 	ln       net.Listener
 	draining bool
 
-	wg sync.WaitGroup // conn handlers + spoolers; the pool tracks its own workers
+	wg sync.WaitGroup // conn handlers, spoolers, the recovery loop; the pool tracks its own workers
 }
 
 // New creates a server and recovers every session found under DataDir: torn
@@ -150,11 +150,18 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 	// Recovered sessions resume exactly where their durable state says:
 	// mid-ingest sessions get their spooler back, ready sessions re-enter
-	// the job queue and continue from their last periodic checkpoint.
+	// the job queue and continue from their last periodic checkpoint. The
+	// loop submits to the pool, so it counts in wg under the same draining
+	// check as a connection: a drain or crash that lands meanwhile waits for
+	// it before closing the pool, and one that came first skips it.
 	s.mu.Lock()
-	recovered := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		recovered = append(recovered, sess)
+	var recovered []*session
+	if !s.draining {
+		s.wg.Add(1)
+		recovered = make([]*session, 0, len(s.sessions))
+		for _, sess := range s.sessions {
+			recovered = append(recovered, sess)
+		}
 	}
 	s.mu.Unlock()
 	for _, sess := range recovered {
@@ -167,6 +174,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		case StateReady:
 			s.enqueue(sess)
 		}
+	}
+	if recovered != nil {
+		s.wg.Done()
 	}
 
 	stop := make(chan struct{})
