@@ -93,6 +93,20 @@ func goldenMetrics(t *testing.T, backend sim.Backend, once bool) map[string]gold
 			put("fig4/average/vrl_access_vs_raidr", row[3], tolRatio)
 		}
 	}
+	// Figure 4 again at the paper's own window, the 768 ms bin
+	// hyperperiod: the headline VRL and VRL-Access ratios the docs quote.
+	paper := cfg
+	paper.Duration = 0.768
+	res, err := Figure4(paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Rows {
+		if row[0] == "average" {
+			put("fig4@0.768/average/vrl_vs_raidr", row[2], tolRatio)
+		}
+		put("fig4@0.768/"+row[0]+"/vrl_access_vs_raidr", row[3], tolRatio)
+	}
 	for _, row := range run(PowerComparison).Rows {
 		if row[0] == "VRL" {
 			put("power/vrl_vs_raidr", row[len(row)-1], tolRatio)
