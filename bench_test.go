@@ -253,7 +253,7 @@ func bankBatchRefresh(tb testing.TB) (step func(i int), rows int) {
 	rows = bank.Geom.Rows
 	ops := make([]dram.BatchOp, rows)
 	results := make([]dram.RefreshResult, rows)
-	const period = 0.064
+	period := dram.Ticks(0.064)
 	for r := range ops {
 		ops[r] = dram.BatchOp{Row: r, Time: period, Alpha: 1}
 	}
@@ -261,7 +261,7 @@ func bankBatchRefresh(tb testing.TB) (step func(i int), rows int) {
 		tb.Fatal(err)
 	}
 	return func(i int) {
-		t := period * float64(i+2)
+		t := period * int64(i+2)
 		for r := range ops {
 			ops[r].Time = t
 		}

@@ -45,6 +45,12 @@ go -C bench test -timeout 5m ./...
 echo "== kernel gates (go test -run '^TestGate', no -race) =="
 go test -count=1 -run '^TestGate' .
 
+# The periodic skip's long equivalence gate: auto against scalar over 100
+# hyperperiods (307.2 s) under seed 42 and a random seed, with checkpoint
+# and resume checks. Too slow for every go test run, so it is opt-in.
+echo "== periodic skip long equivalence (go test -long) =="
+go test -count=1 -run '^TestPeriodicSkipLongEquivalence$' ./internal/sim -long
+
 # Short-budget fuzz passes: regression corpora plus a few seconds of new
 # coverage-guided inputs per target. 'go test -fuzz' accepts one target per
 # invocation, so one pkg:target list drives one loop - add new targets here,
@@ -64,6 +70,7 @@ internal/scenario:FuzzStressorSegment
 internal/dram:FuzzRefreshBatch
 internal/sim:FuzzFastForwardPlan
 internal/sim:FuzzRunEquivalence
+internal/fleet:FuzzDeviceEquivalence
 "
 for entry in $FUZZ_TARGETS; do
     pkg=${entry%%:*}

@@ -119,7 +119,7 @@ func (s *System) SimulateControlled(kind SchedulerKind, accesses []Access, durat
 		}
 		opts.Resume = cp
 		if rc.OnEvent != nil {
-			rc.OnEvent(fmt.Sprintf("resuming from %s (t=%.3fs of %.3fs)", from, cp.Time, cp.Duration))
+			rc.OnEvent(fmt.Sprintf("resuming from %s (t=%.3fs of %.3fs)", from, dram.Seconds(cp.Time), cp.Duration))
 		}
 	}
 

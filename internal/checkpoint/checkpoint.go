@@ -122,14 +122,19 @@ func readContainer(r io.Reader, wantKind byte) ([]byte, error) {
 
 // --- sim.Checkpoint codec ---------------------------------------------------
 
+// simTag versions the sim checkpoint payload. sim4 holds instants as int64
+// dram ticks and ChargeRestored as its 128-bit fixed-point sum; sim3 held
+// float64 seconds and a float sum.
+const simTag = "sim4"
+
 // EncodeSim writes a simulation checkpoint as one container.
 func EncodeSim(w io.Writer, cp *sim.Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("checkpoint: nil checkpoint")
 	}
 	var e core.StateEncoder
-	e.Tag("sim3")
-	e.Float(cp.Time)
+	e.Tag(simTag)
+	e.Int(cp.Time)
 	e.Float(cp.Duration)
 	e.Bytes([]byte(cp.Scheduler))
 
@@ -140,7 +145,8 @@ func EncodeSim(w io.Writer, cp *sim.Checkpoint) error {
 	e.Int(s.PartialRefreshes)
 	e.Int(s.BusyCycles)
 	e.Int(s.Accesses)
-	e.Float(s.ChargeRestored)
+	e.Uint64(s.ChargeRestored.Hi)
+	e.Uint64(s.ChargeRestored.Lo)
 	e.Int(int64(s.Violations))
 	e.Int(s.CorrectedErrors)
 	e.Int(s.UncorrectableErrors)
@@ -165,12 +171,15 @@ func EncodeSim(w io.Writer, cp *sim.Checkpoint) error {
 
 	e.Int(int64(len(cp.Events)))
 	for _, ev := range cp.Events {
-		e.Float(ev.Time)
+		e.Int(ev.Time)
 		e.Int(int64(ev.Row))
 	}
 
 	e.Floats(cp.Bank.Charge)
-	e.Floats(cp.Bank.LastT)
+	e.Int(int64(len(cp.Bank.LastT)))
+	for _, t := range cp.Bank.LastT {
+		e.Int(t)
+	}
 	e.Int(int64(len(cp.Bank.Violations)))
 	for _, v := range cp.Bank.Violations {
 		e.Int(int64(v.Row))
@@ -185,7 +194,7 @@ func EncodeSim(w io.Writer, cp *sim.Checkpoint) error {
 	e.Uint64(uint64(cp.Pending.Op))
 	e.Int(int64(cp.Pending.Row))
 	e.Float(cp.LastTraceTime)
-	e.Float(cp.BusyUntil)
+	e.Int(cp.BusyUntil)
 
 	e.Bytes(cp.SchedState)
 	e.Bytes(cp.ScrubState)
@@ -200,9 +209,11 @@ func DecodeSim(r io.Reader) (*sim.Checkpoint, error) {
 		return nil, err
 	}
 	d := core.NewStateDecoder(payload)
-	d.ExpectTag("sim3")
+	if tag := string(d.Bytes()); d.Err() == nil && tag != simTag {
+		return nil, fmt.Errorf("checkpoint: sim snapshot format %q, this build reads %q (snapshots from before integer-tick time cannot resume; rerun from the start)", tag, simTag)
+	}
 	cp := &sim.Checkpoint{}
-	cp.Time = d.Float()
+	cp.Time = d.Int()
 	cp.Duration = d.Float()
 	cp.Scheduler = string(d.Bytes())
 
@@ -213,7 +224,8 @@ func DecodeSim(r io.Reader) (*sim.Checkpoint, error) {
 	s.PartialRefreshes = d.Int()
 	s.BusyCycles = d.Int()
 	s.Accesses = d.Int()
-	s.ChargeRestored = d.Float()
+	s.ChargeRestored.Hi = d.Uint64()
+	s.ChargeRestored.Lo = d.Uint64()
 	s.Violations = int(d.Int())
 	s.CorrectedErrors = d.Int()
 	s.UncorrectableErrors = d.Int()
@@ -239,12 +251,17 @@ func DecodeSim(r io.Reader) (*sim.Checkpoint, error) {
 	if n := sliceLen(d, payload, 16); n > 0 {
 		cp.Events = make([]sim.PendingEvent, n)
 		for i := range cp.Events {
-			cp.Events[i] = sim.PendingEvent{Time: d.Float(), Row: int(d.Int())}
+			cp.Events[i] = sim.PendingEvent{Time: d.Int(), Row: int(d.Int())}
 		}
 	}
 
 	cp.Bank.Charge = d.Floats()
-	cp.Bank.LastT = d.Floats()
+	if n := sliceLen(d, payload, 8); n > 0 {
+		cp.Bank.LastT = make([]int64, n)
+		for i := range cp.Bank.LastT {
+			cp.Bank.LastT[i] = d.Int()
+		}
+	}
 	if n := sliceLen(d, payload, 24); n > 0 {
 		cp.Bank.Violations = make([]dram.Violation, n)
 		for i := range cp.Bank.Violations {
@@ -261,7 +278,7 @@ func DecodeSim(r io.Reader) (*sim.Checkpoint, error) {
 	cp.Pending.Op = trace.OpKind(d.Uint64())
 	cp.Pending.Row = int(d.Int())
 	cp.LastTraceTime = d.Float()
-	cp.BusyUntil = d.Float()
+	cp.BusyUntil = d.Int()
 
 	cp.SchedState = d.Bytes()
 	cp.ScrubState = d.Bytes()
@@ -295,8 +312,8 @@ func sliceLen(d *core.StateDecoder, payload []byte, elemSize int) int {
 // and scheduler) happens in sim.RunContext.
 func validateSim(cp *sim.Checkpoint) error {
 	switch {
-	case math.IsNaN(cp.Time) || cp.Time < 0:
-		return fmt.Errorf("checkpoint: snapshot time %g invalid", cp.Time)
+	case cp.Time < 0:
+		return fmt.Errorf("checkpoint: snapshot tick %d invalid", cp.Time)
 	case math.IsNaN(cp.Duration) || cp.Duration <= 0:
 		return fmt.Errorf("checkpoint: snapshot duration %g invalid", cp.Duration)
 	case len(cp.Bank.Charge) != len(cp.Bank.LastT):
@@ -308,8 +325,8 @@ func validateSim(cp *sim.Checkpoint) error {
 		if ev.Row < 0 || ev.Row >= len(cp.Bank.Charge) {
 			return fmt.Errorf("checkpoint: event row %d outside bank of %d rows", ev.Row, len(cp.Bank.Charge))
 		}
-		if math.IsNaN(ev.Time) {
-			return fmt.Errorf("checkpoint: event time NaN for row %d", ev.Row)
+		if ev.Time < 0 {
+			return fmt.Errorf("checkpoint: event tick %d negative for row %d", ev.Time, ev.Row)
 		}
 	}
 	for _, r := range cp.Bank.Retired {
@@ -317,8 +334,8 @@ func validateSim(cp *sim.Checkpoint) error {
 			return fmt.Errorf("checkpoint: retired row %d outside bank of %d rows", r, len(cp.Bank.Charge))
 		}
 	}
-	if math.IsNaN(cp.BusyUntil) || cp.BusyUntil < 0 {
-		return fmt.Errorf("checkpoint: busy-until time %g invalid", cp.BusyUntil)
+	if cp.BusyUntil < 0 {
+		return fmt.Errorf("checkpoint: busy-until tick %d invalid", cp.BusyUntil)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"vrldram/internal/core"
 	"vrldram/internal/dram"
 	"vrldram/internal/exp"
 	"vrldram/internal/sim"
@@ -19,7 +20,7 @@ import (
 // cover every field, including the optional ones.
 func sampleSim() *sim.Checkpoint {
 	return &sim.Checkpoint{
-		Time:      0.125,
+		Time:      100_000_000,
 		Duration:  0.768,
 		Scheduler: "VRL",
 		Stats: sim.Stats{
@@ -29,11 +30,12 @@ func sampleSim() *sim.Checkpoint {
 			PartialRefreshes: 7,
 			BusyCycles:       12345,
 			Accesses:         99,
+			ChargeRestored:   dram.ChargeSum{Hi: 3, Lo: 1 << 63},
 		},
-		Events: []sim.PendingEvent{{Time: 0.126, Row: 0}, {Time: 0.127, Row: 2}},
+		Events: []sim.PendingEvent{{Time: 100_800_000, Row: 0}, {Time: 101_600_000, Row: 2}},
 		Bank: dram.State{
 			Charge: []float64{1, 0.5, 0.25},
-			LastT:  []float64{0.1, 0.12, 0.11},
+			LastT:  []int64{80_000_000, 96_000_000, 88_000_000},
 			Violations: []dram.Violation{
 				{Row: 1, Time: 0.09, Charge: 0.01},
 			},
@@ -42,6 +44,7 @@ func sampleSim() *sim.Checkpoint {
 		HavePending:   true,
 		Pending:       trace.Record{Time: 0.13, Op: trace.Write, Row: 1},
 		LastTraceTime: 0.1299,
+		BusyUntil:     100_000_011,
 		SchedState:    []byte("opaque scheduler blob"),
 	}
 }
@@ -116,6 +119,24 @@ func TestDecodeRejectsWrongVersionAndKind(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsPreviousSimFormat: a sim3 snapshot (float64 seconds
+// and a float ChargeRestored) cannot resume under integer-tick time, and
+// the error must say so rather than report a garbled field.
+func TestDecodeRejectsPreviousSimFormat(t *testing.T) {
+	var e core.StateEncoder
+	e.Tag("sim3")
+	e.Float(0.125)
+	e.Float(0.768)
+	var buf bytes.Buffer
+	if err := EncodeBlob(&buf, KindSim, e.Data()); err != nil {
+		t.Fatal(err)
+	}
+	_, err := DecodeSim(&buf)
+	if err == nil || !strings.Contains(err.Error(), `"sim3"`) || !strings.Contains(err.Error(), `"sim4"`) {
+		t.Fatalf("sim3 snapshot: err = %v, want a format error naming sim3 and sim4", err)
+	}
+}
+
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	good := encodeSim(t, sampleSim())
 	if _, err := DecodeSim(bytes.NewReader(append(good, 0xAA))); err == nil {
@@ -182,12 +203,12 @@ func TestManagerRotatesGenerations(t *testing.T) {
 	}
 	for i := 1; i <= 4; i++ {
 		cp := sampleSim()
-		cp.Time = float64(i)
+		cp.Time = int64(i)
 		saveSim(t, mgr, cp)
 	}
 	// After 4 saves with keep=3: newest at run.ckpt, then .1, .2; the first
 	// save has been rotated off the end.
-	wantTimes := map[string]float64{"run.ckpt": 4, "run.ckpt.1": 3, "run.ckpt.2": 2}
+	wantTimes := map[string]int64{"run.ckpt": 4, "run.ckpt.1": 3, "run.ckpt.2": 2}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +248,7 @@ func TestManagerFallsBackPastCorruption(t *testing.T) {
 	}
 	for i := 1; i <= 3; i++ {
 		cp := sampleSim()
-		cp.Time = float64(i)
+		cp.Time = int64(i)
 		saveSim(t, mgr, cp)
 	}
 

@@ -35,7 +35,7 @@ func TestManagerAllGenerationsCorrupt(t *testing.T) {
 	}
 	for i := 1; i <= 3; i++ {
 		cp := sampleSim()
-		cp.Time = float64(i)
+		cp.Time = int64(i)
 		saveSim(t, mgr, cp)
 	}
 	for _, name := range []string{path, path + ".1", path + ".2"} {

@@ -108,10 +108,10 @@ func TestResumeEquivalenceScrubbed(t *testing.T) {
 		ropts.Resume = snaps[i]
 		resumed, err := sim.Run(rbank, rsched, h.src(), ropts)
 		if err != nil {
-			t.Fatalf("resume from snapshot %d (t=%.3f): %v", i, snaps[i].Time, err)
+			t.Fatalf("resume from snapshot %d (tick %d): %v", i, snaps[i].Time, err)
 		}
 		if !reflect.DeepEqual(resumed, baseline) {
-			t.Errorf("resume from snapshot %d (t=%.3f):\n got %+v\nwant %+v", i, snaps[i].Time, resumed, baseline)
+			t.Errorf("resume from snapshot %d (tick %d):\n got %+v\nwant %+v", i, snaps[i].Time, resumed, baseline)
 		}
 		if got := rscr.Remapped(); !reflect.DeepEqual(got, wantRemapped) {
 			t.Errorf("resume from snapshot %d: remap table %v, want %v", i, got, wantRemapped)

@@ -145,10 +145,10 @@ func TestResumeEquivalence(t *testing.T) {
 				ropts.Resume = snaps[i]
 				resumed, err := sim.Run(h.bank(t), h.sched(t, name), h.src(), ropts)
 				if err != nil {
-					t.Fatalf("resume from snapshot %d (t=%.3f): %v", i, snaps[i].Time, err)
+					t.Fatalf("resume from snapshot %d (tick %d): %v", i, snaps[i].Time, err)
 				}
 				if !reflect.DeepEqual(resumed, baseline) {
-					t.Errorf("resume from snapshot %d (t=%.3f):\n got %+v\nwant %+v", i, snaps[i].Time, resumed, baseline)
+					t.Errorf("resume from snapshot %d (tick %d):\n got %+v\nwant %+v", i, snaps[i].Time, resumed, baseline)
 				}
 			}
 		})
@@ -173,7 +173,7 @@ func TestCancelWritesFinalSnapshotAndResumes(t *testing.T) {
 			opts.CheckpointEvery = opts.Duration / 32
 			opts.CheckpointSink = func(cp *sim.Checkpoint) error {
 				last = roundTrip(t, cp)
-				if len(cp.Events) > 0 && cp.Time > 0.2 {
+				if len(cp.Events) > 0 && cp.Time > dram.Ticks(0.2) {
 					cancel() // kill mid-run, at an arbitrary point
 				}
 				return nil
@@ -335,7 +335,7 @@ func TestStaggeredResumePointsProperty(t *testing.T) {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(resumed, baseline) {
-			t.Fatalf("snapshot %d (t=%.4f) diverged:\n got %+v\nwant %+v", i, cp.Time, resumed, baseline)
+			t.Fatalf("snapshot %d (tick %d) diverged:\n got %+v\nwant %+v", i, cp.Time, resumed, baseline)
 		}
 	}
 	if baseline.Guard == (core.GuardStats{}) {

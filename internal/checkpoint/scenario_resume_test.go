@@ -99,7 +99,7 @@ func TestScenarioResumeEquivalence(t *testing.T) {
 					ropts.Resume = snaps[i]
 					resumed := h.run(t, scen, sched, ropts)
 					if !reflect.DeepEqual(resumed, baseline) {
-						t.Errorf("resume from snapshot %d (t=%.3f):\n got %+v\nwant %+v",
+						t.Errorf("resume from snapshot %d (tick %d):\n got %+v\nwant %+v",
 							i, snaps[i].Time, resumed, baseline)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"vrldram/internal/dram"
 	"vrldram/internal/retention"
 )
 
@@ -73,12 +74,12 @@ type SteadyScheduler interface {
 // without re-fetching, and rcount writes by the kernel are the scheduler's
 // own counter updates.
 type StreamView struct {
-	Period  float64   // shared period when Periods is nil (JEDEC)
-	Periods []float64 // per-row refresh periods, aliased live state
-	RCount  []int     // per-row partial-refresh counters; nil = always Full
-	MPRSF   []int     // per-row MPRSF, aliased live state (nil with RCount nil)
-	Full    Op        // the op issued when rcount == mprsf (or always, if RCount is nil)
-	Partial Op        // the op issued otherwise
+	Period  int64   // shared period in dram ticks when Periods is nil (JEDEC)
+	Periods []int64 // per-row refresh periods in dram ticks, aliased live state
+	RCount  []int   // per-row partial-refresh counters; nil = always Full
+	MPRSF   []int   // per-row MPRSF, aliased live state (nil with RCount nil)
+	Full    Op      // the op issued when rcount == mprsf (or always, if RCount is nil)
+	Partial Op      // the op issued otherwise
 }
 
 // OpStreamer is the optional capability behind StreamView. Only policies
@@ -196,7 +197,7 @@ func (s *jedec) StablePeriodUntil(int, float64) float64 { return math.Inf(1) }
 // StreamView implements OpStreamer: one shared period, always full.
 func (s *jedec) StreamView() StreamView {
 	return StreamView{
-		Period: s.period,
+		Period: dram.Ticks(s.period),
 		Full:   Op{Full: true, Cycles: s.rm.FullCycles, Alpha: s.rm.AlphaFull},
 	}
 }
@@ -207,6 +208,7 @@ func (s *jedec) StreamView() StreamView {
 // 2012): the paper's baseline.
 type raidr struct {
 	periods []float64
+	ticks   []int64 // periods in dram ticks, built by the first StreamView
 	rm      RestoreModel
 }
 
@@ -277,8 +279,11 @@ func (s *raidr) StablePeriodUntil(int, float64) float64 { return math.Inf(1) }
 
 // StreamView implements OpStreamer: per-row periods, always full.
 func (s *raidr) StreamView() StreamView {
+	if s.ticks == nil {
+		s.ticks = periodTicks(s.periods)
+	}
 	return StreamView{
-		Periods: s.periods,
+		Periods: s.ticks,
 		Full:    Op{Full: true, Cycles: s.rm.FullCycles, Alpha: s.rm.AlphaFull},
 	}
 }
@@ -291,6 +296,7 @@ func (s *raidr) StreamView() StreamView {
 type vrl struct {
 	name          string
 	periods       []float64
+	ticks         []int64 // periods in dram ticks, built by the first StreamView and kept in sync after
 	bins          []float64
 	mprsf         []int
 	rcount        []int
@@ -385,6 +391,9 @@ func (s *vrl) RestoreState(data []byte) error {
 		}
 	}
 	copy(s.periods, periods)
+	if s.ticks != nil {
+		copy(s.ticks, periodTicks(periods))
+	}
 	copy(s.mprsf, mprsf)
 	copy(s.rcount, rcount)
 	return nil
@@ -447,8 +456,11 @@ func (s *vrl) StablePeriodUntil(int, float64) float64 { return math.Inf(1) }
 
 // StreamView implements OpStreamer: Algorithm 1 as columns.
 func (s *vrl) StreamView() StreamView {
+	if s.ticks == nil {
+		s.ticks = periodTicks(s.periods)
+	}
 	return StreamView{
-		Periods: s.periods,
+		Periods: s.ticks,
 		RCount:  s.rcount,
 		MPRSF:   s.mprsf,
 		Full:    Op{Full: true, Cycles: s.rm.FullCycles, Alpha: s.rm.AlphaFull},
@@ -462,6 +474,21 @@ func (s *vrl) OnAccess(row int, _ float64) {
 	if s.resetOnAccess {
 		s.rcount[row] = 0
 	}
+}
+
+// periodTicks converts a period column to dram ticks. Binned columns hold
+// a handful of distinct values, so each conversion is reused while the
+// value repeats.
+func periodTicks(periods []float64) []int64 {
+	out := make([]int64, len(periods))
+	last, lastT := 0.0, int64(0)
+	for r, p := range periods {
+		if r == 0 || p != last {
+			last, lastT = p, dram.Ticks(p)
+		}
+		out[r] = lastT
+	}
+	return out
 }
 
 // Upgrader is the optional capability AVATAR-style online mitigation needs:
@@ -484,6 +511,9 @@ func (s *vrl) Upgrade(row int) {
 		}
 	}
 	s.periods[row] = min
+	if s.ticks != nil {
+		s.ticks[row] = dram.Ticks(min)
+	}
 	s.mprsf[row] = 0
 	s.rcount[row] = 0
 }

@@ -21,7 +21,7 @@ import (
 // weakest cell was below the sensing limit.
 type Violation struct {
 	Row    int
-	Time   float64 // seconds
+	Time   float64 // seconds (Seconds of the sensing tick)
 	Charge float64 // normalized charge at sensing
 }
 
@@ -54,10 +54,10 @@ type Bank struct {
 	mod Modulator
 
 	// Row state is a structure-of-arrays: the batched kernels in batch.go
-	// stream over these slices directly, so they share one backing array
-	// (one allocation, contiguous cache lines) and are never appended to.
+	// stream over these slices directly, so they are never appended to;
+	// the two float columns share one backing array.
 	charge []float64 // normalized charge at lastT
-	lastT  []float64 // time the charge was last set (s)
+	lastT  []int64   // tick the charge was last set
 	tret   []float64 // effective retention under the stored pattern (s)
 
 	// tretPattern is the pattern tret was computed for; retentions()
@@ -78,10 +78,10 @@ type Bank struct {
 	batchSeen   []int32
 	batchEpoch  int32
 	batchF      []float64 // modulator decay factors
-	batchT0     []float64 // gathered last-restore times for BatchModulator
+	batchT0     []float64 // gathered last-restore times (s) for BatchModulator
 	batchTret   []float64 // gathered effective retentions for BatchModulator
 	batchRows   []int     // RefreshBatch gather columns
-	batchTimes  []float64
+	batchTimes  []int64
 	batchCharge []float64
 
 	// Per-row Exp2 memo for the batched exponential-decay kernel. A row
@@ -93,7 +93,6 @@ type Bank struct {
 	// expMemoVal[r] the corresponding Exp2. One backing array holds both.
 	expMemoArg []float64
 	expMemoVal []float64
-
 }
 
 // NewBank returns a bank with every row fully charged at t = 0.
@@ -108,15 +107,15 @@ func NewBank(profile *retention.BankProfile, decay retention.DecayModel, pattern
 		return nil, fmt.Errorf("dram: profile has %d rows, geometry says %d", len(profile.True), profile.Geom.Rows)
 	}
 	rows := profile.Geom.Rows
-	backing := make([]float64, 3*rows)
+	backing := make([]float64, 2*rows)
 	b := &Bank{
 		Geom:    profile.Geom,
 		Profile: profile,
 		Decay:   decay,
 		Pattern: pattern,
 		charge:  backing[0*rows : 1*rows : 1*rows],
-		lastT:   backing[1*rows : 2*rows : 2*rows],
-		tret:    backing[2*rows : 3*rows : 3*rows],
+		lastT:   make([]int64, rows),
+		tret:    backing[1*rows : 2*rows : 2*rows],
 		retired: make([]bool, rows),
 	}
 	for r := range b.charge {
@@ -180,35 +179,41 @@ func (b *Bank) SetModulator(m Modulator) error {
 	return nil
 }
 
-// ChargeAt returns the row's normalized weakest-cell charge at time t
+// ChargeAt returns the row's normalized weakest-cell charge at tick t
 // (t must not precede the row's last restore).
-func (b *Bank) ChargeAt(row int, t float64) (float64, error) {
+func (b *Bank) ChargeAt(row int, t int64) (float64, error) {
 	if row < 0 || row >= b.Geom.Rows {
 		return 0, fmt.Errorf("dram: row %d out of range [0,%d)", row, b.Geom.Rows)
 	}
 	dt := t - b.lastT[row]
 	if dt < 0 {
-		return 0, fmt.Errorf("dram: time went backwards for row %d: %.6g < %.6g", row, t, b.lastT[row])
+		return 0, errBackwards(row, t, b.lastT[row])
 	}
 	tret := b.effectiveRetention(row)
 	if b.mod != nil {
-		return b.charge[row] * b.mod.DecayFactor(row, tret, b.lastT[row], t, b.Decay), nil
+		return b.charge[row] * b.mod.DecayFactor(row, tret, Seconds(b.lastT[row]), Seconds(t), b.Decay), nil
 	}
 	if b.VRT != nil {
-		return b.charge[row] * b.VRT.DecayFactor(row, tret, b.lastT[row], t, b.Decay), nil
+		return b.charge[row] * b.VRT.DecayFactor(row, tret, Seconds(b.lastT[row]), Seconds(t), b.Decay), nil
 	}
-	return b.charge[row] * b.Decay.Factor(dt, tret), nil
+	return b.charge[row] * b.Decay.Factor(Seconds(dt), tret), nil
 }
 
-// sense reads the row's charge at t, recording a violation if it is below
-// the sensing limit.
-func (b *Bank) sense(row int, t float64) (float64, error) {
+// errBackwards is the error of a sense at tick t before the row's last
+// restore at tick last.
+func errBackwards(row int, t, last int64) error {
+	return fmt.Errorf("dram: time went backwards for row %d: %.6g < %.6g", row, Seconds(t), Seconds(last))
+}
+
+// sense reads the row's charge at tick t, recording a violation if it is
+// below the sensing limit.
+func (b *Bank) sense(row int, t int64) (float64, error) {
 	v, err := b.ChargeAt(row, t)
 	if err != nil {
 		return 0, err
 	}
 	if v < retention.SenseLimit && !b.retired[row] {
-		b.violations = append(b.violations, Violation{Row: row, Time: t, Charge: v})
+		b.violations = append(b.violations, Violation{Row: row, Time: Seconds(t), Charge: v})
 	}
 	return v, nil
 }
@@ -251,11 +256,11 @@ type RefreshResult struct {
 	ChargeRestored float64 // normalized charge delivered (after - before)
 }
 
-// Refresh senses the row at time t and restores its charge by the refresh
+// Refresh senses the row at tick t and restores its charge by the refresh
 // restore coefficient alpha: v' = v + (1-v)*alpha (paper Eq. 12 in
 // normalized form). A full refresh has alpha ~ 1; a partial refresh the
 // alpha of its truncated post-sensing window.
-func (b *Bank) Refresh(row int, t, alpha float64) (RefreshResult, error) {
+func (b *Bank) Refresh(row int, t int64, alpha float64) (RefreshResult, error) {
 	if !(alpha >= 0 && alpha <= 1) { // rejects NaN too
 		return RefreshResult{}, fmt.Errorf("dram: restore alpha %g outside [0,1]", alpha)
 	}
@@ -269,9 +274,9 @@ func (b *Bank) Refresh(row int, t, alpha float64) (RefreshResult, error) {
 	return RefreshResult{ChargeBefore: v, ChargeAfter: after, ChargeRestored: after - v}, nil
 }
 
-// Access senses and activates the row at time t; an activation fully
+// Access senses and activates the row at tick t; an activation fully
 // restores the row's charge (the property VRL-Access exploits).
-func (b *Bank) Access(row int, t float64) (RefreshResult, error) {
+func (b *Bank) Access(row int, t int64) (RefreshResult, error) {
 	v, err := b.sense(row, t)
 	if err != nil {
 		return RefreshResult{}, err
@@ -288,11 +293,14 @@ func (b *Bank) Violations() []Violation {
 	return append([]Violation(nil), b.violations...)
 }
 
+// ViolationCount returns how many integrity violations have been recorded.
+func (b *Bank) ViolationCount() int { return len(b.violations) }
+
 // State is the bank's mutable simulation state: everything a checkpoint
 // must capture to resume a run bit-identically. All slices are deep copies.
 type State struct {
 	Charge     []float64 // normalized charge at LastT, per row
-	LastT      []float64 // time of each row's last restore (s)
+	LastT      []int64   // tick of each row's last restore
 	Violations []Violation
 	Retired    []int // rows quarantined by spare-row remapping, increasing
 }
@@ -301,7 +309,7 @@ type State struct {
 func (b *Bank) State() State {
 	return State{
 		Charge:     append([]float64(nil), b.charge...),
-		LastT:      append([]float64(nil), b.lastT...),
+		LastT:      append([]int64(nil), b.lastT...),
 		Violations: append([]Violation(nil), b.violations...),
 		Retired:    b.Retired(),
 	}
@@ -335,7 +343,7 @@ func (b *Bank) SetState(s State) error {
 	return nil
 }
 
-// CheckAll senses every row at time t and returns the number of rows below
+// CheckAll senses every row at tick t and returns the number of rows below
 // the sensing limit (recording violations for each). Retired rows are
 // skipped: their data lives on a spare. Useful as an end-of-simulation
 // integrity sweep.
@@ -343,7 +351,7 @@ func (b *Bank) SetState(s State) error {
 // For the plain-decay configuration the sweep runs as one tight loop over
 // the charge/lastT/tret columns, producing the same violations in the same
 // order as the scalar path.
-func (b *Bank) CheckAll(t float64) (int, error) {
+func (b *Bank) CheckAll(t int64) (int, error) {
 	if b.mod == nil && b.VRT == nil {
 		switch b.Decay.(type) {
 		case retention.ExpDecay, retention.LinearDecay:
@@ -368,7 +376,7 @@ func (b *Bank) CheckAll(t float64) (int, error) {
 
 // checkAllPlain is CheckAll for the unmodulated decay laws, evaluated
 // columnar: identical arithmetic, violations appended in the same row order.
-func (b *Bank) checkAllPlain(t float64) (int, error) {
+func (b *Bank) checkAllPlain(t int64) (int, error) {
 	tret := b.retentions()
 	exp := true
 	if _, lin := b.Decay.(retention.LinearDecay); lin {
@@ -381,11 +389,11 @@ func (b *Bank) checkAllPlain(t float64) (int, error) {
 		}
 		dt := t - b.lastT[r]
 		if dt < 0 {
-			return bad, fmt.Errorf("dram: time went backwards for row %d: %.6g < %.6g", r, t, b.lastT[r])
+			return bad, errBackwards(r, t, b.lastT[r])
 		}
-		v := b.charge[r] * decayPlain(exp, dt, tret[r])
+		v := b.charge[r] * decayPlain(exp, Seconds(dt), tret[r])
 		if v < retention.SenseLimit {
-			b.violations = append(b.violations, Violation{Row: r, Time: t, Charge: v})
+			b.violations = append(b.violations, Violation{Row: r, Time: Seconds(t), Charge: v})
 			bad++
 		}
 	}

@@ -52,14 +52,14 @@ func TestChargeDecaysPerModel(t *testing.T) {
 	b := newBank(t)
 	row := 5
 	tret := b.Profile.True[row] // all-zeros pattern: factor 1
-	v, err := b.ChargeAt(row, tret)
+	v, err := b.ChargeAt(row, Ticks(tret))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(v-0.5) > 1e-12 {
 		t.Fatalf("charge at the retention time = %v, want 0.5", v)
 	}
-	v0, err := b.ChargeAt(row, 0)
+	v0, err := b.ChargeAt(row, Ticks(0))
 	if err != nil || v0 != 1 {
 		t.Fatalf("initial charge = %v, %v", v0, err)
 	}
@@ -75,8 +75,8 @@ func TestPatternScalesDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 	tEval := 0.1
-	vAlt, _ := pAlt.ChargeAt(3, tEval)
-	vZero, _ := pZero.ChargeAt(3, tEval)
+	vAlt, _ := pAlt.ChargeAt(3, Ticks(tEval))
+	vZero, _ := pZero.ChargeAt(3, Ticks(tEval))
 	if vAlt >= vZero {
 		t.Fatalf("worst-case pattern should leak faster: %v vs %v", vAlt, vZero)
 	}
@@ -84,16 +84,16 @@ func TestPatternScalesDecay(t *testing.T) {
 
 func TestChargeAtErrors(t *testing.T) {
 	b := newBank(t)
-	if _, err := b.ChargeAt(-1, 0); err == nil {
+	if _, err := b.ChargeAt(-1, Ticks(0)); err == nil {
 		t.Fatal("negative row must error")
 	}
-	if _, err := b.ChargeAt(99, 0); err == nil {
+	if _, err := b.ChargeAt(99, Ticks(0)); err == nil {
 		t.Fatal("out-of-range row must error")
 	}
-	if _, err := b.Refresh(2, 0.05, 1); err != nil {
+	if _, err := b.Refresh(2, Ticks(0.05), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ChargeAt(2, 0.01); err == nil {
+	if _, err := b.ChargeAt(2, Ticks(0.01)); err == nil {
 		t.Fatal("time before last restore must error")
 	}
 }
@@ -101,8 +101,8 @@ func TestChargeAtErrors(t *testing.T) {
 func TestRefreshRestores(t *testing.T) {
 	b := newBank(t)
 	row, at := 4, 0.05
-	before, _ := b.ChargeAt(row, at)
-	res, err := b.Refresh(row, at, 0.9)
+	before, _ := b.ChargeAt(row, Ticks(at))
+	res, err := b.Refresh(row, Ticks(at), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,25 +116,25 @@ func TestRefreshRestores(t *testing.T) {
 	if math.Abs(res.ChargeRestored-(want-before)) > 1e-12 {
 		t.Fatal("restored delta inconsistent")
 	}
-	now, _ := b.ChargeAt(row, at)
+	now, _ := b.ChargeAt(row, Ticks(at))
 	if math.Abs(now-want) > 1e-12 {
 		t.Fatal("bank state not updated")
 	}
-	if _, err := b.Refresh(row, at, 1.5); err == nil {
+	if _, err := b.Refresh(row, Ticks(at), 1.5); err == nil {
 		t.Fatal("alpha > 1 must be rejected")
 	}
 }
 
 func TestAccessFullyRestores(t *testing.T) {
 	b := newBank(t)
-	res, err := b.Access(3, 0.05)
+	res, err := b.Access(3, Ticks(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ChargeAfter != 1 {
 		t.Fatalf("access restores to %v, want 1", res.ChargeAfter)
 	}
-	v, _ := b.ChargeAt(3, 0.05)
+	v, _ := b.ChargeAt(3, Ticks(0.05))
 	if v != 1 {
 		t.Fatal("state not updated")
 	}
@@ -144,7 +144,7 @@ func TestViolationRecordedOnLateSense(t *testing.T) {
 	b := newBank(t)
 	row := 0 // true retention 128 ms
 	late := b.Profile.True[row] * 1.5
-	if _, err := b.Refresh(row, late, 1); err != nil {
+	if _, err := b.Refresh(row, Ticks(late), 1); err != nil {
 		t.Fatal(err)
 	}
 	viol := b.Violations()
@@ -155,7 +155,7 @@ func TestViolationRecordedOnLateSense(t *testing.T) {
 		t.Fatalf("violation record wrong: %+v", viol[0])
 	}
 	// A timely refresh records nothing further.
-	if _, err := b.Refresh(1, 0.01, 1); err != nil {
+	if _, err := b.Refresh(1, Ticks(0.01), 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.Violations()) != 1 {
@@ -166,7 +166,7 @@ func TestViolationRecordedOnLateSense(t *testing.T) {
 func TestCheckAll(t *testing.T) {
 	b := newBank(t)
 	// At 100 ms, row 0 (128 ms retention) is still fine; at 200 ms it is not.
-	bad, err := b.CheckAll(0.1)
+	bad, err := b.CheckAll(Ticks(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCheckAll(t *testing.T) {
 		t.Fatalf("unexpected failures at 100 ms: %d", bad)
 	}
 	b2 := newBank(t)
-	bad, err = b2.CheckAll(0.2)
+	bad, err = b2.CheckAll(Ticks(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +191,14 @@ func TestRepeatedRefreshKeepsChargeUp(t *testing.T) {
 	row := 0
 	period := 0.064
 	for k := 1; k <= 20; k++ {
-		if _, err := b.Refresh(row, float64(k)*period, 0.999); err != nil {
+		if _, err := b.Refresh(row, Ticks(float64(k)*period), 0.999); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(b.Violations()) != 0 {
 		t.Fatalf("violations under timely full refreshes: %d", len(b.Violations()))
 	}
-	v, _ := b.ChargeAt(row, 20*period)
+	v, _ := b.ChargeAt(row, Ticks(20*period))
 	if v < 0.99 {
 		t.Fatalf("charge after steady refreshing = %v", v)
 	}
@@ -212,7 +212,7 @@ func TestBankWithVRT(t *testing.T) {
 	}
 	// Charge still decays and stays in [0, 1].
 	for _, row := range []int{0, 7, 15} {
-		c, err := b.ChargeAt(row, 0.05)
+		c, err := b.ChargeAt(row, Ticks(0.05))
 		if err != nil {
 			t.Fatal(err)
 		}

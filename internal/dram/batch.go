@@ -23,7 +23,7 @@ import (
 // restore its charge by Alpha (v' = v + (1-v)*Alpha, as in Refresh).
 type BatchOp struct {
 	Row   int
-	Time  float64 // seconds
+	Time  int64   // ticks
 	Alpha float64 // restore coefficient in [0,1]
 }
 
@@ -75,12 +75,12 @@ func growI(buf *[]int, n int) []int {
 }
 
 // ChargeAtBatch computes the normalized weakest-cell charge of rows[i] at
-// times[i] into out[i], without mutating any state - the batched analogue of
+// tick times[i] into out[i], without mutating any state - the batched analogue of
 // ChargeAt. Inputs are validated up front (row range, times not preceding
 // the rows' last restores) in batch order, so the first invalid entry
 // surfaces the same error the scalar path would. If a row appears more than
 // once, every occurrence is evaluated against the row's current state.
-func (b *Bank) ChargeAtBatch(rows []int, times, out []float64) error {
+func (b *Bank) ChargeAtBatch(rows []int, times []int64, out []float64) error {
 	n := len(rows)
 	if len(times) != n || len(out) != n {
 		return fmt.Errorf("dram: batch size mismatch: %d rows, %d times, %d out", n, len(times), len(out))
@@ -91,7 +91,7 @@ func (b *Bank) ChargeAtBatch(rows []int, times, out []float64) error {
 			return fmt.Errorf("dram: row %d out of range [0,%d)", r, nRows)
 		}
 		if times[i] < b.lastT[r] {
-			return fmt.Errorf("dram: time went backwards for row %d: %.6g < %.6g", r, times[i], b.lastT[r])
+			return errBackwards(r, times[i], b.lastT[r])
 		}
 	}
 	tret := b.retentions()
@@ -101,22 +101,24 @@ func (b *Bank) ChargeAtBatch(rows []int, times, out []float64) error {
 			t0 := growF(&b.batchT0, n)
 			tr := growF(&b.batchTret, n)
 			f := growF(&b.batchF, n)
+			// out holds the sensing times in seconds until the factors are in.
 			for i, r := range rows {
-				t0[i] = b.lastT[r]
+				t0[i] = Seconds(b.lastT[r])
+				out[i] = Seconds(times[i])
 				tr[i] = tret[r]
 			}
-			bm.DecayFactors(rows, tr, t0, times, b.Decay, f)
+			bm.DecayFactors(rows, tr, t0, out, b.Decay, f)
 			for i, r := range rows {
 				out[i] = b.charge[r] * f[i]
 			}
 			return nil
 		}
 		for i, r := range rows {
-			out[i] = b.charge[r] * b.mod.DecayFactor(r, tret[r], b.lastT[r], times[i], b.Decay)
+			out[i] = b.charge[r] * b.mod.DecayFactor(r, tret[r], Seconds(b.lastT[r]), Seconds(times[i]), b.Decay)
 		}
 	case b.VRT != nil:
 		for i, r := range rows {
-			out[i] = b.charge[r] * b.VRT.DecayFactor(r, tret[r], b.lastT[r], times[i], b.Decay)
+			out[i] = b.charge[r] * b.VRT.DecayFactor(r, tret[r], Seconds(b.lastT[r]), Seconds(times[i]), b.Decay)
 		}
 	default:
 		switch b.Decay.(type) {
@@ -128,7 +130,7 @@ func (b *Bank) ChargeAtBatch(rows []int, times, out []float64) error {
 			}
 			ma, mv := b.expMemoArg, b.expMemoVal
 			for i, r := range rows {
-				dt := times[i] - b.lastT[r]
+				dt := Seconds(times[i] - b.lastT[r])
 				var f float64
 				switch {
 				case dt <= 0:
@@ -147,11 +149,11 @@ func (b *Bank) ChargeAtBatch(rows []int, times, out []float64) error {
 			}
 		case retention.LinearDecay:
 			for i, r := range rows {
-				out[i] = b.charge[r] * decayPlain(false, times[i]-b.lastT[r], tret[r])
+				out[i] = b.charge[r] * decayPlain(false, Seconds(times[i]-b.lastT[r]), tret[r])
 			}
 		default:
 			for i, r := range rows {
-				out[i] = b.charge[r] * b.Decay.Factor(times[i]-b.lastT[r], tret[r])
+				out[i] = b.charge[r] * b.Decay.Factor(Seconds(times[i]-b.lastT[r]), tret[r])
 			}
 		}
 	}
@@ -163,7 +165,7 @@ func (b *Bank) ChargeAtBatch(rows []int, times, out []float64) error {
 // violation if v is below the sensing limit, then restores by alpha -
 // exactly the mutation half of Refresh. The caller owns the contract that v
 // is the row's charge at t with no intervening mutation of the row.
-func (b *Bank) RestoreSensed(row int, t, alpha, v float64) (RefreshResult, error) {
+func (b *Bank) RestoreSensed(row int, t int64, alpha, v float64) (RefreshResult, error) {
 	if row < 0 || row >= b.Geom.Rows {
 		return RefreshResult{}, fmt.Errorf("dram: row %d out of range [0,%d)", row, b.Geom.Rows)
 	}
@@ -171,7 +173,7 @@ func (b *Bank) RestoreSensed(row int, t, alpha, v float64) (RefreshResult, error
 		return RefreshResult{}, fmt.Errorf("dram: restore alpha %g outside [0,1]", alpha)
 	}
 	if v < retention.SenseLimit && !b.retired[row] {
-		b.violations = append(b.violations, Violation{Row: row, Time: t, Charge: v})
+		b.violations = append(b.violations, Violation{Row: row, Time: Seconds(t), Charge: v})
 	}
 	after := v + (1-v)*alpha
 	b.charge[row] = after
@@ -215,7 +217,7 @@ func (b *Bank) RefreshBatch(ops []BatchOp, results []RefreshResult) error {
 	nRows := b.Geom.Rows
 	seen := b.stampEpoch()
 	epoch := b.batchEpoch
-	prevT := math.Inf(-1)
+	prevT := int64(math.MinInt64)
 	prevRow := -1
 	for i := range ops {
 		op := &ops[i]
@@ -230,20 +232,21 @@ func (b *Bank) RefreshBatch(ops []BatchOp, results []RefreshResult) error {
 		}
 		seen[op.Row] = epoch
 		if op.Time < prevT || (op.Time == prevT && op.Row <= prevRow) {
-			return fmt.Errorf("dram: batch op %d: out of (time, row) order: (%.6g, %d) after (%.6g, %d)", i, op.Time, op.Row, prevT, prevRow)
+			return fmt.Errorf("dram: batch op %d: out of (time, row) order: (%d, %d) after (%d, %d)", i, op.Time, op.Row, prevT, prevRow)
 		}
 		prevT, prevRow = op.Time, op.Row
 		if op.Time < b.lastT[op.Row] {
-			return fmt.Errorf("dram: time went backwards for row %d: %.6g < %.6g", op.Row, op.Time, b.lastT[op.Row])
+			return errBackwards(op.Row, op.Time, b.lastT[op.Row])
 		}
 	}
 
 	rows := growI(&b.batchRows, n)
-	times := growF(&b.batchTimes, n)
+	times := b.batchTimes[:0]
 	for i := range ops {
 		rows[i] = ops[i].Row
-		times[i] = ops[i].Time
+		times = append(times, ops[i].Time)
 	}
+	b.batchTimes = times
 	charges := growF(&b.batchCharge, n)
 	if err := b.ChargeAtBatch(rows, times, charges); err != nil {
 		return err
@@ -253,7 +256,7 @@ func (b *Bank) RefreshBatch(ops []BatchOp, results []RefreshResult) error {
 		op := &ops[i]
 		v := charges[i]
 		if v < retention.SenseLimit && !b.retired[op.Row] {
-			b.violations = append(b.violations, Violation{Row: op.Row, Time: op.Time, Charge: v})
+			b.violations = append(b.violations, Violation{Row: op.Row, Time: Seconds(op.Time), Charge: v})
 		}
 		after := v + (1-v)*op.Alpha
 		b.charge[op.Row] = after

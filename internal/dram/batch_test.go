@@ -40,14 +40,14 @@ func (hyperbolicDecay) Name() string { return "hyperbolic" }
 // (time, row) order starting at or after t0, with alphas in [0, 1]. Low
 // alphas and generous time steps push charges below the sensing limit, so
 // the violation paths get real coverage.
-func randomBatch(rng *rand.Rand, rows int, t0 float64) ([]BatchOp, float64) {
+func randomBatch(rng *rand.Rand, rows int, t0 int64) ([]BatchOp, int64) {
 	k := 1 + rng.Intn(rows)
 	perm := rng.Perm(rows)[:k]
 	ops := make([]BatchOp, k)
 	t := t0
 	for i, r := range perm {
 		if i == 0 || rng.Intn(3) > 0 {
-			t += rng.Float64() * 0.3
+			t += Ticks(rng.Float64() * 0.3)
 		}
 		ops[i] = BatchOp{Row: r, Time: t, Alpha: rng.Float64()}
 	}
@@ -73,7 +73,7 @@ func TestRefreshBatchMatchesSequential(t *testing.T) {
 			batched := newBankDecay(t, decay)
 			scalar := newBankDecay(t, decay)
 			rng := rand.New(rand.NewSource(3))
-			tNow := 0.0
+			tNow := int64(0)
 			for round := 0; round < 200; round++ {
 				var ops []BatchOp
 				ops, tNow = randomBatch(rng, batched.Geom.Rows, tNow)
@@ -110,17 +110,17 @@ func TestChargeAtBatchMatchesScalar(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))
 			// Scatter the lastT column first so dt varies per row.
 			for r := 0; r < b.Geom.Rows; r++ {
-				if _, err := b.Refresh(r, rng.Float64()*0.1, 1); err != nil {
+				if _, err := b.Refresh(r, Ticks(rng.Float64()*0.1), 1); err != nil {
 					t.Fatal(err)
 				}
 			}
 			n := 300
 			rows := make([]int, n)
-			times := make([]float64, n)
+			times := make([]int64, n)
 			out := make([]float64, n)
 			for i := range rows {
 				rows[i] = rng.Intn(b.Geom.Rows)
-				times[i] = 0.1 + rng.Float64()*2
+				times[i] = Ticks(0.1 + rng.Float64()*2)
 			}
 			if err := b.ChargeAtBatch(rows, times, out); err != nil {
 				t.Fatal(err)
@@ -145,15 +145,15 @@ func TestRefreshBatchValidation(t *testing.T) {
 		name string
 		ops  []BatchOp
 	}{
-		{"row-negative", []BatchOp{{Row: -1, Time: 0.1, Alpha: 1}}},
-		{"row-high", []BatchOp{{Row: 16, Time: 0.1, Alpha: 1}}},
-		{"alpha-negative", []BatchOp{{Row: 1, Time: 0.1, Alpha: -0.1}}},
-		{"alpha-high", []BatchOp{{Row: 1, Time: 0.1, Alpha: 1.1}}},
-		{"alpha-nan", []BatchOp{{Row: 1, Time: 0.1, Alpha: math.NaN()}}},
-		{"duplicate-row", []BatchOp{{Row: 3, Time: 0.1, Alpha: 1}, {Row: 3, Time: 0.2, Alpha: 1}}},
-		{"time-reversed", []BatchOp{{Row: 1, Time: 0.2, Alpha: 1}, {Row: 2, Time: 0.1, Alpha: 1}}},
-		{"tie-row-reversed", []BatchOp{{Row: 2, Time: 0.1, Alpha: 1}, {Row: 1, Time: 0.1, Alpha: 1}}},
-		{"tie-row-equal", []BatchOp{{Row: 2, Time: 0.1, Alpha: 1}, {Row: 2, Time: 0.1, Alpha: 1}}},
+		{"row-negative", []BatchOp{{Row: -1, Time: Ticks(0.1), Alpha: 1}}},
+		{"row-high", []BatchOp{{Row: 16, Time: Ticks(0.1), Alpha: 1}}},
+		{"alpha-negative", []BatchOp{{Row: 1, Time: Ticks(0.1), Alpha: -0.1}}},
+		{"alpha-high", []BatchOp{{Row: 1, Time: Ticks(0.1), Alpha: 1.1}}},
+		{"alpha-nan", []BatchOp{{Row: 1, Time: Ticks(0.1), Alpha: math.NaN()}}},
+		{"duplicate-row", []BatchOp{{Row: 3, Time: Ticks(0.1), Alpha: 1}, {Row: 3, Time: Ticks(0.2), Alpha: 1}}},
+		{"time-reversed", []BatchOp{{Row: 1, Time: Ticks(0.2), Alpha: 1}, {Row: 2, Time: Ticks(0.1), Alpha: 1}}},
+		{"tie-row-reversed", []BatchOp{{Row: 2, Time: Ticks(0.1), Alpha: 1}, {Row: 1, Time: Ticks(0.1), Alpha: 1}}},
+		{"tie-row-equal", []BatchOp{{Row: 2, Time: Ticks(0.1), Alpha: 1}, {Row: 2, Time: Ticks(0.1), Alpha: 1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,33 +169,33 @@ func TestRefreshBatchValidation(t *testing.T) {
 	}
 
 	b := newBank(t)
-	if _, err := b.Refresh(4, 1.0, 1); err != nil {
+	if _, err := b.Refresh(4, Ticks(1.0), 1); err != nil {
 		t.Fatal(err)
 	}
 	pre := b.State()
-	if err := b.RefreshBatch([]BatchOp{{Row: 4, Time: 0.5, Alpha: 1}}, nil); err == nil {
+	if err := b.RefreshBatch([]BatchOp{{Row: 4, Time: Ticks(0.5), Alpha: 1}}, nil); err == nil {
 		t.Fatal("batch preceding a row's last restore accepted")
 	}
 	if !reflect.DeepEqual(b.State(), pre) {
 		t.Fatal("rejected batch mutated the bank")
 	}
-	if err := b.RefreshBatch([]BatchOp{{Row: 1, Time: 2, Alpha: 1}}, make([]RefreshResult, 2)); err == nil {
+	if err := b.RefreshBatch([]BatchOp{{Row: 1, Time: Ticks(2), Alpha: 1}}, make([]RefreshResult, 2)); err == nil {
 		t.Fatal("mismatched results length accepted")
 	}
 }
 
 func TestRestoreSensedValidation(t *testing.T) {
 	b := newBank(t)
-	if _, err := b.RestoreSensed(-1, 0.1, 1, 0.9); err == nil {
+	if _, err := b.RestoreSensed(-1, Ticks(0.1), 1, 0.9); err == nil {
 		t.Fatal("negative row accepted")
 	}
-	if _, err := b.RestoreSensed(b.Geom.Rows, 0.1, 1, 0.9); err == nil {
+	if _, err := b.RestoreSensed(b.Geom.Rows, Ticks(0.1), 1, 0.9); err == nil {
 		t.Fatal("out-of-range row accepted")
 	}
-	if _, err := b.RestoreSensed(1, 0.1, 1.5, 0.9); err == nil {
+	if _, err := b.RestoreSensed(1, Ticks(0.1), 1.5, 0.9); err == nil {
 		t.Fatal("alpha above 1 accepted")
 	}
-	if _, err := b.RestoreSensed(1, 0.1, -0.5, 0.9); err == nil {
+	if _, err := b.RestoreSensed(1, Ticks(0.1), -0.5, 0.9); err == nil {
 		t.Fatal("negative alpha accepted")
 	}
 }
@@ -223,11 +223,11 @@ func FuzzRefreshBatch(f *testing.F) {
 			t.Fatal(err)
 		}
 		ops := make([]BatchOp, 0, len(data)/3)
-		tNow := 0.0
+		tNow := int64(0)
 		for i := 0; i+2 < len(data); i += 3 {
 			// Row byte may exceed the 16-row bank; the signed delta byte may
 			// step time backwards; the signed alpha byte may leave [0, 1].
-			tNow += float64(int8(data[i+1])) / 64
+			tNow += Ticks(float64(int8(data[i+1])) / 64)
 			ops = append(ops, BatchOp{
 				Row:   int(data[i]),
 				Time:  tNow,

@@ -98,7 +98,7 @@ func TestDataBankRefreshKeepsDataReadable(t *testing.T) {
 	// Refresh on the 64 ms schedule, then read at 200 ms: without the
 	// refreshes this read would be uncorrectable (see the test above).
 	for _, rt := range []float64{0.064, 0.128, 0.192} {
-		if _, err := db.Refresh(row, rt, 0.999); err != nil {
+		if _, err := db.Refresh(row, Ticks(rt), 0.999); err != nil {
 			t.Fatal(err)
 		}
 	}

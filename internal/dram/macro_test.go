@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/gob"
-	"math"
 	"slices"
 	"testing"
 )
@@ -24,7 +23,7 @@ func newMacroFixture(t *testing.T) *macroFixture {
 	b := newBank(t)
 	rows := b.Geom.Rows
 	cfg := StreamConfig{
-		Periods:       make([]float64, rows),
+		Periods:       make([]int64, rows),
 		RCount:        make([]int, rows),
 		MPRSF:         make([]int, rows),
 		AlphaFull:     1,
@@ -32,11 +31,11 @@ func newMacroFixture(t *testing.T) *macroFixture {
 		CyclesFull:    12,
 		CyclesPartial: 8,
 	}
-	lanes := []RefreshLane{{Delta: 0.064}, {Delta: 0.128}}
+	lanes := []RefreshLane{{Delta: Ticks(0.064)}, {Delta: Ticks(0.128)}}
 	for r := 0; r < rows; r++ {
 		li, j := r/8, r%8
 		l := &lanes[li]
-		l.Events = append(l.Events, StreamEvent{T: l.Delta * (float64(j) + 0.5) / 8, Row: r})
+		l.Events = append(l.Events, StreamEvent{T: l.Delta * (2*int64(j) + 1) / 16, Row: r})
 		cfg.Periods[r] = l.Delta
 		cfg.RCount[r] = r % 3
 		cfg.MPRSF[r] = 2 + r%2
@@ -71,7 +70,7 @@ func TestRefreshMacroBailLeavesStateUntouched(t *testing.T) {
 		name string
 		mut  func(*macroFixture)
 	}{
-		{"period-disagrees-with-lane", func(f *macroFixture) { f.cfg.Periods[13] = 0.256 }},
+		{"period-disagrees-with-lane", func(f *macroFixture) { f.cfg.Periods[13] = Ticks(0.256) }},
 		{"row-queued-twice", func(f *macroFixture) {
 			l := &f.lanes[1]
 			l.Events = append(l.Events, StreamEvent{T: l.Delta, Row: 10})
@@ -81,17 +80,17 @@ func TestRefreshMacroBailLeavesStateUntouched(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			f := newMacroFixture(t)
 			// Age the bank first so the window would have real work.
-			if _, err := f.bank.Refresh(4, 0.001, 0.5); err != nil {
+			if _, err := f.bank.Refresh(4, Ticks(0.001), 0.5); err != nil {
 				t.Fatal(err)
 			}
 			c.mut(f)
 			before := f.snapshot(t)
 			var sc StreamScratch
-			res, err := f.bank.RefreshMacro(&sc, f.lanes, 0.5, &f.cfg, 0.25)
+			res, err := f.bank.RefreshMacro(&sc, f.lanes, Ticks(0.5), &f.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Bailed || res.Events != 0 || res.ChargeRestored != 0.25 {
+			if !res.Bailed || res.Events != 0 || res.ChargeRestored != (ChargeSum{}) {
 				t.Fatalf("window did not bail cleanly: %+v", res)
 			}
 			if after := f.snapshot(t); !bytes.Equal(before, after) {
@@ -103,14 +102,20 @@ func TestRefreshMacroBailLeavesStateUntouched(t *testing.T) {
 
 // TestRefreshMacroMatchesPerEventRefresh is the kernel's direct
 // equivalence check: a window the kernel accepts must leave the bank, the
-// counters, and the ChargeRestored accumulator exactly as a per-event
-// replay through Bank.Refresh in (time, row) order would, and the lanes
-// holding each row's first event past the horizon.
+// counters, and the ChargeRestored sum exactly as a per-event replay
+// through Bank.Refresh in (time, row) order would, and the lanes holding
+// each row's first event past the horizon.
 func TestRefreshMacroMatchesPerEventRefresh(t *testing.T) {
-	const horizon, acc0 = 0.5, 0.25
+	horizon := Ticks(0.5)
 	got, want := newMacroFixture(t), newMacroFixture(t)
+	// Age one row so its first interval differs from its period.
+	for _, f := range []*macroFixture{got, want} {
+		if _, err := f.bank.Refresh(4, Ticks(0.001), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var sc StreamScratch
-	res, err := got.bank.RefreshMacro(&sc, got.lanes, horizon, &got.cfg, acc0)
+	res, err := got.bank.RefreshMacro(&sc, got.lanes, horizon, &got.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +132,9 @@ func TestRefreshMacroMatchesPerEventRefresh(t *testing.T) {
 	less := func(a, b StreamEvent) int {
 		return cmp.Or(cmp.Compare(a.T, b.T), a.Row-b.Row)
 	}
-	acc, events, fulls := acc0, 0, int64(0)
-	lastT, lastCycles := math.Inf(-1), 0
+	var acc ChargeSum
+	events, fulls := int64(0), int64(0)
+	lastT, lastCycles := int64(-1), 0
 	for {
 		slices.SortFunc(pending, less)
 		ev := pending[0]
@@ -147,20 +153,20 @@ func TestRefreshMacroMatchesPerEventRefresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc += r.ChargeRestored
+		acc.Add(r.ChargeRestored)
 		events++
 		lastT, lastCycles = ev.T, cyc
 		pending[0].T = ev.T + want.cfg.Periods[ev.Row]
 	}
 
-	if res.Events != events || res.Fulls != fulls || res.Partials != int64(events)-fulls {
+	if res.Events != events || res.Fulls != fulls || res.Partials != events-fulls {
 		t.Fatalf("counts: kernel %+v, reference events=%d fulls=%d", res, events, fulls)
 	}
-	if math.Float64bits(res.ChargeRestored) != math.Float64bits(acc) {
-		t.Fatalf("ChargeRestored %.17g, reference %.17g", res.ChargeRestored, acc)
+	if res.ChargeRestored != acc {
+		t.Fatalf("ChargeRestored %+v, reference %+v", res.ChargeRestored, acc)
 	}
 	if res.LastTime != lastT || res.LastCycles != lastCycles {
-		t.Fatalf("last event (%g, %d cycles), reference (%g, %d)", res.LastTime, res.LastCycles, lastT, lastCycles)
+		t.Fatalf("last event (%d, %d cycles), reference (%d, %d)", res.LastTime, res.LastCycles, lastT, lastCycles)
 	}
 	var gotState, wantState bytes.Buffer
 	if err := gob.NewEncoder(&gotState).Encode(got.bank.State()); err != nil {

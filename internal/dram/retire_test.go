@@ -24,7 +24,7 @@ func TestRetire(t *testing.T) {
 	}
 
 	// Unretired: the dead row violates on sense.
-	if _, err := b.Refresh(1, 0.064, 1); err != nil {
+	if _, err := b.Refresh(1, Ticks(0.064), 1); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(b.Violations()); n != 1 {
@@ -40,13 +40,13 @@ func TestRetire(t *testing.T) {
 
 	// Retired: the same sag no longer books violations, from Refresh, Access,
 	// or the end-of-run sweep.
-	if _, err := b.Refresh(1, 0.128, 1); err != nil {
+	if _, err := b.Refresh(1, Ticks(0.128), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Access(1, 0.192); err != nil {
+	if _, err := b.Access(1, Ticks(0.192)); err != nil {
 		t.Fatal(err)
 	}
-	bad, err := b.CheckAll(0.3)
+	bad, err := b.CheckAll(Ticks(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"vrldram/internal/device"
+	"vrldram/internal/dram"
 	"vrldram/internal/retention"
 	"vrldram/internal/sim"
 )
@@ -77,8 +78,8 @@ func (c Config) Validate() error {
 	if err := c.Dist.Validate(); err != nil {
 		return err
 	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("exp: duration must be positive, got %g", c.Duration)
+	if c.Duration <= 0 || dram.CheckSeconds("duration", c.Duration) != nil {
+		return fmt.Errorf("exp: duration must be positive and finite within the tick range (%.4g s), got %g", dram.MaxSeconds, c.Duration)
 	}
 	return nil
 }

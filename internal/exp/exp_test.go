@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,10 +21,12 @@ func TestDefaultConfigValid(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := Default()
-	bad.Duration = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero duration must be rejected")
+	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1.2e10} {
+		bad := Default()
+		bad.Duration = d
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("duration %g must be rejected", d)
+		}
 	}
 }
 

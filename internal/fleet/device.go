@@ -36,6 +36,17 @@ func (s Spec) TCK() float64 { return device.Default90nm().TCK }
 // vrlfault's campaigns do. Retrying, hedging, or recomputing a device
 // therefore always yields identical Stats.
 func RunDevice(ctx context.Context, spec Spec, dev Device, cache *profcache.Cache) (sim.Stats, error) {
+	bank, sched, opts, err := buildDevice(spec, dev, cache)
+	if err != nil {
+		return sim.Stats{}, err
+	}
+	return sim.RunContext(ctx, bank, sched, nil, opts)
+}
+
+// buildDevice constructs the bank, scheduler stack and run options of one
+// population member (see RunDevice).
+func buildDevice(spec Spec, dev Device, cache *profcache.Cache) (*dram.Bank, core.Scheduler, sim.Options, error) {
+	var opts sim.Options
 	spec = spec.WithDefaults()
 	params := device.Default90nm()
 	geom := device.BankGeometry{Rows: spec.Rows, Cols: spec.Cols}
@@ -43,11 +54,11 @@ func RunDevice(ctx context.Context, spec Spec, dev Device, cache *profcache.Cach
 
 	profile, err := cache.Profile(geom, dist, dev.Seed)
 	if err != nil {
-		return sim.Stats{}, err
+		return nil, nil, opts, err
 	}
 	restore, err := cache.PaperRestoreModel(params, geom)
 	if err != nil {
-		return sim.Stats{}, err
+		return nil, nil, opts, err
 	}
 	var sched core.Scheduler
 	switch spec.Scheduler {
@@ -63,7 +74,7 @@ func RunDevice(ctx context.Context, spec Spec, dev Device, cache *profcache.Cach
 		err = fmt.Errorf("fleet: unknown scheduler %q", spec.Scheduler)
 	}
 	if err != nil {
-		return sim.Stats{}, err
+		return nil, nil, opts, err
 	}
 	// The scrubber's repair target: the guard when present, else the raw
 	// scheduler (a policy without demote/promote hooks just ignores them).
@@ -71,7 +82,7 @@ func RunDevice(ctx context.Context, spec Spec, dev Device, cache *profcache.Cach
 	if spec.Guard {
 		g, err := guard.New(sched, spec.Rows, guard.Config{Restore: restore})
 		if err != nil {
-			return sim.Stats{}, err
+			return nil, nil, opts, err
 		}
 		sched, repairTarget = g, g
 	}
@@ -84,19 +95,19 @@ func RunDevice(ctx context.Context, spec Spec, dev Device, cache *profcache.Cach
 	if dev.TempC != tm.RefC {
 		bankProf, err = fault.TemperatureExcursion(profile, tm, dev.TempC)
 		if err != nil {
-			return sim.Stats{}, err
+			return nil, nil, opts, err
 		}
 	}
 	bank, err := dram.NewBank(bankProf, retention.ExpDecay{}, retention.PatternAllZeros)
 	if err != nil {
-		return sim.Stats{}, err
+		return nil, nil, opts, err
 	}
 
 	var env *scenario.Env
 	if dev.Scenario.Name != "" {
 		env, err = scenario.BuildEnv(dev.Scenario, spec.Duration, dev.ScenSeed)
 		if err != nil {
-			return sim.Stats{}, err
+			return nil, nil, opts, err
 		}
 	}
 	if dev.Weak {
@@ -108,13 +119,13 @@ func RunDevice(ctx context.Context, spec Spec, dev Device, cache *profcache.Cach
 			// the other stressors exactly.
 			env.Stressors = append(env.Stressors, scenario.VRTStressor{Label: "weak-cells", V: *vrt})
 		} else if err := bank.SetVRT(vrt); err != nil {
-			return sim.Stats{}, err
+			return nil, nil, opts, err
 		}
 	}
-	opts := sim.Options{Duration: spec.Duration, TCK: params.TCK, Backend: spec.Backend}
+	opts = sim.Options{Duration: spec.Duration, TCK: params.TCK, Backend: spec.Backend}
 	if env != nil {
 		if err := bank.SetModulator(env); err != nil {
-			return sim.Stats{}, err
+			return nil, nil, opts, err
 		}
 		opts.Scenario = env
 	}
@@ -123,7 +134,7 @@ func RunDevice(ctx context.Context, spec Spec, dev Device, cache *profcache.Cach
 		cls := ecc.DefaultClassifier()
 		store, err := scrub.NewBankStore(bank, cls)
 		if err != nil {
-			return sim.Stats{}, err
+			return nil, nil, opts, err
 		}
 		scr, err := scrub.New(store, scrub.Config{
 			Sched:       repairTarget,
@@ -134,10 +145,10 @@ func RunDevice(ctx context.Context, spec Spec, dev Device, cache *profcache.Cach
 			},
 		})
 		if err != nil {
-			return sim.Stats{}, err
+			return nil, nil, opts, err
 		}
 		opts.ECC = &cls
 		opts.Scrub = scr
 	}
-	return sim.RunContext(ctx, bank, sched, nil, opts)
+	return bank, sched, opts, nil
 }

@@ -36,6 +36,7 @@ import (
 
 	"vrldram/internal/core"
 	"vrldram/internal/device"
+	"vrldram/internal/dram"
 	"vrldram/internal/scenario"
 	"vrldram/internal/sim"
 )
@@ -141,8 +142,8 @@ func (s Spec) Validate() error {
 	if !ok {
 		return fmt.Errorf("fleet: unknown scheduler %q", s.Scheduler)
 	}
-	if s.Duration <= 0 {
-		return fmt.Errorf("fleet: duration must be positive, got %g", s.Duration)
+	if s.Duration <= 0 || dram.CheckSeconds("duration", s.Duration) != nil {
+		return fmt.Errorf("fleet: duration must be positive and finite within the tick range (%.4g s), got %g", dram.MaxSeconds, s.Duration)
 	}
 	if err := (device.BankGeometry{Rows: s.Rows, Cols: s.Cols}).Validate(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,6 +40,9 @@ func TestSpecValidateCatchesEachField(t *testing.T) {
 		{"devices", func(s *Spec) { s.Devices = 0 }, "population"},
 		{"scheduler", func(s *Spec) { s.Scheduler = "fifo" }, "scheduler"},
 		{"duration", func(s *Spec) { s.Duration = -1 }, "duration"},
+		{"duration-nan", func(s *Spec) { s.Duration = math.NaN() }, "duration"},
+		{"duration-inf", func(s *Spec) { s.Duration = math.Inf(1) }, "duration"},
+		{"duration-past-ticks", func(s *Spec) { s.Duration = 1.2e10 }, "duration"},
 		{"rows", func(s *Spec) { s.Rows = -4 }, "rows"},
 		{"shardsize", func(s *Spec) { s.ShardSize = -1 }, "shard size"},
 		{"tempswing", func(s *Spec) { s.TempSwingC = -2 }, "swing"},

@@ -242,7 +242,7 @@ func (s *Summary) AddDevice(dev Device, st sim.Stats, tck float64) {
 	s.PartialRefreshes += st.PartialRefreshes
 	s.BusyCycles += st.BusyCycles
 	s.FaultsInjected += st.FaultsInjected
-	s.ChargeMicro += int64(math.Round(st.ChargeRestored * 1e6))
+	s.ChargeMicro += int64(math.Round(st.ChargeRestored.Float64() * 1e6))
 
 	s.GuardAlarms += st.Guard.Alarms
 	s.GuardDemotions += st.Guard.Demotions

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"vrldram/internal/dram"
 
 	"vrldram/internal/core"
 	"vrldram/internal/sim"
@@ -17,7 +18,7 @@ func fakeStats(i int) sim.Stats {
 		FullRefreshes:    int64(10 + i),
 		PartialRefreshes: int64(i % 4),
 		BusyCycles:       int64(1000 * (i + 1)),
-		ChargeRestored:   0.125 * float64(i),
+		ChargeRestored:   chargeOf(0.125 * float64(i)),
 		Violations:       i % 3,
 		FaultsInjected:   int64(i % 2),
 		Guard: core.GuardStats{
@@ -159,4 +160,11 @@ func TestSummaryCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeSummary(flip); err == nil {
 		t.Fatal("summary with wrong tag must not decode")
 	}
+}
+
+// chargeOf is a ChargeSum holding x.
+func chargeOf(x float64) dram.ChargeSum {
+	var s dram.ChargeSum
+	s.Add(x)
+	return s
 }

@@ -298,7 +298,7 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 		// scheduler (VRL-Access exploits this).
 		when := float64(start) * opts.TCK
 		if !req.RowHit {
-			if _, err := bank.Access(req.Row, when); err == nil {
+			if _, err := bank.Access(req.Row, dram.Ticks(when)); err == nil {
 				sched.OnAccess(req.Row, when)
 			}
 		}
@@ -356,7 +356,7 @@ func Run(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options) (S
 				openRow = -1
 			}
 			when := float64(start) * opts.TCK
-			res, err := bank.Refresh(ev.row, when, op.Alpha)
+			res, err := bank.Refresh(ev.row, dram.Ticks(when), op.Alpha)
 			if err != nil {
 				return Stats{}, nil, err
 			}

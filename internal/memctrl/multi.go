@@ -266,7 +266,7 @@ func RunMulti(banks []*dram.Bank, scheds []core.Scheduler, reqs []MultiRequest, 
 	refreshBank := func(b int, row int, start int64) (int64, error) {
 		start = states[b].closeForRefresh(start)
 		op := scheds[b].RefreshOp(row, float64(start)*opts.TCK)
-		if _, err := banks[b].Refresh(row, float64(start)*opts.TCK, op.Alpha); err != nil {
+		if _, err := banks[b].Refresh(row, dram.Ticks(float64(start)*opts.TCK), op.Alpha); err != nil {
 			return 0, err
 		}
 		end := start + int64(op.Cycles)

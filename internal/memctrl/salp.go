@@ -125,7 +125,7 @@ func RunSALP(bank *dram.Bank, sched core.Scheduler, reqs []Request, opts Options
 			}
 			start = s.closeForRefresh(start)
 			op := sched.RefreshOp(ev.row, float64(start)*opts.TCK)
-			if _, err := bank.Refresh(ev.row, float64(start)*opts.TCK, op.Alpha); err != nil {
+			if _, err := bank.Refresh(ev.row, dram.Ticks(float64(start)*opts.TCK), op.Alpha); err != nil {
 				return SALPStats{}, nil, err
 			}
 			s.free = start + int64(op.Cycles)

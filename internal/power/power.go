@@ -90,7 +90,7 @@ func (m Model) RefreshEnergy(st sim.Stats, tck float64) (Breakdown, error) {
 	b := Breakdown{Scheduler: st.Scheduler}
 	b.Activation = m.ActivationEnergy * float64(st.Refreshes())
 	b.Peripheral = m.PeripheralPower * float64(st.BusyCycles) * tck
-	b.Restore = m.RestoreEnergyPerRow * st.ChargeRestored
+	b.Restore = m.RestoreEnergyPerRow * st.ChargeRestored.Float64()
 	b.Total = b.Activation + b.Peripheral + b.Restore
 	if st.Duration > 0 {
 		b.AvgPower = b.Total / st.Duration

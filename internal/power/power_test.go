@@ -2,6 +2,7 @@ package power
 
 import (
 	"testing"
+	"vrldram/internal/dram"
 
 	"vrldram/internal/device"
 	"vrldram/internal/sim"
@@ -39,7 +40,7 @@ func TestRefreshEnergyBreakdown(t *testing.T) {
 		FullRefreshes:    1000,
 		PartialRefreshes: 500,
 		BusyCycles:       1000*19 + 500*11,
-		ChargeRestored:   300,
+		ChargeRestored:   chargeOf(300),
 	}
 	b, err := m.RefreshEnergy(st, p.TCK)
 	if err != nil {
@@ -84,8 +85,8 @@ func TestPartialRefreshSavesLessPowerThanTime(t *testing.T) {
 	// the energy.
 	p := device.Default90nm()
 	m := Default90nm(p, device.PaperBank)
-	full := sim.Stats{Duration: 1, FullRefreshes: 1, BusyCycles: 19, ChargeRestored: 0.2}
-	part := sim.Stats{Duration: 1, PartialRefreshes: 1, BusyCycles: 11, ChargeRestored: 0.19}
+	full := sim.Stats{Duration: 1, FullRefreshes: 1, BusyCycles: 19, ChargeRestored: chargeOf(0.2)}
+	part := sim.Stats{Duration: 1, PartialRefreshes: 1, BusyCycles: 11, ChargeRestored: chargeOf(0.19)}
 	ef, err := m.RefreshEnergy(full, p.TCK)
 	if err != nil {
 		t.Fatal(err)
@@ -102,4 +103,11 @@ func TestPartialRefreshSavesLessPowerThanTime(t *testing.T) {
 	if energyRatio >= 1 {
 		t.Fatalf("partial refresh must still save energy: ratio %v", energyRatio)
 	}
+}
+
+// chargeOf is a ChargeSum holding x.
+func chargeOf(x float64) dram.ChargeSum {
+	var s dram.ChargeSum
+	s.Add(x)
+	return s
 }

@@ -123,13 +123,13 @@ func Profile(trueProfile *retention.BankProfile, decay retention.DecayModel, opt
 			// out back-to-back on the bank's private timeline.
 			t0 := float64(res.Rounds) * (opts.Intervals[len(opts.Intervals)-1] / opts.Margin * 2)
 			for r := 0; r < rows; r++ {
-				if _, err := bank.Access(r, t0); err != nil {
+				if _, err := bank.Access(r, dram.Ticks(t0)); err != nil {
 					return nil, err
 				}
 			}
 			failedThisRound := false
 			for r := 0; r < rows; r++ {
-				v, err := bank.ChargeAt(r, t0+wait)
+				v, err := bank.ChargeAt(r, dram.Ticks(t0+wait))
 				if err != nil {
 					return nil, err
 				}

@@ -206,7 +206,7 @@ func runAllBank(banks []*dram.Bank, scheds []core.Scheduler, opts Options) (Stat
 		anyFull := false
 		for b := range banks {
 			op := scheds[b].RefreshOp(ev.row, ev.t)
-			if _, err := banks[b].Refresh(ev.row, ev.t, op.Alpha); err != nil {
+			if _, err := banks[b].Refresh(ev.row, dram.Ticks(ev.t), op.Alpha); err != nil {
 				return Stats{}, err
 			}
 			if op.Cycles > maxCycles {
@@ -226,7 +226,7 @@ func runAllBank(banks []*dram.Bank, scheds []core.Scheduler, opts Options) (Stat
 		heap.Push(&h, rowEvent{t: ev.t + period(ev.row), row: ev.row})
 	}
 	for b := range banks {
-		if _, err := banks[b].CheckAll(opts.Duration); err != nil {
+		if _, err := banks[b].CheckAll(dram.Ticks(opts.Duration)); err != nil {
 			return Stats{}, err
 		}
 		st.Violations += len(banks[b].Violations())

@@ -52,7 +52,7 @@ func (s *BankStore) Rows() int { return s.bank.Geom.Rows }
 
 // PatrolRead implements RowStore.
 func (s *BankStore) PatrolRead(row int, now float64) (PatrolResult, error) {
-	res, err := s.bank.Access(row, now)
+	res, err := s.bank.Access(row, dram.Ticks(now))
 	if err != nil {
 		return PatrolResult{}, err
 	}

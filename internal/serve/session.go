@@ -14,6 +14,7 @@ import (
 
 	"vrldram/internal/checkpoint"
 	"vrldram/internal/core"
+	"vrldram/internal/dram"
 	"vrldram/internal/exp"
 	"vrldram/internal/fleet"
 	"vrldram/internal/sim"
@@ -602,7 +603,7 @@ func (s *session) runSim(ctx context.Context, spec SimSpec) error {
 		if err := mgr.Save(func(w io.Writer) error { return checkpoint.EncodeSim(w, cp) }); err != nil {
 			return err
 		}
-		s.notify(FrameProgress, Progress{T: cp.Time, Duration: duration}.encode())
+		s.notify(FrameProgress, Progress{T: dram.Seconds(cp.Time), Duration: duration}.encode())
 		return nil
 	}
 	if _, statErr := os.Stat(mgr.Path()); statErr == nil {

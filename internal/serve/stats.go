@@ -1,23 +1,30 @@
 package serve
 
 import (
+	"fmt"
+
 	"vrldram/internal/core"
 	"vrldram/internal/sim"
 )
+
+// statsTag versions the stats blob: sta2 carries ChargeRestored as its
+// 128-bit fixed-point sum, sta1 carried a float.
+const statsTag = "sta2"
 
 // EncodeStats flattens a sim.Stats into a tagged binary blob (the ResultMsg
 // payload for JobSim). The field order mirrors the stats section of the
 // internal/checkpoint sim codec so the two stay reviewable side by side.
 func EncodeStats(s sim.Stats) []byte {
 	var e core.StateEncoder
-	e.Tag("sta1")
+	e.Tag(statsTag)
 	e.Bytes([]byte(s.Scheduler))
 	e.Float(s.Duration)
 	e.Int(s.FullRefreshes)
 	e.Int(s.PartialRefreshes)
 	e.Int(s.BusyCycles)
 	e.Int(s.Accesses)
-	e.Float(s.ChargeRestored)
+	e.Uint64(s.ChargeRestored.Hi)
+	e.Uint64(s.ChargeRestored.Lo)
 	e.Int(int64(s.Violations))
 	e.Int(s.CorrectedErrors)
 	e.Int(s.UncorrectableErrors)
@@ -45,15 +52,18 @@ func EncodeStats(s sim.Stats) []byte {
 // DecodeStats reverses EncodeStats.
 func DecodeStats(p []byte) (sim.Stats, error) {
 	d := core.NewStateDecoder(p)
-	d.ExpectTag("sta1")
 	var s sim.Stats
+	if tag := string(d.Bytes()); d.Err() == nil && tag != statsTag {
+		return s, fmt.Errorf("serve: stats blob format %q, this build reads %q (a peer from before the fixed-point charge sum)", tag, statsTag)
+	}
 	s.Scheduler = string(d.Bytes())
 	s.Duration = d.Float()
 	s.FullRefreshes = d.Int()
 	s.PartialRefreshes = d.Int()
 	s.BusyCycles = d.Int()
 	s.Accesses = d.Int()
-	s.ChargeRestored = d.Float()
+	s.ChargeRestored.Hi = d.Uint64()
+	s.ChargeRestored.Lo = d.Uint64()
 	s.Violations = int(d.Int())
 	s.CorrectedErrors = d.Int()
 	s.UncorrectableErrors = d.Int()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
+	"vrldram/internal/core"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -112,6 +114,20 @@ func TestStatsBlobRoundTrip(t *testing.T) {
 	}
 	if got != st {
 		t.Fatalf("stats round trip mismatch:\n got %+v\nwant %+v", got, st)
+	}
+}
+
+// TestStatsBlobRejectsPreviousVersion: a sta1 blob (float ChargeRestored)
+// from a peer built before the fixed-point sum must be refused by name,
+// not misread as sta2 fields.
+func TestStatsBlobRejectsPreviousVersion(t *testing.T) {
+	var e core.StateEncoder
+	e.Tag("sta1")
+	e.Bytes([]byte("RAIDR"))
+	e.Float(0.05)
+	_, err := DecodeStats(e.Data())
+	if err == nil || !strings.Contains(err.Error(), `"sta1"`) || !strings.Contains(err.Error(), `"sta2"`) {
+		t.Fatalf("sta1 blob: err = %v, want a version error naming sta1 and sta2", err)
 	}
 }
 

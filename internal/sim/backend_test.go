@@ -38,29 +38,29 @@ func TestBatchQueueMatchesHeapPopOrder(t *testing.T) {
 		var bq batchQueue
 		bq.reset()
 		var heap eventQueue
-		periods := make([]float64, rows)
-		minPeriod := math.Inf(1)
+		periods := make([]int64, rows)
+		minPeriod := never
 		for r := 0; r < rows; r++ {
 			// A handful of shared periods (lane-friendly) plus a random tail
 			// that overflows batchMaxLanes and spills to the mixed lane.
 			if rng.Intn(2) == 0 {
-				periods[r] = 64e-3 * float64(1+rng.Intn(4))
+				periods[r] = dram.Ticks(64e-3 * float64(1+rng.Intn(4)))
 			} else {
-				periods[r] = 32e-3 * math.Pow(2, 5*rng.Float64())
+				periods[r] = dram.Ticks(32e-3 * math.Pow(2, 5*rng.Float64()))
 			}
-			minPeriod = math.Min(minPeriod, periods[r])
-			e := event{T: staggerFrac(r) * periods[r], Row: r}
+			minPeriod = min(minPeriod, periods[r])
+			e := event{T: int64(staggerFrac(r) * float64(periods[r])), Row: r}
 			bq.push(e)
 			heap.push(e)
 		}
 		var rowsBuf []int
-		var timesBuf []float64
-		horizon := 0.7
+		var timesBuf []int64
+		horizon := dram.Ticks(0.7)
 		for heap.size() > 0 {
 			if bq.size() != heap.size() || bq.peekTime() != heap.peekTime() {
 				return false
 			}
-			h := heap.peekTime() + (0.05+0.95*rng.Float64())*minPeriod
+			h := heap.peekTime() + 1 + int64((0.05+0.95*rng.Float64())*float64(minPeriod-1))
 			rowsBuf, timesBuf = bq.popBatch(h, rowsBuf[:0], timesBuf[:0])
 			if len(rowsBuf) == 0 {
 				return false
@@ -77,7 +77,7 @@ func TestBatchQueueMatchesHeapPopOrder(t *testing.T) {
 				}
 			}
 		}
-		return bq.size() == 0 && math.IsInf(bq.peekTime(), 1)
+		return bq.size() == 0 && bq.peekTime() == never
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -93,9 +93,9 @@ func TestBatchQueuePendingSortedMatchesHeap(t *testing.T) {
 	bq.reset()
 	var heap eventQueue
 	for r := 0; r < 300; r++ {
-		e := event{T: rng.Float64(), Row: r}
+		e := event{T: dram.Ticks(rng.Float64()), Row: r}
 		if r%2 == 0 {
-			d := 64e-3 * float64(1+r%20) // > batchMaxLanes distinct deltas
+			d := dram.Ticks(64e-3 * float64(1+r%20)) // > batchMaxLanes distinct deltas
 			bq.pushNext(e, d)
 		} else {
 			bq.push(e)
@@ -104,8 +104,8 @@ func TestBatchQueuePendingSortedMatchesHeap(t *testing.T) {
 	}
 	// Consume a prefix so head offsets are non-trivial in both.
 	var rowsBuf []int
-	var timesBuf []float64
-	rowsBuf, _ = bq.popBatch(0.25, rowsBuf, timesBuf)
+	var timesBuf []int64
+	rowsBuf, _ = bq.popBatch(dram.Ticks(0.25), rowsBuf, timesBuf)
 	for range rowsBuf {
 		heap.pop()
 	}

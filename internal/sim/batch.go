@@ -6,6 +6,9 @@ import (
 	"vrldram/internal/dram"
 )
 
+// never is the queue's "no event" time, above every real tick.
+const never = int64(math.MaxInt64)
+
 // Batched event queue. Almost every refresh event is a re-push at
 // "now + period" for a period drawn from a handful of distinct values (the
 // retention bins), and the runner processes events in ascending time order
@@ -26,8 +29,8 @@ const (
 	// interleaving interaction - the window only sets how much per-batch
 	// overhead each kernel call amortizes). Eight milliseconds holds on the
 	// order of a thousand refresh events of an 8K-row bank while keeping
-	// the gather columns comfortably cache-resident.
-	batchWindow = 8e-3
+	// the gather columns comfortably cache-resident. In ticks.
+	batchWindow = 8e-3 / dram.Tick
 	// batchMaxLanes caps the per-period lanes. Schedulers with more
 	// distinct periods than this (none of the shipped ones; the bins are
 	// 3-4 values) spill the excess into the mixed lane, which stays
@@ -58,12 +61,12 @@ func sortEvents(s []event, scratch *[]event, keys *[]uint64) {
 }
 
 // radixSortEvents orders s by (time, row) with an LSD byte radix over the
-// IEEE-754 bits of the time (the standard sign fixup makes the bit pattern
-// order-isomorphic to the float order), then repairs row order inside
-// equal-time runs with a bounded insertion pass. Sorting 8K seed events this
-// way is ~4x cheaper than quicksort: no comparisons, and passes over bytes
-// the keys all share - the high exponent bytes of times inside one refresh
-// window - are detected from the histogram and skipped.
+// tick (its sign bit flipped, which makes the unsigned order the signed
+// one), then repairs row order inside equal-time runs with a bounded
+// insertion pass. Sorting 8K seed events this way is ~4x cheaper than
+// quicksort: no comparisons, and passes over bytes the keys all share - the
+// high bytes of ticks inside one refresh window - are detected from the
+// histogram and skipped.
 func radixSortEvents(s []event, scratch *[]event, keyBuf *[]uint64) {
 	n := len(s)
 	if cap(*scratch) < n {
@@ -77,12 +80,7 @@ func radixSortEvents(s []event, scratch *[]event, keyBuf *[]uint64) {
 	keysTmp := (*keyBuf)[n : 2*n]
 	var hist [8][256]int
 	for i := range s {
-		b := math.Float64bits(s[i].T)
-		if b>>63 != 0 {
-			b = ^b
-		} else {
-			b |= 1 << 63
-		}
+		b := uint64(s[i].T) ^ 1<<63
 		keys[i] = b
 		hist[0][b&0xff]++
 		hist[1][b>>8&0xff]++
@@ -144,10 +142,11 @@ func radixSortEvents(s []event, scratch *[]event, keyBuf *[]uint64) {
 // handed to the fast-forward kernel in place.
 type batchLane = dram.RefreshLane
 
-// laneTailT returns the newest queued time, or -Inf when the lane is empty.
-func laneTailT(l *batchLane) float64 {
+// laneTailT returns the newest queued tick, or MinInt64 when the lane is
+// empty.
+func laneTailT(l *batchLane) int64 {
 	if l.Head == len(l.Events) {
-		return math.Inf(-1)
+		return math.MinInt64
 	}
 	return l.Events[len(l.Events)-1].T
 }
@@ -203,7 +202,7 @@ func (bq *batchQueue) push(e event) {
 // order (the runner's processing order), so each lane stays sorted by
 // construction; the guard below routes any violation - and any delta beyond
 // the lane cap - through the mixed lane instead.
-func (bq *batchQueue) pushNext(e event, delta float64) {
+func (bq *batchQueue) pushNext(e event, delta int64) {
 	for i := range bq.lanes {
 		l := &bq.lanes[i]
 		if l.Delta == delta {
@@ -216,7 +215,7 @@ func (bq *batchQueue) pushNext(e event, delta float64) {
 			return
 		}
 	}
-	if len(bq.lanes) < batchMaxLanes && !math.IsNaN(delta) {
+	if len(bq.lanes) < batchMaxLanes {
 		if cap(bq.lanes) > len(bq.lanes) {
 			// Reuse a recycled lane (and its buffer) from a prior run.
 			bq.lanes = bq.lanes[:len(bq.lanes)+1]
@@ -245,10 +244,10 @@ func (bq *batchQueue) ensureMixedSorted() {
 	}
 }
 
-// peekTime returns the earliest outstanding event time, or +Inf when empty.
-func (bq *batchQueue) peekTime() float64 {
+// peekTime returns the earliest outstanding event tick, or never when empty.
+func (bq *batchQueue) peekTime() int64 {
 	if bq.count == 0 {
-		return math.Inf(1)
+		return never
 	}
 	return bq.peek().T
 }
@@ -295,7 +294,7 @@ func (bq *batchQueue) pop() event {
 // popBatch removes every outstanding event with t < h, appending them in
 // (time, row) order to rows and times: a k-way merge over the lane prefixes
 // below the horizon.
-func (bq *batchQueue) popBatch(h float64, rows []int, times []float64) ([]int, []float64) {
+func (bq *batchQueue) popBatch(h int64, rows []int, times []int64) ([]int, []int64) {
 	bq.ensureMixedSorted()
 	for bq.count > 0 {
 		best := -2
@@ -370,15 +369,21 @@ func (bq *batchQueue) popBatch(h float64, rows []int, times []float64) ([]int, [
 // order - the checkpoint form, identical across queue implementations.
 func (bq *batchQueue) pendingSorted() []PendingEvent {
 	out := make([]PendingEvent, 0, bq.size())
-	for i := range bq.lanes {
-		l := &bq.lanes[i]
-		for _, e := range l.Events[l.Head:] {
-			out = append(out, PendingEvent{Time: e.T, Row: e.Row})
-		}
-	}
-	for _, e := range bq.mixed[bq.mixedHead:] {
-		out = append(out, PendingEvent{Time: e.T, Row: e.Row})
-	}
+	bq.each(func(e *event) { out = append(out, PendingEvent{Time: e.T, Row: e.Row}) })
 	sortPending(out)
 	return out
+}
+
+// each calls f on every outstanding event, lanes first, in no particular
+// order.
+func (bq *batchQueue) each(f func(*event)) {
+	for i := range bq.lanes {
+		l := &bq.lanes[i]
+		for j := range l.Events[l.Head:] {
+			f(&l.Events[l.Head+j])
+		}
+	}
+	for j := range bq.mixed[bq.mixedHead:] {
+		f(&bq.mixed[bq.mixedHead+j])
+	}
 }

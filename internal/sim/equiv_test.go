@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -51,7 +50,7 @@ type steadyScheduler interface {
 }
 
 // misreportedView is a scheduler whose StreamView reports one row's period
-// as NaN while the row keeps refreshing at its real period: a view no lane
+// as -1 tick while the row keeps refreshing at its real period: a view no lane
 // can match, so every fast-forward window the run attempts must be refused
 // and the batch path must take it instead.
 type misreportedView struct {
@@ -61,8 +60,8 @@ type misreportedView struct {
 
 func (m misreportedView) StreamView() core.StreamView {
 	v := m.steadyScheduler.StreamView()
-	v.Periods = append([]float64(nil), v.Periods...)
-	v.Periods[m.row] = math.NaN()
+	v.Periods = append([]int64(nil), v.Periods...)
+	v.Periods[m.row] = -1
 	return v
 }
 
@@ -222,10 +221,10 @@ func FuzzRunEquivalence(f *testing.F) {
 			for _, resumed := range []Backend{BackendAuto, BackendScalar} {
 				st, tail, err := run(resumed, &cp, -1)
 				if err != nil {
-					t.Fatalf("%s: resume on %v from %v kill at t=%g: %v", label, resumed, killed, cp.Time, err)
+					t.Fatalf("%s: resume on %v from %v kill at tick %d: %v", label, resumed, killed, cp.Time, err)
 				}
 				if !reflect.DeepEqual(st, auto) {
-					t.Fatalf("%s: resume on %v from %v kill at t=%g diverged:\nuncut:   %+v\nresumed: %+v",
+					t.Fatalf("%s: resume on %v from %v kill at tick %d diverged:\nuncut:   %+v\nresumed: %+v",
 						label, resumed, killed, cp.Time, auto, st)
 				}
 				// The periodic checkpoints of the resumed run are exactly the

@@ -1,20 +1,18 @@
 package sim
 
-import "math"
-
 // Fast-forward planning: the pure arithmetic the auto backend's fast-forward
 // uses to decide how far a quiescent window may extend. Kept free of
 // simulator state so the fuzz target (FuzzFastForwardPlan) can hammer it -
-// together with the kernel's lap count, dram.LapsBelow - with arbitrary
+// together with the kernel's event count, dram.EventsBelow - with arbitrary
 // inputs.
 
 // ffHorizon returns the earliest of the candidate fast-forward caps: the run
 // duration, the next checkpoint boundary, the next scrub sweep, the next
-// trace record, and the scheduler/scenario stability horizon. Callers pass
-// +Inf for sources that do not apply; the result is the largest time the
-// kernel may process events strictly below without any non-refresh
-// machinery being able to intervene.
-func ffHorizon(duration, nextCP, scrubDue, traceNext, stableUntil float64) float64 {
+// trace record, and the scheduler/scenario stability horizon, all in
+// ticks. Callers pass never for sources that do not apply; the result is
+// the largest tick the kernel may process events strictly below without any
+// non-refresh machinery being able to intervene.
+func ffHorizon(duration, nextCP, scrubDue, traceNext, stableUntil int64) int64 {
 	h := duration
 	if nextCP < h {
 		h = nextCP
@@ -31,69 +29,21 @@ func ffHorizon(duration, nextCP, scrubDue, traceNext, stableUntil float64) float
 	return h
 }
 
-// ffWindowEvents is the event budget of one fast-forward window. The macro
-// kernel buffers a time, a restore delta and an op per window event before
-// its global merge, so an uncapped window on a quiet device sizes those
-// columns to the whole run; capping every window near this many events keeps
-// them at a few MiB - flat in simulated span and close to L2-sized - while
-// each window still amortizes the kernel's per-window lane scans (2^16 made
-// those scans dominate; 2^20 was no faster and twice the memory).
-const ffWindowEvents = 1 << 18
-
-// ffBudgetHorizon returns the event-budget cap on a fast-forward window
-// starting at t: t plus the span in which the lanes' combined refresh rate
-// (each lane replays its unconsumed rows once per period) produces about
-// ffWindowEvents events, floored at the longest non-empty lane period so
-// every lane still gets a full lap and the engagement gate (ffMinLap) keeps
-// passing. The cap is exact by construction: the kernel consumes every
-// event below any horizon in global (time, row) order, so cutting a span
-// into budget-sized windows replays the same event sequence. Returns +Inf
-// when no lane holds events, a non-empty lane's period is degenerate (the
-// gate refuses such windows anyway), or t is not a finite time.
-func ffBudgetHorizon(lanes []batchLane, t float64) float64 {
-	rate, longest := 0.0, 0.0
-	for i := range lanes {
-		l := &lanes[i]
-		n := len(l.Events) - l.Head
-		if n == 0 {
-			continue
-		}
-		if !(l.Delta > 0) {
-			return math.Inf(1)
-		}
-		rate += float64(n) / l.Delta
-		if l.Delta > longest {
-			longest = l.Delta
-		}
-	}
-	if longest == 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return math.Inf(1)
-	}
-	span := max(ffWindowEvents/rate, longest)
-	h := t + span
-	if !(h > t) {
-		// span is below half of t's rounding step; one ulp keeps the cap
-		// strictly above t (and still at least one lap past it).
-		h = math.Nextafter(t, math.Inf(1))
-	}
-	return h
-}
-
 // ffMinLap returns the smallest refresh period among lanes holding
 // unconsumed events - the shortest window span in which a fast-forward
 // kernel can replay at least one full lap of some lane. Windows narrower
 // than this cannot amortize the kernel's per-window full-lane scans, so the
-// runner skips the attempt (+Inf when no lane holds events, or a lane's
+// runner skips the attempt (never when no lane holds events, or a lane's
 // period is degenerate, which sends the window to the batch path).
-func ffMinLap(lanes []batchLane) float64 {
-	min := math.Inf(1)
+func ffMinLap(lanes []batchLane) int64 {
+	min := never
 	for i := range lanes {
 		l := &lanes[i]
 		if l.Head >= len(l.Events) {
 			continue
 		}
-		if !(l.Delta > 0) {
-			return math.Inf(1)
+		if l.Delta <= 0 {
+			return never
 		}
 		if l.Delta < min {
 			min = l.Delta
@@ -105,16 +55,13 @@ func ffMinLap(lanes []batchLane) float64 {
 // mixedQuietBelow reports whether the mixed intake holds no event strictly
 // below h - the precondition for handing the period lanes alone to the
 // fast-forward kernel, which cannot merge the mixed lane.
-func (bq *batchQueue) mixedQuietBelow(h float64) bool {
+func (bq *batchQueue) mixedQuietBelow(h int64) bool {
 	if bq.mixedHead >= len(bq.mixed) {
 		return true
 	}
 	bq.ensureMixedSorted()
 	return !(bq.mixed[bq.mixedHead].T < h)
 }
-
-// ffInf is the "source does not apply" horizon.
-func ffInf() float64 { return math.Inf(1) }
 
 // adoptMixed moves every unconsumed mixed-intake event into the period lane
 // its row's current refresh period keys, so a run whose queue was seeded
@@ -128,7 +75,7 @@ func ffInf() float64 { return math.Inf(1) }
 // land behind the lane's tail. The move preserves the queue's event
 // multiset and count, so pendingSorted (and with it every checkpoint) is
 // unchanged.
-func (bq *batchQueue) adoptMixed(period float64, periods []float64) bool {
+func (bq *batchQueue) adoptMixed(period int64, periods []int64) bool {
 	if bq.mixedHead >= len(bq.mixed) {
 		return true
 	}
@@ -141,7 +88,7 @@ func (bq *batchQueue) adoptMixed(period float64, periods []float64) bool {
 	// Precheck the whole move before mutating anything: every event's period
 	// must be a usable lane key, and the distinct periods (plus recyclable
 	// empty lanes) must fit the lane cap.
-	var deltas [batchMaxLanes]float64
+	var deltas [batchMaxLanes]int64
 	nd := 0
 	for i := range bq.lanes {
 		deltas[nd] = bq.lanes[i].Delta
@@ -156,7 +103,7 @@ precheck:
 			}
 			p = periods[e.Row]
 		}
-		if math.IsNaN(p) {
+		if p <= 0 {
 			return false
 		}
 		for i := 0; i < nd; i++ {
@@ -202,3 +149,7 @@ precheck:
 	bq.mixedSorted = false
 	return true
 }
+
+// advance moves every outstanding event d ticks later: the periodic skip's
+// jump. Lane and intake order are unchanged.
+func (bq *batchQueue) advance(d int64) { bq.each(func(e *event) { e.T += d }) }

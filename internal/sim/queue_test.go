@@ -18,16 +18,16 @@ func TestHeapPopOrder(t *testing.T) {
 		rows := 1 + rng.Intn(200)
 		var q eventQueue
 		var live []event // independent copy of the queue's contents
-		periods := make([]float64, rows)
+		periods := make([]int64, rows)
 		for r := 0; r < rows; r++ {
 			// Power-of-two periods and coarse phases make rows share
 			// timestamps, so the row tie-break is exercised throughout.
-			periods[r] = 64e-3 / 8192 * math.Pow(2, float64(rng.Intn(17)))
-			e := event{T: math.Floor(staggerFrac(r)*8) / 8 * periods[r], Row: r}
+			periods[r] = 6250 << rng.Intn(17)
+			e := event{T: int64(math.Floor(staggerFrac(r)*8)) * periods[r] / 8, Row: r}
 			q.push(e)
 			live = append(live, e)
 		}
-		horizon := 0.7
+		horizon := int64(560_000_000)
 		for q.size() > 0 {
 			if q.size() != len(live) {
 				return false
@@ -52,7 +52,7 @@ func TestHeapPopOrder(t *testing.T) {
 				live = append(live, ne)
 			}
 		}
-		return len(live) == 0 && math.IsInf(q.peekTime(), 1)
+		return len(live) == 0 && q.peekTime() == never
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -64,10 +64,10 @@ func TestHeapPopOrder(t *testing.T) {
 func TestHeapTieOrder(t *testing.T) {
 	var q eventQueue
 	for _, r := range []int{5, 1, 9, 3, 7} {
-		q.push(event{T: 0.125, Row: r})
+		q.push(event{T: 100_000_000, Row: r})
 	}
 	for _, want := range []int{1, 3, 5, 7, 9} {
-		if e := q.pop(); e.Row != want || e.T != 0.125 {
+		if e := q.pop(); e.Row != want || e.T != 100_000_000 {
 			t.Fatalf("tie pop %+v, want row %d", e, want)
 		}
 	}
@@ -79,10 +79,10 @@ func TestHeapTieOrder(t *testing.T) {
 func TestHeapSteadyStateZeroAllocs(t *testing.T) {
 	const rows = 2048
 	var q eventQueue
-	periods := make([]float64, rows)
+	periods := make([]int64, rows)
 	for r := 0; r < rows; r++ {
-		periods[r] = 64e-3 * float64(1+r%8)
-		q.push(event{T: staggerFrac(r) * periods[r], Row: r})
+		periods[r] = 51_200_000 * int64(1+r%8)
+		q.push(event{T: int64(staggerFrac(r) * float64(periods[r])), Row: r})
 	}
 	cycle := func(n int) {
 		for i := 0; i < n; i++ {

@@ -146,7 +146,7 @@ type Options struct {
 
 // PendingEvent is one scheduled refresh in the simulator's event queue.
 type PendingEvent struct {
-	Time float64
+	Time int64 // dram ticks
 	Row  int
 }
 
@@ -158,8 +158,8 @@ type PendingEvent struct {
 // FaultsInjected) are recomputed from live state when the resumed run
 // finishes. internal/checkpoint serializes this struct to disk.
 type Checkpoint struct {
-	Time      float64 // simulated time the snapshot was taken (s)
-	Duration  float64 // the run's configured duration, for resume validation
+	Time      int64   // simulated tick the snapshot was taken at
+	Duration  float64 // the run's configured duration (s), for resume validation
 	Scheduler string  // scheduler name, for resume validation
 
 	Stats  Stats
@@ -169,9 +169,9 @@ type Checkpoint struct {
 	TraceRead     int64        // records consumed from the trace source
 	HavePending   bool         // a look-ahead record is buffered
 	Pending       trace.Record // the buffered look-ahead record
-	LastTraceTime float64      // time-ordering watermark (-Inf before any record)
+	LastTraceTime float64      // time-ordering watermark in record seconds (-Inf before any record)
 
-	BusyUntil float64 // time the bank is busy until (refresh in flight)
+	BusyUntil int64 // tick the bank is busy until (refresh in flight)
 
 	SchedState []byte // the scheduler stack's core.Snapshotter blob
 	ScrubState []byte // the patrol scrubber's core.Snapshotter blob (nil without one)
@@ -191,9 +191,10 @@ type Stats struct {
 	Accesses         int64
 
 	// ChargeRestored accumulates the normalized weakest-cell charge
-	// delivered by refresh operations; the power model scales it to array
-	// restore energy.
-	ChargeRestored float64
+	// delivered by refresh operations, as an exact fixed-point sum whose
+	// value does not depend on the order of its terms; the power model
+	// scales ChargeRestored.Float64() to array restore energy.
+	ChargeRestored dram.ChargeSum
 
 	Violations int // raw sub-limit sensing events (must be 0 for a safe policy)
 
@@ -241,12 +242,7 @@ type event = dram.StreamEvent
 // independent of the heap's internal layout.
 type eventQueue []event
 
-func (h eventQueue) less(i, j int) bool {
-	if h[i].T != h[j].T {
-		return h[i].T < h[j].T
-	}
-	return h[i].Row < h[j].Row
-}
+func (h eventQueue) less(i, j int) bool { return eventLess(h[i], h[j]) }
 
 func (h eventQueue) siftUp(i int) {
 	for i > 0 {
@@ -290,7 +286,7 @@ func (h *eventQueue) push(e event) {
 
 // pushNext implements refreshQueue; the heap takes no advantage of the
 // period hint.
-func (h *eventQueue) pushNext(e event, _ float64) { h.push(e) }
+func (h *eventQueue) pushNext(e event, _ int64) { h.push(e) }
 
 func (h *eventQueue) pop() event {
 	old := *h
@@ -302,10 +298,10 @@ func (h *eventQueue) pop() event {
 	return top
 }
 
-// peekTime returns the earliest outstanding event time, or +Inf when empty.
-func (h *eventQueue) peekTime() float64 {
+// peekTime returns the earliest outstanding event tick, or never when empty.
+func (h *eventQueue) peekTime() int64 {
 	if len(*h) == 0 {
-		return math.Inf(1)
+		return never
 	}
 	return (*h)[0].T
 }
@@ -341,21 +337,23 @@ type Scratch struct {
 	// Batch gather columns: one batch window's worth of (row, time) pairs
 	// and their sensed charges.
 	bRows    []int
-	bTimes   []float64
+	bTimes   []int64
 	bCharge  []float64
 	bOps     []core.Op
+	bSecs    []float64 // bTimes in seconds, for the scheduler's batch call
 	bPeriods []float64
 
-	// ffScratch is the fast-forward kernel's scratch columns and decay memo.
-	// Keeping it on the Scratch (not the bank) lets the memo stay warm across
-	// sequential runs that share a Scratch - the kernel invalidates any row
-	// whose retention changed, so reuse across different banks is safe.
+	// ffScratch is the fast-forward kernel's per-window row columns.
 	ffScratch dram.StreamScratch
+	// skip is the periodic skip's pair of boundary snapshots.
+	skip periodicSkip
 	// ffWindows counts fast-forward kernel windows executed by the last run,
-	// and ffBails the windows the kernel refused (debug/observability
-	// counters, deliberately NOT part of Stats - Stats must stay
-	// bit-identical across backends).
+	// ffBails the windows the kernel refused, and ffSkips the hyperperiods
+	// the periodic skip jumped over (debug/observability counters,
+	// deliberately NOT part of Stats - Stats must stay bit-identical across
+	// backends).
 	ffWindows, ffBails int
+	ffSkips            int64
 }
 
 // refreshQueue is the queue contract shared by the scalar and batched
@@ -369,9 +367,9 @@ type refreshQueue interface {
 	// pushNext enqueues a re-push scheduled delta after the event being
 	// processed; the batched queue uses the hint to keep per-period FIFO
 	// lanes sorted by construction, the scalar queue ignores it.
-	pushNext(e event, delta float64)
+	pushNext(e event, delta int64)
 	pop() event
-	peekTime() float64
+	peekTime() int64
 	pendingSorted() []PendingEvent
 }
 
@@ -458,17 +456,20 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.Duration <= 0 {
-		return Stats{}, fmt.Errorf("sim: duration must be positive, got %g", opts.Duration)
+	if opts.Duration <= 0 || dram.CheckSeconds("duration", opts.Duration) != nil {
+		return Stats{}, fmt.Errorf("sim: duration must be positive and finite within the tick range, got %g", opts.Duration)
 	}
-	if opts.TCK <= 0 {
-		return Stats{}, fmt.Errorf("sim: TCK must be positive, got %g", opts.TCK)
+	if !(opts.TCK > 0) || math.IsInf(opts.TCK, 1) {
+		return Stats{}, fmt.Errorf("sim: TCK must be positive and finite, got %g", opts.TCK)
 	}
 	if err := opts.Backend.Validate(); err != nil {
 		return Stats{}, fmt.Errorf("sim: %w", err)
 	}
-	if opts.CheckpointEvery < 0 {
-		return Stats{}, fmt.Errorf("sim: CheckpointEvery must be non-negative, got %g", opts.CheckpointEvery)
+	if !(opts.CheckpointEvery >= 0) || math.IsInf(opts.CheckpointEvery, 1) {
+		return Stats{}, fmt.Errorf("sim: CheckpointEvery must be non-negative and finite, got %g", opts.CheckpointEvery)
+	}
+	if opts.CheckpointEvery > 0 && opts.CheckpointEvery < dram.Tick {
+		return Stats{}, fmt.Errorf("sim: CheckpointEvery %g is shorter than one %g s tick", opts.CheckpointEvery, dram.Tick)
 	}
 	if opts.CheckpointEvery > 0 && opts.CheckpointSink == nil {
 		return Stats{}, fmt.Errorf("sim: CheckpointEvery set without a CheckpointSink")
@@ -494,13 +495,25 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		src = trace.Empty{}
 	}
 	st := Stats{Scheduler: sched.Name(), Duration: opts.Duration}
+	// Every instant below is an int64 count of dram ticks; seconds from the
+	// options, the trace, the scrubber and the scheduler are converted once,
+	// where they enter.
+	durT := dram.Ticks(opts.Duration)
+	tckTicks := opts.TCK / dram.Tick
+	busyTicks := func(cycles int) int64 { return int64(math.Round(float64(cycles) * tckTicks)) }
+	periodTicks := func(row int, p float64) (int64, error) {
+		if pt := dram.Ticks(p); pt > 0 {
+			return pt, nil
+		}
+		return 0, fmt.Errorf("sim: scheduler period for row %d is %g, under one tick", row, p)
+	}
 
 	monitor, hasMonitor := sched.(core.SenseMonitor)
 	// finalize fills the diagnostics that remain meaningful even when the
 	// run aborts partway: the violations recorded so far, injected-fault
-	// counts, and the guard's counters at time now.
-	finalize := func(now float64) {
-		st.Violations = len(bank.Violations())
+	// counts, and the guard's counters at tick now.
+	finalize := func(now int64) {
+		st.Violations = bank.ViolationCount()
 		if fc, ok := sched.(core.FaultCounter); ok {
 			st.FaultsInjected += fc.FaultsInjected()
 		}
@@ -508,10 +521,10 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			st.FaultsInjected += fc.FaultsInjected()
 		}
 		if gr, ok := sched.(core.GuardReporter); ok {
-			st.Guard = gr.GuardSnapshot(now)
+			st.Guard = gr.GuardSnapshot(dram.Seconds(now))
 		}
 		if opts.Scrub != nil {
-			st.Scrub = opts.Scrub.ScrubSnapshot(now)
+			st.Scrub = opts.Scrub.ScrubSnapshot(dram.Seconds(now))
 		}
 	}
 
@@ -531,15 +544,42 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	// hoist a batch window's RefreshOp calls into one batch call.
 	bSched, _ := sched.(core.BatchScheduler)
 	q.reset()
-	scratch.ffWindows, scratch.ffBails = 0, 0
+	scratch.ffWindows, scratch.ffBails, scratch.ffSkips = 0, 0, 0
+	sk := &scratch.skip
+	sk.h = 0
+	sk.reset()
 	var (
 		next          trace.Record
+		nextT         int64 // next.Time in ticks
 		havePending   bool
 		lastTraceTime = math.Inf(-1)
 		traceRead     int64 // records consumed from src, for checkpointing
-		now           float64
-		busyUntil     float64 // bank unavailable for patrol reads until here
+		now           int64
+		// The bank is unavailable for patrol reads until busyAt plus
+		// busyCycles clock cycles: the last refresh's start and latency,
+		// converted to ticks only where a reader needs busyUntil.
+		busyAt     int64
+		busyCycles int
 	)
+	busyUntil := func() int64 { return busyAt + busyTicks(busyCycles) }
+	// readTrace takes the next look-ahead record from src.
+	readTrace := func() error {
+		var err error
+		next, err = src.Next()
+		havePending = err == nil
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		traceRead++
+		if err := dram.CheckSeconds("sim: trace record time", next.Time); err != nil {
+			return err
+		}
+		nextT = dram.Ticks(next.Time)
+		return nil
+	}
 
 	if cp := opts.Resume; cp != nil {
 		if cp.Duration != opts.Duration {
@@ -602,28 +642,29 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		traceRead = cp.TraceRead
 		havePending = cp.HavePending
 		next = cp.Pending
+		if havePending {
+			if err := dram.CheckSeconds("sim: resume: trace record time", next.Time); err != nil {
+				return st, err
+			}
+			nextT = dram.Ticks(next.Time)
+		}
 		lastTraceTime = cp.LastTraceTime
 		now = cp.Time
-		busyUntil = cp.BusyUntil
+		busyAt = cp.BusyUntil
 	} else {
 		for r := 0; r < rows; r++ {
-			p := sched.Period(r)
-			if p <= 0 {
-				return Stats{}, fmt.Errorf("sim: scheduler period for row %d is %g", r, p)
+			p, err := periodTicks(r, sched.Period(r))
+			if err != nil {
+				return Stats{}, err
 			}
-			q.push(event{T: staggerFrac(r) * p, Row: r})
+			q.push(event{T: int64(staggerFrac(r) * float64(p)), Row: r})
 		}
 		// Trace look-ahead record. The readers in internal/trace enforce time
 		// ordering themselves, but a custom Source is only trusted as far as
-		// the check below: a record whose timestamp precedes its
+		// the check in drainTrace: a record whose timestamp precedes its
 		// predecessor's would silently mis-interleave with the refresh
 		// events, so it is an error.
-		var err error
-		next, err = src.Next()
-		havePending = err == nil
-		if err == nil {
-			traceRead++
-		} else if err != io.EOF {
+		if err := readTrace(); err != nil {
 			finalize(0)
 			return st, err
 		}
@@ -633,49 +674,43 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	// with the trace so accesses and patrol reads stay in time order. It runs
 	// BEFORE drainTrace(until) at each event, which keeps the invariant that a
 	// patrol read never observes a bank mutation from its own future.
-	var drainTrace func(until float64) error
-	drainScrub := func(until float64) error {
+	var drainTrace func(until int64) error
+	drainScrub := func(until int64) error {
 		for opts.Scrub != nil {
-			due := opts.Scrub.NextDue()
-			if due > until || due >= opts.Duration {
+			dueS := opts.Scrub.NextDue()
+			due := dram.Ticks(dueS)
+			if due > until || due >= durT {
 				return nil
 			}
 			if err := drainTrace(due); err != nil {
 				return err
 			}
-			if _, err := opts.Scrub.Tick(due, busyUntil); err != nil {
+			if _, err := opts.Scrub.Tick(dueS, dram.Seconds(busyUntil())); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	drainTrace = func(until float64) error {
-		for havePending && next.Time <= until {
+	drainTrace = func(until int64) error {
+		for havePending && nextT <= until {
 			if next.Time < lastTraceTime {
 				return fmt.Errorf("sim: trace source out of order: record at t=%.9g after t=%.9g", next.Time, lastTraceTime)
 			}
 			lastTraceTime = next.Time
-			if next.Time >= opts.Duration {
+			if nextT >= durT {
 				havePending = false
 				break
 			}
 			if next.Row >= 0 && next.Row < rows {
-				if _, err := bank.Access(next.Row, next.Time); err != nil {
+				if _, err := bank.Access(next.Row, nextT); err != nil {
 					return err
 				}
 				sched.OnAccess(next.Row, next.Time)
 				st.Accesses++
 			}
-			var err error
-			next, err = src.Next()
-			if err == io.EOF {
-				havePending = false
-			} else if err != nil {
+			if err := readTrace(); err != nil {
 				return err
-			}
-			if err == nil {
-				traceRead++
 			}
 		}
 		return nil
@@ -684,7 +719,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	// capture snapshots the run's state at an event boundary. It is
 	// read-only, so taking (or not taking) a snapshot cannot perturb the
 	// simulation - the property the resume-equivalence tests rely on.
-	capture := func(at float64) (*Checkpoint, error) {
+	capture := func(at int64) (*Checkpoint, error) {
 		blob, err := snap.SnapshotState()
 		if err != nil {
 			return nil, err
@@ -699,7 +734,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			TraceRead:     traceRead,
 			HavePending:   havePending,
 			LastTraceTime: lastTraceTime,
-			BusyUntil:     busyUntil,
+			BusyUntil:     busyUntil(),
 			SchedState:    blob,
 		}
 		if opts.Scrub != nil {
@@ -718,39 +753,39 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		return cp, nil
 	}
 
-	// Checkpoint boundaries sit at CheckpointEvery*k for k = 1, 2, ...;
-	// cpK is the next boundary's index. Each boundary is one product rather
-	// than a running sum, so a resumed run - which starts the cadence from
-	// the snapshot's time - lands on bit-identical boundaries instead of
-	// drifting an ulp off the uninterrupted run's.
-	nextCP, cpK := math.Inf(1), 0.0
+	// Checkpoint boundaries sit at the ticks of CheckpointEvery*k for k = 1,
+	// 2, ...; cpK is the next boundary's index. Each boundary is one product
+	// rather than a running sum, so a resumed run - which starts the cadence
+	// from the snapshot's tick - lands on the uninterrupted run's boundaries.
+	nextCP, cpK := never, 0.0
+	cpTick := func(k float64) int64 { return dram.Ticks(opts.CheckpointEvery * k) }
 	if opts.CheckpointEvery > 0 {
 		// The next boundary is the first one strictly past the start: every
 		// boundary at or below an event the run processed was already taken.
-		cpK = math.Floor(now/opts.CheckpointEvery) + 1
-		for cpK > 1 && opts.CheckpointEvery*(cpK-1) > now {
+		cpK = math.Floor(dram.Seconds(now)/opts.CheckpointEvery) + 1
+		for cpK > 1 && cpTick(cpK-1) > now {
 			cpK--
 		}
-		for opts.CheckpointEvery*cpK <= now {
+		for cpTick(cpK) <= now {
 			cpK++
 		}
-		nextCP = opts.CheckpointEvery * cpK
+		nextCP = cpTick(cpK)
 	}
 
 	// postRefresh is the shared tail of one refresh event - scheduler
 	// feedback, ECC classification and repair routing, accounting, and the
-	// row's next refresh - identical for both backends. It returns the time
+	// row's next refresh - identical for both backends. It returns the tick
 	// of the next event it pushed for the row, so the batched loop can track
 	// the earliest queued time without re-peeking the queue per entry.
-	// period is the row's refresh period when the caller already gathered it
-	// (the batched loop, when no ECC repair can demote a row mid-batch), or
-	// negative to read it from the scheduler here - after any demotion this
-	// event's ECC outcome just applied.
-	postRefresh := func(row int, t float64, op core.Op, res dram.RefreshResult, period float64) (float64, error) {
+	// period is the row's refresh period in seconds when the caller already
+	// gathered it (the batched loop, when no ECC repair can demote a row
+	// mid-batch), or negative to read it from the scheduler here - after any
+	// demotion this event's ECC outcome just applied.
+	postRefresh := func(row int, t int64, op core.Op, res dram.RefreshResult, period float64) (int64, error) {
 		if hasMonitor {
 			// Report before rescheduling so a demotion or promotion decided
 			// here shapes the row's very next refresh interval.
-			monitor.OnSense(row, t, res.ChargeBefore)
+			monitor.OnSense(row, dram.Seconds(t), res.ChargeBefore)
 		}
 		if opts.ECC != nil && res.ChargeBefore < retention.SenseLimit {
 			outcome := opts.ECC.Classify(res.ChargeBefore)
@@ -786,11 +821,14 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			st.PartialRefreshes++
 		}
 		st.BusyCycles += int64(op.Cycles)
-		st.ChargeRestored += res.ChargeRestored
-		busyUntil = t + float64(op.Cycles)*opts.TCK
-		p := period
-		if p < 0 {
-			p = sched.Period(row)
+		st.ChargeRestored.Add(res.ChargeRestored)
+		busyAt, busyCycles = t, op.Cycles
+		if period < 0 {
+			period = sched.Period(row)
+		}
+		p, err := periodTicks(row, period)
+		if err != nil {
+			return 0, err
 		}
 		next := t + p
 		q.pushNext(event{T: next, Row: row}, p)
@@ -802,7 +840,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	// exclusively; the batched backend uses it for events a period shorter
 	// than the batch window pushes back into the open batch window.
 	processEvent := func(ev event) error {
-		op := sched.RefreshOp(ev.Row, ev.T)
+		op := sched.RefreshOp(ev.Row, dram.Seconds(ev.T))
 		res, err := bank.Refresh(ev.Row, ev.T, op.Alpha)
 		if err != nil {
 			return err
@@ -865,27 +903,27 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				}
 				if cerr != nil {
 					finalize(now)
-					return st, fmt.Errorf("sim: final checkpoint at t=%.6g: %v (run cancelled: %w)", now, cerr, err)
+					return st, fmt.Errorf("sim: final checkpoint at t=%.6g: %v (run cancelled: %w)", dram.Seconds(now), cerr, err)
 				}
 			}
 			finalize(now)
-			return st, fmt.Errorf("sim: cancelled at t=%.6g: %w", now, err)
+			return st, fmt.Errorf("sim: cancelled at t=%.6g: %w", dram.Seconds(now), err)
 		}
-		for opts.CheckpointSink != nil && nextCP < opts.Duration && q.peekTime() >= nextCP {
+		for opts.CheckpointSink != nil && nextCP < durT && q.peekTime() >= nextCP {
 			cp, err := capture(nextCP)
 			if err == nil {
 				err = opts.CheckpointSink(cp)
 			}
 			if err != nil {
 				finalize(now)
-				return st, fmt.Errorf("sim: checkpoint at t=%.6g: %w", nextCP, err)
+				return st, fmt.Errorf("sim: checkpoint at t=%.6g: %w", dram.Seconds(nextCP), err)
 			}
 			cpK++
-			nextCP = opts.CheckpointEvery * cpK
+			nextCP = cpTick(cpK)
 		}
 		if !batched {
 			ev := q.pop()
-			if ev.T >= opts.Duration {
+			if ev.T >= durT {
 				// The queue minimum is past the run window, so every
 				// outstanding event is: the run is over.
 				break
@@ -913,7 +951,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		// checkpoint, a patrol tick, a trace record) could interleave, so no
 		// bank state a batched sense depends on can change mid-batch.
 		tFirst := q.peekTime()
-		if tFirst >= opts.Duration {
+		if tFirst >= durT {
 			// tFirst is the queue minimum, so no outstanding event can fire
 			// inside the run window anymore.
 			break
@@ -929,23 +967,18 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		if ffEligible {
 			// Compose the quiescence horizon: nothing non-refresh may be able
 			// to fire strictly below it. Sources that do not apply contribute
-			// +Inf; the scheduler contributes its own stability bound.
-			cpCap, scrubDue, traceNext := ffInf(), ffInf(), ffInf()
+			// never; the scheduler contributes its own stability bound.
+			cpCap, scrubDue, traceNext := never, never, never
 			if opts.CheckpointSink != nil {
 				cpCap = nextCP
 			}
 			if opts.Scrub != nil {
-				scrubDue = opts.Scrub.NextDue()
+				scrubDue = dram.Ticks(opts.Scrub.NextDue())
 			}
 			if havePending {
-				traceNext = next.Time
+				traceNext = nextT
 			}
-			hf := ffHorizon(opts.Duration, cpCap, scrubDue, traceNext, ffSteady.StablePeriodUntil(-1, tFirst))
-			// The event budget bounds the kernel's per-window buffers; like
-			// every other cap it only splits the span, never reorders it.
-			if budget := ffBudgetHorizon(bq.lanes, tFirst); budget < hf {
-				hf = budget
-			}
+			hf := ffHorizon(durT, cpCap, scrubDue, traceNext, dram.Ticks(ffSteady.StablePeriodUntil(-1, dram.Seconds(tFirst))))
 			// Engagement gate, purely a cost heuristic (any choice keeps the
 			// output bit-identical): the kernel pays a full scan of every
 			// lane row per window, so a window too short for even one lap of
@@ -959,12 +992,30 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				// oldest last-restore time, not just to tFirst. Its cap can
 				// only lower hf, so a window the gate already refuses skips
 				// the row scan behind MinLastRestore.
-				if u := ffMod.NominalUntil(bank.MinLastRestore()); u < hf {
+				if u := dram.Ticks(ffMod.NominalUntil(dram.Seconds(bank.MinLastRestore()))); u < hf {
 					hf = u
 				}
 			}
+			if ffMod == nil && hf-tFirst >= minLap {
+				// Periodic skip: a chain of kernel windows that reached its
+				// hyperperiod boundary with nothing external due may jump
+				// whole repeated hyperperiods (skip.go).
+				if k := sk.arrive(tFirst, hf, bank, bq, &ffCfg, &st, busyUntil()); k > 0 {
+					d := k * sk.h
+					bank.Advance(d)
+					bq.advance(d)
+					busyAt += d
+					now += d
+					scratch.ffSkips += k
+					continue // the jump may have reached a checkpoint or the run's end
+				}
+			}
 			if hf-tFirst >= minLap && (bq.mixedQuietBelow(hf) || bq.adoptMixed(ffCfg.Period, ffCfg.Periods)) {
-				res, err := bank.RefreshMacro(&scratch.ffScratch, bq.lanes, hf, &ffCfg, st.ChargeRestored)
+				hw, capped := hf, false
+				if ffMod == nil {
+					hw, capped = sk.plan(tFirst, hf, &ffCfg, rows)
+				}
+				res, err := bank.RefreshMacro(&scratch.ffScratch, bq.lanes, hw, &ffCfg)
 				if err != nil {
 					finalize(now)
 					return st, err
@@ -972,55 +1023,54 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				if res.Events > 0 {
 					// The kernel replayed res.Events iterations of the
 					// refresh pipeline; fold its accounting into Stats
-					// exactly as the per-event tail would have. Cycle counts
-					// are integer sums (associative, so the bulk product is
-					// exact); ChargeRestored was threaded through the kernel
-					// in event order and comes back as the new accumulator
-					// value.
+					// exactly as the per-event tail would have. Every
+					// accumulator is an integer sum, so the bulk sums are
+					// exact.
 					st.FullRefreshes += res.Fulls
 					st.PartialRefreshes += res.Partials
 					st.BusyCycles += res.Fulls*int64(ffCfg.CyclesFull) + res.Partials*int64(ffCfg.CyclesPartial)
-					st.ChargeRestored = res.ChargeRestored
-					busyUntil = res.LastTime + float64(res.LastCycles)*opts.TCK
+					st.ChargeRestored = st.ChargeRestored.Plus(res.ChargeRestored)
+					busyAt, busyCycles = res.LastTime, res.LastCycles
 					now = res.LastTime
 					scratch.ffWindows++
+					sk.armed = capped
 					continue
 				}
 				if res.Bailed {
 					scratch.ffBails++
 				}
 				// No events: either the kernel refused a lane shape outside
-				// its verified lap structure (Bailed, with bank and lanes
-				// untouched) or the lanes held nothing below hf after all
-				// (tFirst came from a boundary edge). Either way the batch
-				// path below takes this window and guarantees progress; a
-				// single scalar step here would re-attempt the kernel once
-				// per event.
+				// its verified structure (Bailed, with bank and lanes
+				// untouched) or the lanes held nothing below hw after all.
+				// Either way the batch path below takes this window and
+				// guarantees progress; a single scalar step here would
+				// re-attempt the kernel once per event.
 			}
 		}
-		h := tFirst + batchWindow
-		if opts.Duration < h {
-			h = opts.Duration
+		// Any window the kernel does not take breaks the skip's chain.
+		sk.reset()
+		h := durT
+		if durT-tFirst > batchWindow {
+			h = tFirst + batchWindow
 		}
 		if opts.CheckpointSink != nil && nextCP < h {
 			h = nextCP
 		}
 		if opts.Scrub != nil {
-			if due := opts.Scrub.NextDue(); due < h {
+			if due := dram.Ticks(opts.Scrub.NextDue()); due < h {
 				h = due
 			}
 		}
-		if havePending && next.Time < h {
-			h = next.Time
+		if havePending && nextT < h {
+			h = nextT
 		}
 		scratch.bRows, scratch.bTimes = bq.popBatch(h, scratch.bRows[:0], scratch.bTimes[:0])
 		bRows, bTimes := scratch.bRows, scratch.bTimes
 		n := len(bRows)
 		if n == 0 {
-			// Every cap on h sits strictly above tFirst, so an empty batch
-			// can only mean a floating-point edge (tFirst + batchWindow
-			// rounding back onto tFirst). Process one event scalar-style to
-			// guarantee progress.
+			// Every cap on h sits strictly above tFirst (the drains above
+			// consumed anything due at tFirst), so this is unreachable;
+			// processing one event scalar-style still guarantees progress.
 			ev := q.pop()
 			now = ev.T
 			if err := processEvent(ev); err != nil {
@@ -1044,7 +1094,14 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				scratch.bOps = make([]core.Op, n)
 			}
 			bOps = scratch.bOps[:n]
-			bSched.RefreshOps(bRows, bTimes, bOps)
+			if cap(scratch.bSecs) < n {
+				scratch.bSecs = make([]float64, n)
+			}
+			bSecs := scratch.bSecs[:n]
+			for i, t := range bTimes {
+				bSecs[i] = dram.Seconds(t)
+			}
+			bSched.RefreshOps(bRows, bSecs, bOps)
 			if opts.ECC == nil {
 				// No ECC means no mid-batch demotes/upgrades, so periods
 				// are immutable across the batch and can be gathered too.
@@ -1055,11 +1112,11 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				bSched.Periods(bRows, bPeriods)
 			}
 		}
-		// qNext tracks a lower bound on the earliest queued event time so
-		// the merge check below is one float compare per entry instead of a
-		// queue peek. Re-pushes from postRefresh are folded in as they
-		// happen; a full peek runs only when the bound says a queued event
-		// might precede the next batch entry.
+		// qNext tracks a lower bound on the earliest queued event tick so
+		// the merge check below is one compare per entry instead of a queue
+		// peek. Re-pushes from postRefresh are folded in as they happen; a
+		// full peek runs only when the bound says a queued event might
+		// precede the next batch entry.
 		qNext := bq.peekTime()
 		for i := 0; i < n; i++ {
 			evT, evRow := bTimes[i], bRows[i]
@@ -1088,7 +1145,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			if bOps != nil {
 				op = bOps[i]
 			} else {
-				op = sched.RefreshOp(evRow, evT)
+				op = sched.RefreshOp(evRow, dram.Seconds(evT))
 			}
 			res, err := bank.RestoreSensed(evRow, evT, op.Alpha, bCharge[i])
 			if err != nil {
@@ -1109,20 +1166,20 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			}
 		}
 	}
-	if err := drainScrub(opts.Duration); err != nil {
-		finalize(opts.Duration)
+	if err := drainScrub(durT); err != nil {
+		finalize(durT)
 		return st, err
 	}
-	if err := drainTrace(opts.Duration); err != nil {
-		finalize(opts.Duration)
+	if err := drainTrace(durT); err != nil {
+		finalize(durT)
 		return st, err
 	}
 	// Closing integrity sweep: every row must still be sensable. A failed
 	// sweep still returns the diagnostics accumulated so far.
-	if _, err := bank.CheckAll(opts.Duration); err != nil {
-		finalize(opts.Duration)
+	if _, err := bank.CheckAll(durT); err != nil {
+		finalize(durT)
 		return st, err
 	}
-	finalize(opts.Duration)
+	finalize(durT)
 	return st, nil
 }

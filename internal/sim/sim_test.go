@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"vrldram/internal/core"
@@ -252,6 +253,26 @@ func TestRunOptionValidation(t *testing.T) {
 	opts = Options{Duration: 1, TCK: 1e-9, CheckpointEvery: 0.5} // no sink
 	if _, err := Run(f.bank(t, retention.PatternAllZeros), sched, nil, opts); err == nil {
 		t.Fatal("CheckpointEvery without a CheckpointSink must be rejected")
+	}
+	// Non-finite values pass every sign check; the tick clock also bounds
+	// durations to the int64 range (about 365 years).
+	sink := func(*Checkpoint) error { return nil }
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"duration-nan", Options{Duration: math.NaN(), TCK: 1e-9}},
+		{"duration-inf", Options{Duration: math.Inf(1), TCK: 1e-9}},
+		{"duration-past-ticks", Options{Duration: 1.2e10, TCK: 1e-9}},
+		{"tck-nan", Options{Duration: 1, TCK: math.NaN()}},
+		{"tck-inf", Options{Duration: 1, TCK: math.Inf(1)}},
+		{"checkpoint-nan", Options{Duration: 1, TCK: 1e-9, CheckpointEvery: math.NaN(), CheckpointSink: sink}},
+		{"checkpoint-inf", Options{Duration: 1, TCK: 1e-9, CheckpointEvery: math.Inf(1), CheckpointSink: sink}},
+		{"checkpoint-under-a-tick", Options{Duration: 1, TCK: 1e-9, CheckpointEvery: 1e-12, CheckpointSink: sink}},
+	} {
+		if _, err := Run(f.bank(t, retention.PatternAllZeros), sched, nil, c.opts); err == nil {
+			t.Errorf("%s: options accepted", c.name)
+		}
 	}
 }
 

@@ -26,7 +26,8 @@ func refSorted(s []event) []event {
 }
 
 // TestRadixSortEvents drives the LSD radix sort from single events up to a
-// few hundred, across negative and positive times, covering the sign fixup,
+// few hundred, across negative and positive ticks spread over several
+// bytes of the key, covering the sign flip,
 // the skip-uniform-byte passes, and the insertion tie fix.
 func TestRadixSortEvents(t *testing.T) {
 	var scratch []event
@@ -36,7 +37,7 @@ func TestRadixSortEvents(t *testing.T) {
 		n := 1 + rng.Intn(600)
 		s := make([]event, n)
 		for i := range s {
-			s[i] = event{T: float64(rng.Intn(400)-40) / 16, Row: rng.Intn(50)}
+			s[i] = event{T: int64(rng.Intn(400)-40) << (8 * rng.Intn(6)), Row: rng.Intn(50)}
 		}
 		want := refSorted(s)
 		got := append([]event(nil), s...)
@@ -58,7 +59,7 @@ func TestSortEvents(t *testing.T) {
 		n := 1 + rng.Intn(500)
 		s := make([]event, n)
 		for i := range s {
-			s[i] = event{T: float64(rng.Intn(100)) / 16, Row: rng.Intn(50)}
+			s[i] = event{T: int64(rng.Intn(100)) * 3_125_000, Row: rng.Intn(50)}
 		}
 		want := refSorted(s)
 		if trial%2 == 0 {
