@@ -28,6 +28,9 @@ func main() {
 	)
 	flag.Parse()
 	cli.InterruptExit("vrlmodel")
+	if !(*target > 0 && *target < 1) {
+		fatal(fmt.Errorf("-target %g outside (0, 1)", *target))
+	}
 
 	p := device.Default90nm()
 	geom := device.BankGeometry{Rows: *rows, Cols: *cols}

@@ -220,9 +220,24 @@ type PreSenseMeter struct {
 	opts   spice.TransientOpts
 }
 
+// The meter's time grid: steps of tstop/preSenseSteps up to the fine
+// region's end, then steps of preSenseTailMult times that to tstop. Table 1's
+// slowest bitlines cross 95 % at 16.5-19.4 % of tstop, inside the fine
+// quarter; the tail exists only to settle the final value that sets the
+// crossing level, and coarse steps settle it to within tens of picovolts.
+const (
+	preSenseSteps     = 4000
+	preSenseFineSteps = preSenseSteps / 4
+	preSenseTailMult  = 64
+)
+
 // NewPreSenseMeter prepares a reusable pre-sensing measurement for one
-// (parameter set, geometry, pattern, target) configuration.
+// (parameter set, geometry, pattern, target) configuration. The target is
+// the fraction of the final signal to reach, in (0, 1).
 func NewPreSenseMeter(p device.Params, geom device.BankGeometry, pattern string, target float64) (*PreSenseMeter, error) {
+	if !(target > 0 && target < 1) {
+		return nil, fmt.Errorf("netlists: pre-sensing target %g outside (0, 1)", target)
+	}
 	ckt, err := ChargeSharing(p, ChargeSharingOpts{Geom: geom, Pattern: pattern})
 	if err != nil {
 		return nil, err
@@ -237,28 +252,63 @@ func NewPreSenseMeter(p device.Params, geom device.BankGeometry, pattern string,
 	if tstop < 10e-9 {
 		tstop = 10e-9
 	}
+	h := tstop / preSenseSteps
 	return &PreSenseMeter{
 		p:      p,
 		geom:   geom,
 		target: target,
 		solver: spice.NewSolver(ckt),
-		opts:   spice.TransientOpts{TStop: tstop, H: tstop / 4000, Probes: probes},
+		opts: spice.TransientOpts{
+			TStop:    tstop,
+			H:        h,
+			Probes:   probes,
+			FineStop: preSenseFineSteps * h,
+			TailMult: preSenseTailMult,
+		},
 	}, nil
 }
 
 // Measure runs the transient analysis and extracts the pre-sensing time.
+//
+// The crossing is read off a sample, so a crossing on the fine grid is a
+// sample time of the uniform grid too, and the fine prefix of the waveform
+// is bit-identical to a uniform run's; only the final value, and with it the
+// crossing level, carries the coarse tail's integration error. A crossing
+// past the fine region would land on a coarse sample, so Measure then reruns
+// the analysis once on the uniform grid.
 func (m *PreSenseMeter) Measure() (PreSenseMeasurement, error) {
 	start := time.Now()
-	res, err := m.solver.Transient(m.opts)
+	worst, err := m.slowestCrossing(m.opts)
+	if err == nil && worst > m.opts.FineStop {
+		uniform := m.opts
+		uniform.FineStop, uniform.TailMult = 0, 0
+		worst, err = m.slowestCrossing(uniform)
+	}
 	if err != nil {
 		return PreSenseMeasurement{}, err
 	}
+	return PreSenseMeasurement{
+		Geom:      m.geom,
+		T95:       worst,
+		Cycles:    m.p.Cycles(worst),
+		WallClock: time.Since(start),
+	}, nil
+}
+
+// slowestCrossing runs one transient analysis on the given grid and returns
+// the latest time at which a bitline's sense point reaches the target
+// fraction of its final signal.
+func (m *PreSenseMeter) slowestCrossing(opts spice.TransientOpts) (float64, error) {
+	res, err := m.solver.Transient(opts)
+	if err != nil {
+		return 0, err
+	}
 	veq := m.p.Veq()
 	worst := 0.0
-	for _, probe := range m.opts.Probes {
+	for _, probe := range opts.Probes {
 		final, err := res.Final(probe)
 		if err != nil {
-			return PreSenseMeasurement{}, err
+			return 0, err
 		}
 		swing := final - veq
 		if swing == 0 {
@@ -267,18 +317,13 @@ func (m *PreSenseMeter) Measure() (PreSenseMeasurement, error) {
 		level := veq + m.target*swing
 		t, err := res.FirstCrossing(probe, level, swing > 0)
 		if err != nil {
-			return PreSenseMeasurement{}, err
+			return 0, err
 		}
 		if t > worst {
 			worst = t
 		}
 	}
-	return PreSenseMeasurement{
-		Geom:      m.geom,
-		T95:       worst,
-		Cycles:    m.p.Cycles(worst),
-		WallClock: time.Since(start),
-	}, nil
+	return worst, nil
 }
 
 // SenseAmp builds the Fig. 2d latch-based sense amplifier: cross-coupled

@@ -308,8 +308,9 @@ func (s *Solver) record(t float64) {
 // until the next Transient call on the same Solver; callers that need the
 // waveforms beyond that must copy them.
 func (s *Solver) Transient(opts TransientOpts) (*Result, error) {
-	if opts.TStop <= 0 || opts.H <= 0 {
-		return nil, fmt.Errorf("spice: TStop and H must be positive (got %g, %g)", opts.TStop, opts.H)
+	fine, tail, hTail, err := opts.grid()
+	if err != nil {
+		return nil, err
 	}
 	if opts.MaxIter == 0 {
 		opts.MaxIter = 60
@@ -382,19 +383,23 @@ func (s *Solver) Transient(opts TransientOpts) (*Result, error) {
 	s.facFresh = false
 	s.record(0)
 
-	steps := int(math.Ceil(opts.TStop/opts.H - 1e-9))
+	steps := fine + tail
+	tFine := float64(fine) * opts.H
 	tPrev := 0.0
 	for st := 1; st <= steps; st++ {
-		t := float64(st) * opts.H
+		// Fine steps sit at st*H; tail steps at fixed multiples of hTail past
+		// the last fine sample. Stamp with the nominal step size: t-tPrev
+		// jitters in the last ULP (t is a product, not an accumulation), and
+		// letting that jitter into h would force a base rebuild - and drop
+		// any cached factorization - on every step. Only the final step,
+		// which TStop may clamp short, stamps with its true width.
+		t, h := float64(st)*opts.H, opts.H
+		if st > fine {
+			t, h = tFine+float64(st-fine)*hTail, hTail
+		}
 		if t > opts.TStop {
 			t = opts.TStop
 		}
-		// Stamp with the nominal step size: t-tPrev jitters in the last ULP
-		// (t is st*H, not an accumulation), and letting that jitter into h
-		// would force a base rebuild - and drop any cached factorization -
-		// on every step. Only the final step, which TStop may clamp short,
-		// stamps with its true width.
-		h := opts.H
 		if st == steps {
 			h = t - tPrev
 		}

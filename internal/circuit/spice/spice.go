@@ -280,18 +280,65 @@ func (r *Result) Final(probe string) (float64, error) {
 	return vs[len(vs)-1], nil
 }
 
+// maxSteps caps the timesteps of one transient analysis. Every step records
+// one sample per probe plus its time, so the cap bounds a run's result
+// buffers at 32 MiB per waveform; a step far below the end time's scale is
+// refused rather than allowed to allocate without bound.
+const maxSteps = 1 << 22
+
 // TransientOpts tunes the simulation loop.
 type TransientOpts struct {
-	TStop   float64 // end time (s)
-	H       float64 // step (s)
-	Probes  []string
-	MaxIter int     // Newton iterations per step (default 60)
-	AbsTol  float64 // Newton voltage convergence (default 1 uV)
-	Backend Backend // linear-solver backend (default BackendAuto)
+	TStop  float64 // end time (s)
+	H      float64 // step (s)
+	Probes []string
+	// FineStop and TailMult make the time grid two-rate: steps of H up to
+	// the first multiple of H at or past FineStop, then steps of TailMult*H
+	// ending exactly on TStop. The fine prefix is computed exactly as on the
+	// uniform grid, so its samples are bit-identical to a uniform run's.
+	// Both zero (the default) is the uniform grid of H; FineStop at or past
+	// TStop is too.
+	FineStop float64
+	TailMult int
+	MaxIter  int     // Newton iterations per step (default 60)
+	AbsTol   float64 // Newton voltage convergence (default 1 uV)
+	Backend  Backend // linear-solver backend (default BackendAuto)
 	// CheckResidual re-verifies every linear solve against the assembled
 	// system through an infinity-norm residual check. Diagnostic/test use.
 	CheckResidual bool
 }
+
+// grid validates the time grid and returns its fine step count, its tail
+// step count and the tail step width.
+func (o TransientOpts) grid() (fine, tail int, hTail float64, err error) {
+	if !finitePositive(o.TStop) || !finitePositive(o.H) {
+		return 0, 0, 0, fmt.Errorf("spice: TStop and H must be finite and positive (got %g, %g)", o.TStop, o.H)
+	}
+	n := math.Ceil(o.TStop/o.H - 1e-9)
+	if n > maxSteps {
+		return 0, 0, 0, fmt.Errorf("spice: TStop %g at step %g takes %.3g steps, above the cap of %d", o.TStop, o.H, n, maxSteps)
+	}
+	if n < 1 {
+		return 0, 0, 0, fmt.Errorf("spice: step %g exceeds TStop %g a billionfold", o.H, o.TStop)
+	}
+	if o.FineStop == 0 && o.TailMult == 0 {
+		return int(n), 0, 0, nil
+	}
+	if !finitePositive(o.FineStop) || o.TailMult < 1 {
+		return 0, 0, 0, fmt.Errorf("spice: a two-rate grid needs a finite positive FineStop and TailMult >= 1 (got %g, %d)", o.FineStop, o.TailMult)
+	}
+	f := math.Ceil(o.FineStop/o.H - 1e-9)
+	if f >= n {
+		return int(n), 0, 0, nil
+	}
+	fine = int(f)
+	hTail = float64(o.TailMult) * o.H
+	tail = int(math.Ceil((o.TStop-float64(fine)*o.H)/hTail - 1e-9))
+	// A fine region ending a hair short of TStop still needs one step to
+	// land on it.
+	return fine, max(tail, 1), hTail, nil
+}
+
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Transient runs backward-Euler transient analysis from the configured
 // initial conditions ("UIC" mode: no DC operating-point solve; the DRAM

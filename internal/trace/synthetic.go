@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -160,7 +162,7 @@ func (b BenchmarkSpec) Generate(rows int, duration float64, seed int64) ([]Recor
 			recs = append(recs, Record{Time: t, Op: b.op(rng), Row: row})
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
+	slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.Time, b.Time) })
 	// Clamp to the duration (the last window may overrun).
 	cut := sort.Search(len(recs), func(i int) bool { return recs[i].Time >= duration })
 	return recs[:cut], nil

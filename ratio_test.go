@@ -100,5 +100,5 @@ func TestGatePreSenseColumns(t *testing.T) {
 // ceiling lives with the non-race gates; like those in TestGateAllocs it is
 // exact both ways.
 func TestGateColdPreSenseAllocs(t *testing.T) {
-	checkCeiling(t, exactAllocs(5, func() { coldPreSense(t) }), 1912)
+	checkCeiling(t, exactAllocs(5, func() { coldPreSense(t) }), 1780)
 }
