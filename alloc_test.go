@@ -4,6 +4,9 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"vrldram/internal/fault"
+	"vrldram/internal/retention"
+	"vrldram/internal/scenario"
 	"vrldram/internal/sim"
 )
 
@@ -66,9 +69,44 @@ func TestGateAllocs(t *testing.T) {
 			return func() { step(i); i++ }
 		}},
 		{"compute-mprsf", 0, mprsfStep},
+		// A scenario decay walk reads its Env's compiled grid and keeps its
+		// cursor, bound telegraph rows and walk on the stack.
+		{"scenario-decay-factor", 0, func(tb testing.TB) func() { return scenarioDecayStep(tb, false) }},
+		{"scenario-decay-factors", 0, func(tb testing.TB) func() { return scenarioDecayStep(tb, true) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkCeiling(t, exactAllocs(5, tc.setup(t)), tc.ceiling)
 		})
+	}
+}
+
+// scenarioDecayStep returns one round of decay queries on a fleet-shaped
+// scenario Env (kitchen-sink over a 0.128 s window plus a weak-cell
+// telegraph), through DecayFactor or, with batch, one DecayFactors call.
+// The Env's grid is compiled before it returns.
+func scenarioDecayStep(tb testing.TB, batch bool) func() {
+	const window = 0.128
+	env, err := scenario.BuildEnv(scenario.Ref{Name: "kitchen-sink"}, window, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	env.Stressors = append(env.Stressors, scenario.VRTStressor{Label: "weak-cells", V: *fault.DefaultTransientWeakCells(43)})
+	const n = 64
+	rows := make([]int, n)
+	tret, t0, t1, out := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range rows {
+		rows[i], tret[i] = i*17%1024, 0.02+0.5*float64(i)/n
+		t0[i] = window / 2 * float64(i%8) / 8
+		t1[i] = t0[i] + window/4*(1+float64(i%5)/5)
+	}
+	base := retention.ExpDecay{}
+	env.DecayFactors(rows, tret, t0, t1, base, out)
+	if batch {
+		return func() { env.DecayFactors(rows, tret, t0, t1, base, out) }
+	}
+	return func() {
+		for i := range rows {
+			out[i] = env.DecayFactor(rows[i], tret[i], t0[i], t1[i], base)
+		}
 	}
 }

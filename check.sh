@@ -18,6 +18,16 @@ cleanup() {
 }
 trap cleanup EXIT
 
+echo "== gofmt =="
+# Every Go file git tracks or would add (the nested bench module included);
+# ignored build output such as .bench_build/ is skipped.
+UNFORMATTED=$(git ls-files -co --exclude-standard '*.go' | xargs gofmt -l)
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt -l lists files that need formatting:"
+    echo "$UNFORMATTED"
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -39,11 +49,12 @@ go -C bench test -timeout 5m ./...
 
 # Kernel gates without -race: the race detector's overhead would skew the
 # in-process timing ratios (fast-forward speedup floor, window and column
-# scaling) and its instrumentation adds allocations to the cold
-# MeasurePreSense ceiling, so those build only without it. The exact
-# hot-path allocation ceilings run in both modes.
+# scaling, the compiled scenario walk against its reference) and its
+# instrumentation adds allocations to the cold MeasurePreSense ceiling, so
+# those build only without it. The exact hot-path allocation ceilings run
+# in both modes.
 echo "== kernel gates (go test -run '^TestGate', no -race) =="
-go test -count=1 -run '^TestGate' .
+go test -count=1 -run '^TestGate' . ./internal/scenario
 
 # The periodic skip's long equivalence gate: auto against scalar over 100
 # hyperperiods (307.2 s) under seed 42 and a random seed, with checkpoint

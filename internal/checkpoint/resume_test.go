@@ -257,11 +257,11 @@ func TestCheckpointRequiresSnapshotter(t *testing.T) {
 // opaqueScheduler hides every optional capability of the wrapped scheduler.
 type opaqueScheduler struct{ inner core.Scheduler }
 
-func (o opaqueScheduler) Name() string                    { return o.inner.Name() }
-func (o opaqueScheduler) Period(row int) float64          { return o.inner.Period(row) }
+func (o opaqueScheduler) Name() string                       { return o.inner.Name() }
+func (o opaqueScheduler) Period(row int) float64             { return o.inner.Period(row) }
 func (o opaqueScheduler) RefreshOp(r int, t float64) core.Op { return o.inner.RefreshOp(r, t) }
-func (o opaqueScheduler) OnAccess(r int, t float64)       { o.inner.OnAccess(r, t) }
-func (o opaqueScheduler) MPRSF(row int) int               { return o.inner.MPRSF(row) }
+func (o opaqueScheduler) OnAccess(r int, t float64)          { o.inner.OnAccess(r, t) }
+func (o opaqueScheduler) MPRSF(row int) int                  { return o.inner.MPRSF(row) }
 
 // TestSnapshotterRoundTripStandalone pins the core.Snapshotter contract on
 // each scheduler directly: state survives a snapshot/restore into a fresh

@@ -112,7 +112,7 @@ func TestChargeClassifier(t *testing.T) {
 		want   DecodeResult
 	}{
 		{0.9, OK},
-		{0.5, OK}, // exactly at the sensing limit: a correct read, not an error
+		{0.5, OK},                           // exactly at the sensing limit: a correct read, not an error
 		{math.Nextafter(0.5, 0), Corrected}, // first representable charge below the limit
 		{0.49, Corrected},
 		{0.35, Corrected}, // exactly at the correctable floor: still single-bit

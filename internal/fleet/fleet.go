@@ -33,6 +33,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
 	"vrldram/internal/core"
 	"vrldram/internal/device"
@@ -151,17 +152,21 @@ func (s Spec) Validate() error {
 	if s.ShardSize <= 0 {
 		return fmt.Errorf("fleet: shard size must be positive, got %d", s.ShardSize)
 	}
-	if s.TempSwingC < 0 {
+	// Each float check is written so that NaN fails it.
+	if !(s.TempSwingC >= 0) {
 		return fmt.Errorf("fleet: temperature swing must be non-negative, got %g", s.TempSwingC)
 	}
-	if s.WeakFrac < 0 || s.WeakFrac > 1 {
+	if !(math.Abs(s.TempMeanC)+s.TempSwingC <= math.MaxFloat64) {
+		return fmt.Errorf("fleet: temperature mean %g and swing %g must span a finite range", s.TempMeanC, s.TempSwingC)
+	}
+	if !(s.WeakFrac >= 0 && s.WeakFrac <= 1) {
 		return fmt.Errorf("fleet: weak-device fraction %g outside [0,1]", s.WeakFrac)
 	}
 	if err := s.Scenarios.Validate(); err != nil {
 		return err
 	}
-	if s.ScrubSweep < 0 {
-		return fmt.Errorf("fleet: scrub sweep period must be non-negative, got %g", s.ScrubSweep)
+	if !(s.ScrubSweep >= 0 && s.ScrubSweep <= math.MaxFloat64) {
+		return fmt.Errorf("fleet: scrub sweep period must be non-negative and finite, got %g", s.ScrubSweep)
 	}
 	if err := s.Backend.Validate(); err != nil {
 		return fmt.Errorf("fleet: %w", err)

@@ -46,7 +46,17 @@ func TestSpecValidateCatchesEachField(t *testing.T) {
 		{"rows", func(s *Spec) { s.Rows = -4 }, "rows"},
 		{"shardsize", func(s *Spec) { s.ShardSize = -1 }, "shard size"},
 		{"tempswing", func(s *Spec) { s.TempSwingC = -2 }, "swing"},
+		{"tempswing-nan", func(s *Spec) { s.TempSwingC = math.NaN() }, "swing"},
+		{"tempswing-inf", func(s *Spec) { s.TempSwingC = math.Inf(1) }, "swing"},
+		{"tempmean-nan", func(s *Spec) { s.TempMeanC = math.NaN() }, "mean"},
+		{"tempmean-inf", func(s *Spec) { s.TempMeanC = math.Inf(1) }, "mean"},
+		{"tempmean-neg-inf", func(s *Spec) { s.TempMeanC = math.Inf(-1) }, "mean"},
+		{"temprange-overflow", func(s *Spec) { s.TempMeanC, s.TempSwingC = -1e308, 1e308 }, "finite range"},
 		{"weakfrac", func(s *Spec) { s.WeakFrac = 1.5 }, "weak"},
+		{"weakfrac-nan", func(s *Spec) { s.WeakFrac = math.NaN() }, "weak"},
+		{"scrubsweep", func(s *Spec) { s.ScrubSweep = -0.064 }, "scrub sweep"},
+		{"scrubsweep-nan", func(s *Spec) { s.ScrubSweep = math.NaN() }, "scrub sweep"},
+		{"scrubsweep-inf", func(s *Spec) { s.ScrubSweep = math.Inf(1) }, "scrub sweep"},
 		{"backend", func(s *Spec) { s.Backend = sim.Backend(99) }, "undefined backend 99"},
 	}
 	for _, c := range cases {

@@ -107,6 +107,10 @@ func (v VRT) Row(row int, tret float64) VRTRow {
 	return VRTRow{affected: true, d: d, phase: v.unit(row, 0x0FF5E7) * 2 * d, state: [2]float64{1, v.LowFactor}}
 }
 
+// Affected reports whether the process modulates the row: an unaffected
+// row's Segment is (1, +Inf) at every t.
+func (r VRTRow) Affected() bool { return r.affected }
+
 // Segment returns the row's retention multiplier at t (1 in the high state,
 // LowFactor in the low state) and the first instant strictly after t at
 // which it may change (+Inf for an unaffected row). The epsilon guard keeps

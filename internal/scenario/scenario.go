@@ -26,6 +26,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"vrldram/internal/core"
@@ -53,9 +54,8 @@ type Stressor interface {
 // RowInvariant is an optional Stressor capability: RowInvariant reports
 // whether this stressor instance ignores its row and tret arguments
 // entirely (a device-wide modulation such as a thermal cycle or an aging
-// ramp). An Env compiles one change-point timeline over its run window per
-// invariant stressor, once, and every later decay call reads it instead of
-// re-walking that stressor's schedule.
+// ramp). An Env compiles such a stressor's scales into its change-point
+// grid, once, and every later decay call reads them from there.
 type RowInvariant interface {
 	Stressor
 	RowInvariant() bool
@@ -78,13 +78,6 @@ func segmentOf(s Stressor, row int, tret, t float64) (scale, next float64) {
 	return s.ScaleAt(row, tret, t), s.NextChange(row, tret, t)
 }
 
-// split is the segmenter of a stressor without the capability.
-type split struct{ Stressor }
-
-func (s split) segment(row int, tret, t float64) (scale, next float64) {
-	return s.ScaleAt(row, tret, t), s.NextChange(row, tret, t)
-}
-
 // Env is a scenario instance bound to a seed and a run window: the stressor
 // composition the bank decays under. It satisfies dram's Modulator hook and
 // core.Snapshotter.
@@ -94,11 +87,11 @@ type Env struct {
 	Duration float64 // the run window the schedule was built for (s)
 	// Stressors is the composition, multiplied in this order. It must not
 	// change after the first DecayFactor or DecayFactors call, which
-	// compiles the row-invariant part of the schedule.
+	// compiles the time-only part of the schedule.
 	Stressors []Stressor
 
 	compileOnce sync.Once
-	compiled    []stressorPlan // see compiledSchedule
+	compiled    grid // see compiledSchedule
 }
 
 // ScaleAt returns the product of all stressors' retention multipliers for
@@ -121,11 +114,11 @@ func (e *Env) ScaleAt(row int, tret, t float64) float64 {
 // per-segment factors multiply, exact at segment boundaries.
 // With no stressors it reduces to base.Factor(t1-t0, tret) exactly.
 //
-// The row-invariant stressors are read from the schedule compiled on the
-// first call (see compiledSchedule) wherever a compiled segment is trusted;
-// at any other time, the run window's outside included, and for the
-// stressors that depend on the row, the schedule is walked directly. Either
-// way the result equals decayFactorRef bit for bit.
+// The time-only side of the schedule is read from the grid compiled on the
+// first call (see compiledSchedule) wherever a cell is trusted; at any
+// other time, the run window's outside included, every stressor is
+// evaluated directly. Either way the result equals decayFactorRef bit for
+// bit.
 func (e *Env) DecayFactor(row int, tret, t0, t1 float64, base retention.DecayModel) float64 {
 	return e.decayFactorWith(e.compiledSchedule(), row, tret, t0, t1, base)
 }
@@ -200,288 +193,270 @@ func (e *Env) NominalUntil(from float64) float64 {
 	return until
 }
 
-// stressorPlan is how decayFactorWith evaluates one stressor of the roster:
-// from its compiled timeline where a segment is trusted, and through eval
-// everywhere else. eval is the stressor's own segmenter, a memoGate for a
-// gate, or split for a stressor without the capability.
-//
-// When eval is a telegraph (a VRTStressor, or a memoGate over one), vrt is
-// that telegraph's process: a walk binds its row to it once
-// (retention.VRT.Row) and evaluates the plan with boundSegment, instead of
-// re-hashing the row in every segment.
-type stressorPlan struct {
-	segs []envSegment // row-invariant timeline over the run window; nil = none
-	eval segmenter
-	vrt  *retention.VRT // the telegraph eval steps through; nil = none
-	gate *memoGate      // eval when it is a memoized gate over vrt
+// partKind is how a walk reads one roster position from a trusted cell.
+type partKind uint8
+
+const (
+	partCell  partKind = iota // row-invariant: the cell holds its scale
+	partGate                  // gate over a row-dependent stressor: the cell holds the episode
+	partFrame                 // pattern adversary: the cell holds the frame's hash key
+	partRow                   // row-dependent throughout: evaluated in every segment
+)
+
+// part is one roster position s of a grid. eval is what a segment evaluates
+// for the row: a gate's inner stressor, or s itself. When eval is one of
+// the roster's first maxBound telegraphs, vrt is its process, and a walk
+// binds its row into bound[slot] (retention.VRT.Row) once.
+type part struct {
+	kind      partKind
+	telegraph bool // eval is a bound telegraph
+	slot      uint8
+	s, eval   Stressor
+	vrt       retention.VRT
+	hotFrac   float64    // partFrame: the adversary's hot fraction ...
+	hotScale  [2]float64 // ... and the retention scale of a cold and a hot row
 }
 
-// newPlan returns the evaluation plan of one stressor over a run window.
-// walked reports whether a walk keeps state on its stack for the stressor's
-// roster position; only such a position gets a compiled timeline (when the
-// stressor declares RowInvariant) or a telegraph to bind. A Gate without a
-// timeline gets its episode draws memoized either way.
-func newPlan(s Stressor, duration float64, walked bool) stressorPlan {
-	var p stressorPlan
-	if inv, ok := s.(RowInvariant); ok && inv.RowInvariant() && walked {
-		p.segs = buildTimeline(s, duration)
+// partOf classifies one roster entry.
+func partOf(s Stressor) part {
+	p := part{kind: partRow, s: s, eval: s}
+	if inv, ok := s.(RowInvariant); ok && inv.RowInvariant() {
+		p.kind = partCell
+	} else if g, ok := s.(Gate); ok {
+		p.kind, p.eval = partGate, g.Inner
+	} else if a, ok := s.(PatternAdversary); ok {
+		p.kind, p.hotFrac, p.hotScale = partFrame, a.HotFrac, [2]float64{1, retention.PatternFactor(a.Pattern)}
 	}
-	if sg, ok := s.(segmenter); ok {
-		p.eval = sg
-	} else {
-		p.eval = split{s}
-	}
-	if g, ok := s.(Gate); ok && p.segs == nil {
-		if m := newMemoGate(g, duration); m != nil {
-			p.eval = m
-		}
-	}
-	if !walked {
-		return p
-	}
-	switch ev := p.eval.(type) {
-	case VRTStressor:
-		p.vrt = &ev.V
-	case *memoGate:
-		if v, ok := ev.Inner.(VRTStressor); ok {
-			p.vrt, p.gate = &v.V, ev
-		}
+	if v, ok := p.eval.(VRTStressor); ok {
+		p.telegraph, p.vrt = true, v.V
 	}
 	return p
 }
 
-// boundSegment is p.eval.segment(row, tret, t) for a plan with a telegraph,
-// with r = p.vrt.Row(row, tret): the same episode draw and boundary cap as
-// gateSegment for a memoized gate, the bound row's segment otherwise.
-func (p *stressorPlan) boundSegment(r *retention.VRTRow, t float64) (scale, next float64) {
-	if p.gate == nil {
-		return r.Segment(t)
-	}
-	k, boundary := frame(t, p.gate.Period)
-	if !p.gate.active(k) {
-		return 1, boundary
-	}
-	scale, next = r.Segment(t)
-	if !(next < boundary) {
-		next = boundary
-	}
-	return scale, next
-}
-
-// envSegment is one compiled segment of a row-invariant stressor's
-// schedule: ScaleAt(start) and NextChange(start), evaluated once.
-//
-// A stressor is piecewise constant only up to rounding: its ScaleAt and
-// NextChange compute the change-point separately, so within a few ulps of a
-// segment's ends they can disagree with the values taken at start (the
-// catalog's thermal cycle already reads the next tread one ulp before the
-// boundary its NextChange reports). The values agree at start by
-// construction, so the rounding that matters is just below end: the compiled
-// values are used only on [start, until], which stops edgeGuard of the run
-// window short of end and never passes Duration; anywhere else the stressor
-// is evaluated directly, as the reference does.
-type envSegment struct {
-	start, end float64
-	scale      float64
-	until      float64 // until == start: trusted at start only
-}
-
-// maxCachedSegments bounds timeline construction; a stressor whose schedule
-// is finer than this over the run window is evaluated directly instead.
-const maxCachedSegments = 4096
-
-// edgeGuard is the margin, as a fraction of the run window, that a compiled
-// segment's trusted span keeps from its ends: orders of magnitude wider than
-// the rounding disagreement it guards against, and narrow enough that a
-// query almost never lands in it.
-const edgeGuard = 1e-9
-
-// compiledSchedule returns the Env's evaluation plan, building it on the
-// first call, indexed like e.Stressors: one timeline over [0, Duration] for
-// every stressor among the first walkCursors that declares RowInvariant,
-// and for every Gate without a timeline, its episode draws memoized over
-// the run window (see memoGate). The timelines are kept per stressor rather
-// than multiplied together, so decayFactorWith can keep the roster's
-// multiplication order and with it the reference's bits. The build is lazy
-// because callers may append stressors between BuildEnv and the run.
-func (e *Env) compiledSchedule() []stressorPlan {
-	e.compileOnce.Do(func() {
-		e.compiled = make([]stressorPlan, len(e.Stressors))
-		for si, s := range e.Stressors {
-			e.compiled[si] = newPlan(s, e.Duration, si < walkCursors)
+// at evaluates the part's time-only side directly at t: the cell value (a
+// scale's bits, a gate's episode index shifted left over its activity, or a
+// frame's hash key) and the first change-point after t, +Inf for a partRow.
+func (p *part) at(t float64) (val uint64, next float64) {
+	switch p.kind {
+	case partCell:
+		return math.Float64bits(p.s.ScaleAt(0, 1, t)), p.s.NextChange(0, 1, t)
+	case partGate:
+		g := p.s.(Gate)
+		k := frameOf(t, g.Period)
+		if val = uint64(k) << 1; g.active(k) {
+			val |= 1
 		}
-	})
-	return e.compiled
+		return val, frameNext(t, g.Period)
+	case partFrame:
+		a := p.s.(PatternAdversary)
+		return a.frameKey(frameOf(t, a.FramePeriod)), frameNext(t, a.FramePeriod)
+	}
+	return 0, math.Inf(1)
 }
 
-// memoGate is a Gate whose episode draws over the run window are computed
-// once per Env: on[k] = Gate.active(k) for k in [0, frameOf(Duration)+1].
-// Any other k is drawn directly, so the memo is exact by construction, and
-// a walk through a calm episode costs one frame computation and never
-// touches the inner stressor.
-type memoGate struct {
-	Gate
-	on []bool
+// cell is the span from one time-only change-point of the roster to the
+// next. A stressor is piecewise constant only up to rounding: its ScaleAt
+// and NextChange compute the change-point separately, so within a few ulps
+// of a cell's end they can disagree with the values taken at start (the
+// catalog's thermal cycle already reads the next tread one ulp before the
+// boundary its NextChange reports). So a cell is used only on
+// [start, until], which stops edgeGuard of the run window short of end and
+// never passes Duration; anywhere else the stressors are evaluated
+// directly, as the reference does.
+type cell struct {
+	start, end float64
+	until      float64          // until == start: trusted at start only
+	vals       [maxParts]uint64 // each part's value (see part.at)
 }
 
-// newMemoGate memoizes the gate's episodes over [0, duration], or returns
-// nil when the window spans more than maxCachedSegments episodes (or none
-// that frameOf can count); the gate is then evaluated directly.
-func newMemoGate(g Gate, duration float64) *memoGate {
-	n := frameOf(duration, g.Period) + 2
-	if n <= 0 || n > maxCachedSegments {
+// grid is an Env's compiled schedule: one merged change-point grid over
+// [0, Duration] - thermal treads, aging steps, gate episode boundaries and
+// adversary frames - whose cells hold what the time-only parts give there.
+// A grid without cells is unusable.
+type grid struct {
+	parts   []part // a prefix of partBuf, so a build allocates only its cells
+	partBuf [maxParts]part
+	cells   []cell
+	perCell float64 // cells per second of the run window
+}
+
+// A roster with more than maxParts stressors, or finer change-points than
+// maxCells cells over the run window, gets no grid and is evaluated
+// directly. A walk binds at most maxBound telegraph rows; the rest are
+// evaluated unbound. edgeGuard is the margin, as a fraction of the run
+// window, that a cell's trusted span keeps from its end: orders of
+// magnitude wider than the rounding disagreement it guards against, and
+// narrow enough that a query almost never lands in it.
+const (
+	maxParts  = 8
+	maxCells  = 4096
+	maxBound  = 2
+	edgeGuard = 1e-9
+)
+
+// compiledSchedule returns the Env's grid, building it on the first call;
+// nil means every segment is evaluated directly. The build is lazy because
+// callers may append stressors between BuildEnv and the run.
+func (e *Env) compiledSchedule() *grid {
+	e.compileOnce.Do(func() { e.compiled.build(e.Stressors, e.Duration) })
+	if e.compiled.cells == nil {
 		return nil
 	}
-	m := &memoGate{Gate: g, on: make([]bool, n)}
-	for k := range m.on {
-		m.on[k] = g.active(int64(k))
-	}
-	return m
+	return &e.compiled
 }
 
-// active returns episode k's activity from the memo when k is in range and
-// from the draw otherwise.
-func (m *memoGate) active(k int64) bool {
-	if uint64(k) < uint64(len(m.on)) {
-		return m.on[k]
+// build walks the roster's time-only change-points across [0, duration],
+// leaving the grid unusable for a roster past maxParts, a stalled
+// change-point, or more than maxCells cells. Each cell's trusted span ends
+// at until, where every part is checked against its direct evaluation; a
+// cell that fails, or is shorter than the guard, is trusted at its start
+// only. The catalog stressors locate their change-points with floors of
+// functions that increase with t, so agreement at start (by construction)
+// and at until means agreement across the span.
+func (g *grid) build(roster []Stressor, duration float64) {
+	if len(roster) > maxParts {
+		return
 	}
-	return m.Gate.active(k)
+	g.parts = g.partBuf[:len(roster)]
+	slots := uint8(0)
+	for j, s := range roster {
+		p := &g.parts[j]
+		if *p = partOf(s); p.telegraph && slots < maxBound {
+			p.slot, slots = slots, slots+1
+		} else {
+			p.telegraph = false
+		}
+	}
+	cells := make([]cell, 0, 64) // the catalog's rosters need at most 45
+	var nexts [maxParts]float64
+	for t := 0.0; t <= duration; {
+		if len(cells) == maxCells {
+			return
+		}
+		c := cell{start: t, end: math.Inf(1)}
+		for j := range g.parts {
+			v, n := g.parts[j].at(t)
+			if !(n > t) {
+				return
+			}
+			c.vals[j], nexts[j], c.end = v, n, math.Min(c.end, n)
+		}
+		c.until = math.Min(c.end-edgeGuard*duration, duration)
+		for j := range g.parts {
+			if v, n := g.parts[j].at(c.until); c.until < c.start || v != c.vals[j] || n != nexts[j] {
+				c.until = c.start
+				break
+			}
+		}
+		cells, t = append(cells, c), c.end
+	}
+	if len(cells) > 0 {
+		g.cells, g.perCell = cells, float64(len(cells))/duration
+	}
 }
 
-// segment implements segmenter with the memoized episode draws.
-func (m *memoGate) segment(row int, tret, t float64) (scale, next float64) {
-	k, boundary := frame(t, m.Period)
-	return gateSegment(m.active(k), boundary, m.Inner, row, tret, t)
+// locate returns a lower bound of the index of the cell holding t: a guess
+// from the mean cell length, stepped back past every cell ending after t.
+func (g *grid) locate(t float64) int {
+	i, x := 0, t*g.perCell
+	if x >= float64(len(g.cells)) {
+		i = len(g.cells) - 1
+	} else if x > 0 {
+		i = int(x)
+	}
+	for i > 0 && g.cells[i-1].end > t {
+		i--
+	}
+	return i
 }
 
 // DecayFactors implements dram.BatchModulator: out[i] is
 // DecayFactor(rows[i], tret[i], t0[i], t1[i], base), bit for bit. Every
-// row reads the one schedule compiled per Env, so a batch costs no more set-up
+// row reads the one grid compiled per Env, so a batch costs no more set-up
 // than a scalar call.
 func (e *Env) DecayFactors(rows []int, tret, t0, t1 []float64, base retention.DecayModel, out []float64) {
+	g := e.compiledSchedule()
 	for i := range rows {
-		out[i] = e.DecayFactor(rows[i], tret[i], t0[i], t1[i], base)
+		out[i] = e.decayFactorWith(g, rows[i], tret[i], t0[i], t1[i], base)
 	}
 }
 
-// buildTimeline walks one row-invariant stressor's schedule across
-// [0, duration]. It returns nil when the walk stalls or the schedule is too
-// fine to be worth caching; the caller then evaluates the stressor directly,
-// which is always correct. Each segment's trusted span ends at until, where
-// it is checked against the stressor itself; a segment that fails, or is
-// shorter than the guard, is trusted at its start only. The catalog
-// stressors locate their change-points with floors of functions that
-// increase with t, so agreement at start (by construction) and at until
-// means agreement across the span.
-func buildTimeline(s Stressor, duration float64) []envSegment {
-	guard := edgeGuard * duration
-	segs := make([]envSegment, 0, 8)
-	t := 0.0
-	for t <= duration {
-		scale := s.ScaleAt(0, 1, t)
-		next := s.NextChange(0, 1, t)
-		if next <= t || len(segs) == maxCachedSegments {
-			return nil
-		}
-		seg := envSegment{start: t, end: next, scale: scale, until: math.Min(next-guard, duration)}
-		if seg.until < seg.start || !seg.agrees(s, seg.until) {
-			seg.until = seg.start
-		}
-		segs = append(segs, seg)
-		t = next
-	}
-	return segs
-}
-
-// agrees reports whether the stressor, evaluated directly at t, gives the
-// segment's compiled values.
-func (g *envSegment) agrees(s Stressor, t float64) bool {
-	return s.ScaleAt(0, 1, t) == g.scale && s.NextChange(0, 1, t) == g.end
-}
-
-// trusted reports whether the compiled values hold at t.
-func (g *envSegment) trusted(t float64) bool {
-	return g.start <= t && t <= g.until
-}
-
-// segIndex locates the segment containing t: the first whose end exceeds t.
-func segIndex(segs []envSegment, t float64) int {
-	lo, hi := 0, len(segs)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if segs[mid].end > t {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// walkCursors is how many roster positions a walk keeps a timeline cursor
-// and a bound telegraph row for on the stack; only those positions get a
-// compiled timeline or a telegraph binding.
-const walkCursors = 8
-
-// decayFactorWith is decayFactorRef evaluated through the compiled plan.
-// The roster order, multiplication order, segment walk, and guard structure
-// mirror decayFactorRef exactly. Where a compiled segment is trusted its
-// values are what the stressor's ScaleAt and NextChange return there
-// (row-invariance plus the checks in buildTimeline); elsewhere the plan's
-// evaluator returns them in one call (segmenter, memoGate, or the bound
-// telegraph row), and both walks accumulate through retention.DecayWalk.
-// So the two paths agree bit for bit.
+// decayFactorWith is decayFactorRef evaluated through the grid, with the
+// same segment walk, multiplication order and guards. Inside a trusted cell
+// the time-only parts' values are what their ScaleAt and NextChange return
+// there (the checks in build), and their earliest change-point is the
+// cell's end; elsewhere every stressor is evaluated directly, through its
+// segmenter where it has one. Both walks accumulate through
+// retention.DecayWalk, so the two paths agree bit for bit.
 //
-// t only increases along the walk, so each timeline is located by binary
-// search once, at t0, and then followed by a cursor that steps forward to
-// the first segment whose end exceeds t: the index segIndex would return.
-// The walk's row and tret never change, so each telegraph's row hashes are
-// taken once, at t0, and every segment steps the bound row.
-func (e *Env) decayFactorWith(plan []stressorPlan, row int, tret, t0, t1 float64, base retention.DecayModel) float64 {
+// t only increases along the walk, so the cell is located once, at t0, and
+// then followed by a cursor. The walk's row and tret never change, so the
+// adversaries' row key is taken once and each telegraph's row hashes at
+// most once, when the walk first evaluates it.
+func (e *Env) decayFactorWith(g *grid, row int, tret, t0, t1 float64, base retention.DecayModel) float64 {
 	if t1 <= t0 {
 		return 1
 	}
-	var cursor [walkCursors]int
-	var bound [walkCursors]retention.VRTRow
-	for si := range plan {
-		p := &plan[si]
-		if p.segs != nil {
-			cursor[si] = segIndex(p.segs, t0)
-		}
-		if p.vrt != nil {
-			bound[si] = p.vrt.Row(row, tret)
-		}
+	var bound [maxBound]retention.VRTRow
+	var bindings uint8 // bit k: bound[k] holds the walk's row
+	// Bit j of live is set while part j can move the walk.
+	i, live, key := 0, uint(0), rowKey(row)
+	if g != nil {
+		i, live = g.locate(t0), 1<<len(g.parts)-1
 	}
 	walk := retention.NewDecayWalk(base)
-	t := t0
-	for t < t1 {
-		scale := 1.0
-		next := t1
-		for si := range plan {
-			p := &plan[si]
-			if segs := p.segs; segs != nil {
-				i := cursor[si]
-				for i < len(segs)-1 && segs[i].end <= t {
-					i++
-				}
-				cursor[si] = i
-				if seg := &segs[i]; seg.trusted(t) {
-					scale *= seg.scale
-					if seg.end < next {
-						next = seg.end
-					}
+	for t := t0; t < t1; {
+		scale, next := 1.0, t1
+		if c := g.trusted(&i, t); c != nil {
+			if c.end < next {
+				next = c.end
+			}
+			for m := live; m != 0; m &= m - 1 {
+				j := bits.TrailingZeros(m)
+				p := &g.parts[j]
+				switch p.kind {
+				case partCell:
+					scale *= math.Float64frombits(c.vals[j])
 					continue
+				case partFrame:
+					// An index, not a branch: the hot test is a coin flip.
+					hot := 0
+					if unitOf(splitmix64(key^c.vals[j])) < p.hotFrac {
+						hot = 1
+					}
+					scale *= p.hotScale[hot]
+					continue
+				case partGate:
+					if c.vals[j]&1 == 0 {
+						continue
+					}
+				}
+				var s, n float64
+				if p.telegraph {
+					if bindings&(1<<p.slot) == 0 {
+						bound[p.slot], bindings = p.vrt.Row(row, tret), bindings|1<<p.slot
+						if !bound[p.slot].Affected() {
+							// An unaffected row is scale 1 with no change-point.
+							live &^= 1 << j
+							continue
+						}
+					}
+					s, n = bound[p.slot].Segment(t)
+				} else {
+					s, n = segmentOf(p.eval, row, tret, t)
+				}
+				scale *= s
+				if n < next {
+					next = n
 				}
 			}
-			var s, n float64
-			if p.vrt != nil {
-				s, n = p.boundSegment(&bound[si], t)
-			} else {
-				s, n = p.eval.segment(row, tret, t)
-			}
-			scale *= s
-			if n < next {
-				next = n
+		} else {
+			for _, s := range e.Stressors {
+				sc, n := segmentOf(s, row, tret, t)
+				scale *= sc
+				if n < next {
+					next = n
+				}
 			}
 		}
 		if next <= t {
@@ -494,6 +469,21 @@ func (e *Env) decayFactorWith(plan []stressorPlan, row int, tret, t0, t1 float64
 		t = next
 	}
 	return walk.Factor()
+}
+
+// trusted steps the cursor *i forward to the cell holding t and returns
+// that cell when its values hold at t; otherwise, and for a nil grid, nil.
+func (g *grid) trusted(i *int, t float64) *cell {
+	if g == nil {
+		return nil
+	}
+	for *i < len(g.cells)-1 && g.cells[*i].end <= t {
+		*i++
+	}
+	if c := &g.cells[*i]; c.start <= t && t <= c.until {
+		return c
+	}
+	return nil
 }
 
 // Validate checks the Env is runnable.

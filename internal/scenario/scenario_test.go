@@ -380,9 +380,13 @@ func TestDecayFactorsMatchesScalar(t *testing.T) {
 	}
 }
 
+// fleetWindow is the fleet-mixed benchmark's device run window.
+const fleetWindow = 0.128
+
 // exactnessEnvs is every catalog scenario plus kitchen-sink with a
 // weak-cell telegraph appended after BuildEnv, the way fleet devices
-// compose weak cells into their scenario.
+// compose weak cells into their scenario, at the test window and at the
+// fleet's, where the grid's cells are shorter in absolute time.
 func exactnessEnvs(t testing.TB) map[string]*Env {
 	envs := make(map[string]*Env)
 	for _, name := range Names() {
@@ -398,13 +402,21 @@ func exactnessEnvs(t testing.TB) map[string]*Env {
 	}
 	env.Stressors = append(env.Stressors, VRTStressor{Label: "weak-cells", V: *fault.DefaultTransientWeakCells(testSeed + 1)})
 	envs["kitchen-sink+weak-cells"] = env
-	// A roster longer than walkCursors: the row-invariant stressors past
-	// it get no timeline and are evaluated directly.
+	for _, name := range []string{"kitchen-sink", "vrt-storm", "diurnal"} {
+		fleet, err := BuildEnv(Ref{Name: name}, fleetWindow, testSeed+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.Stressors = append(fleet.Stressors, VRTStressor{Label: "weak-cells", V: *fault.DefaultTransientWeakCells(testSeed + 3)})
+		envs["fleet-"+name+"+weak-cells"] = fleet
+	}
+	// A roster longer than maxParts gets no grid: every stressor is
+	// evaluated directly.
 	long, err := BuildEnv(Ref{Name: "kitchen-sink"}, testWindow, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; len(long.Stressors) < walkCursors+2; i++ {
+	for i := 0; len(long.Stressors) < maxParts+2; i++ {
 		long.Stressors = append(long.Stressors,
 			NewTempCycle(testSeed, fmt.Sprintf("cycle-%d", i), retention.DefaultTempModel(), 70, 4, testWindow/3, 5),
 			AgingRamp{Label: fmt.Sprintf("ramp-%d", i), Model: retention.DefaultAgingModel(), Years: 1, Window: testWindow, Steps: 7})
@@ -419,9 +431,21 @@ type decayCase struct {
 	tret, t0, t1 float64
 }
 
+// cellEnds lists the ends of the Env's grid cells, the boundaries the
+// compiled walk trusts up to; none for an Env without a grid.
+func cellEnds(env *Env) []float64 {
+	var out []float64
+	if g := env.compiledSchedule(); g != nil {
+		for _, c := range g.cells {
+			out = append(out, c.end)
+		}
+	}
+	return out
+}
+
 // exactnessCases builds the probe set for one Env: random spans, spans
-// starting or ending exactly on a compiled segment end and one ulp either
-// side, the whole window, and spans past the window's end.
+// starting or ending exactly on a grid cell's end and one ulp either side,
+// the whole window, and spans past the window's end.
 func exactnessCases(env *Env, rng *rand.Rand) []decayCase {
 	d := env.Duration
 	var cs []decayCase
@@ -432,17 +456,15 @@ func exactnessCases(env *Env, rng *rand.Rand) []decayCase {
 		t0 := d * rng.Float64()
 		add(t0, t0+(d-t0)*rng.Float64())
 	}
-	for _, p := range env.compiledSchedule() {
-		for _, seg := range p.segs {
-			if seg.end > d {
-				continue
-			}
-			for _, x := range []float64{math.Nextafter(seg.end, 0), seg.end, math.Nextafter(seg.end, d)} {
-				add(x, d)
-				add(x, x+(d-x)*rng.Float64())
-				add(0, x)
-				add(x*rng.Float64(), x)
-			}
+	for _, end := range cellEnds(env) {
+		if end > d {
+			continue
+		}
+		for _, x := range []float64{math.Nextafter(end, 0), end, math.Nextafter(end, d)} {
+			add(x, d)
+			add(x, x+(d-x)*rng.Float64())
+			add(0, x)
+			add(x*rng.Float64(), x)
 		}
 	}
 	add(0, d)
@@ -532,16 +554,10 @@ func changePoints(s Stressor, row int, tret, until float64, limit int) []float64
 }
 
 // snapCandidates lists the instants where the walk's compiled and direct
-// evaluations meet for one row: the compiled segment ends, every gate's
-// episode boundaries, and the row's toggle times of every telegraph, gated
-// or not.
+// evaluations meet for one row: the grid's cell ends, every gate's episode
+// boundaries, and the row's toggle times of every telegraph, gated or not.
 func snapCandidates(env *Env, row int, tret float64) []float64 {
-	var out []float64
-	for _, p := range env.compiledSchedule() {
-		for _, seg := range p.segs {
-			out = append(out, seg.end)
-		}
-	}
+	out := cellEnds(env)
 	for _, s := range env.Stressors {
 		if g, ok := s.(Gate); ok {
 			// A gate's change-points include every episode boundary.
@@ -558,7 +574,7 @@ func snapCandidates(env *Env, row int, tret float64) []float64 {
 // FuzzEnvDecayFactor requires the compiled path to equal the reference walk
 // for any scenario, seed, row, retention and span the fuzzer picks; odd
 // multiples of the catalog size in idx append a weak-cell telegraph. A
-// non-zero edge moves t0 onto a snap candidate (a compiled segment end, a
+// non-zero edge moves t0 onto a snap candidate (a grid cell's end, a
 // gate episode boundary or one of the row's toggles), up to three ulps
 // either side, where the compiled and direct schedules can disagree.
 func FuzzEnvDecayFactor(f *testing.F) {
@@ -613,50 +629,109 @@ func snap(t float64, cands []float64, sel uint16) float64 {
 	return t
 }
 
-// segmentStressors is every stressor with the segmenter capability, each
-// also as the memoized gate compiledSchedule would install: a telegraph, a
-// pattern adversary, and gates over a row-dependent and a row-invariant
-// inner stressor. The telegraph leaves half its rows unaffected and exempts
-// rows with retention below 0.05 s.
-func segmentStressors(t testing.TB, seed int64) []Stressor {
+// segmentStressors is every stressor with the segmenter capability: a
+// telegraph, a pattern adversary, and gates over a row-dependent and a
+// row-invariant inner stressor. The telegraph leaves half its rows
+// unaffected and exempts rows with retention below 0.05 s.
+func segmentStressors(seed int64) []Stressor {
 	vrt := NewVRTStressor(seed, "telegraph", stormVRT(testWindow))
 	vrt.V.AffectedFrac = 0.5
 	vrt.V.MinRetention = 0.05
 	temp := NewTempCycle(seed, "cycle", retention.DefaultTempModel(), 85, 8, testWindow/2, 12)
-	out := []Stressor{
+	return []Stressor{
 		vrt,
 		NewPatternAdversary(seed, "adversary", testWindow/16, 0.25, retention.PatternAlternating),
-	}
-	for _, g := range []Gate{
 		NewGate(seed, "gate/vrt", testWindow/6, 0.5, vrt),
 		NewGate(seed, "gate/cycle", testWindow/5, 0.5, temp),
-	} {
-		m := newMemoGate(g, testWindow)
-		if m == nil {
-			t.Fatalf("%s: no episode memo over the test window", g.Label)
-		}
-		out = append(out, g, m)
 	}
-	return out
 }
 
-// FuzzStressorSegment requires every segmenter, and every plan that binds
-// the walk's row to a telegraph (the telegraph itself and memoized gates
-// over it), to return exactly (ScaleAt, NextChange) for the fuzzed row,
-// retention and instant; for the telegraph, the bound row's Segment must
-// also equal retention.VRT's Segment, StateFactor and NextToggle. A
-// non-zero edge moves t onto one of that stressor's change-points for the
-// row, up to three ulps either side.
+// checkCell checks the grid cell a walk would read at t against the
+// stressors evaluated directly there, for one row. Where the cell is
+// trusted at t, each part must give what its stressor's ScaleAt gives:
+// a row-invariant part from its compiled scale, a gate from its compiled
+// episode index and activity (its inner stressor, or the bound telegraph
+// row, inside an active episode, with NextChange capped at the boundary),
+// and an adversary from the frame key XORed with the row key. The cell's
+// end must be the earliest time-only change-point at t: NextChange of the
+// row-invariant parts and the adversaries, and each gate's episode
+// boundary. An untrusted t, or an Env without a grid, checks nothing.
+func checkCell(env *Env, row int, tret, t float64) error {
+	g := env.compiledSchedule()
+	if g == nil {
+		return nil
+	}
+	i := g.locate(t)
+	c := g.trusted(&i, t)
+	if c == nil {
+		return nil
+	}
+	vals := c.vals
+	end := math.Inf(1)
+	for j := range g.parts {
+		p, s := &g.parts[j], env.Stressors[j]
+		want, next := s.ScaleAt(row, tret, t), s.NextChange(row, tret, t)
+		got := want
+		switch p.kind {
+		case partCell:
+			got, end = math.Float64frombits(vals[j]), math.Min(end, next)
+		case partFrame:
+			got, end = 1, math.Min(end, next)
+			if unitOf(splitmix64(rowKey(row)^vals[j])) < p.hotFrac {
+				got = p.hotScale[1]
+			}
+		case partGate:
+			gate := s.(Gate)
+			k, boundary := frameOf(t, gate.Period), frameNext(t, gate.Period)
+			if active := vals[j]&1 == 1; vals[j]>>1 != uint64(k) || active != gate.active(k) {
+				return fmt.Errorf("%s t %.17g: cell %d holds episode %d (active %v), draw %d (active %v)",
+					s.Name(), t, i, vals[j]>>1, active, k, gate.active(k))
+			}
+			end, got = math.Min(end, boundary), 1
+			if vals[j]&1 == 1 && p.telegraph {
+				scale, n := p.vrt.Row(row, tret).Segment(t)
+				if !(n < boundary) {
+					n = boundary
+				}
+				if n != next {
+					return fmt.Errorf("%s row %d t %.17g: bound row's next %.17g, NextChange %.17g", s.Name(), row, t, n, next)
+				}
+				got = scale
+			} else if vals[j]&1 == 1 {
+				got = p.eval.ScaleAt(row, tret, t)
+			}
+		}
+		if got != want {
+			return fmt.Errorf("%s (part %d) row %d t %.17g: cell %d gives scale %.17g, ScaleAt %.17g", s.Name(), j, row, t, i, got, want)
+		}
+	}
+	if end != c.end {
+		return fmt.Errorf("t %.17g: cell %d [%.17g, %.17g] ends before the earliest change-point %.17g", t, i, c.start, c.end, end)
+	}
+	return nil
+}
+
+// FuzzStressorSegment pins the pieces the compiled walk reads. Every
+// segmenter must return exactly (ScaleAt, NextChange) for the fuzzed row,
+// retention and instant, and a telegraph's bound row must also equal
+// retention.VRT's Segment, StateFactor and NextToggle; a non-zero edge moves
+// the instant onto one of that stressor's change-points for the row, up to
+// three ulps either side. Then the grid cell of the Env idx picks (a
+// catalog scenario; odd multiples of the catalog size append a weak-cell
+// telegraph, and the next bit selects the fleet's window) must match its
+// stressors at the instant, as checkCell checks, with edge snapping it onto
+// a cell's end.
 func FuzzStressorSegment(f *testing.F) {
-	f.Add(int64(42), uint16(3), 0.1, 0.3, uint16(0))
-	f.Add(int64(7), uint16(90), 0.5, 0.0, uint16(0x53))
-	f.Add(int64(-1), uint16(11), 0.02, 1.2, uint16(0x1f))
-	f.Add(int64(9), uint16(0), 0.3, -0.5, uint16(0x7))
-	f.Add(int64(42), uint16(5), 0.04, 0.2, uint16(0x2b))
+	f.Add(uint8(5), int64(42), uint16(3), 0.1, 0.3, uint16(0))
+	f.Add(uint8(11), int64(7), uint16(90), 0.5, 0.0, uint16(0x53))
+	f.Add(uint8(17), int64(-1), uint16(11), 0.02, 1.2, uint16(0x1f))
+	f.Add(uint8(2), int64(9), uint16(0), 0.3, -0.5, uint16(0x7))
+	f.Add(uint8(23), int64(42), uint16(5), 0.04, 0.2, uint16(0x2b))
 	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
-	f.Fuzz(func(t *testing.T, seed int64, row uint16, tret, tt float64, edge uint16) {
+	names := Names()
+	f.Fuzz(func(t *testing.T, idx uint8, seed int64, row uint16, tret, tt float64, edge uint16) {
 		r := int(row)
-		for _, s := range segmentStressors(t, seed) {
+		for _, s := range segmentStressors(seed) {
 			at := tt
 			if edge != 0 {
 				at = snap(at, changePoints(s, r, tret, 4*testWindow, 64), edge)
@@ -670,56 +745,91 @@ func FuzzStressorSegment(f *testing.F) {
 			}
 			scale, next := s.(segmenter).segment(r, tret, at)
 			check("segment", scale, next)
-			p := newPlan(s, testWindow, true)
-			if p.vrt == nil {
-				continue
-			}
-			bound := p.vrt.Row(r, tret)
-			scale, next = p.boundSegment(&bound, at)
-			check("bound segment", scale, next)
 			if v, ok := s.(VRTStressor); ok {
-				scale, next = bound.Segment(at)
+				scale, next = v.V.Row(r, tret).Segment(at)
 				check("VRTRow.Segment", scale, next)
 				scale, next = v.V.Segment(r, tret, at)
 				check("VRT.Segment", scale, next)
 				check("StateFactor/NextToggle", v.V.StateFactor(r, tret, at), v.V.NextToggle(r, tret, at))
 			}
 		}
+		window := testWindow
+		if int(idx)/len(names)/2%2 == 1 {
+			window = fleetWindow
+		}
+		env, err := BuildEnv(Ref{Name: names[int(idx)%len(names)]}, window, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(idx)/len(names)%2 == 1 {
+			env.Stressors = append(env.Stressors, VRTStressor{Label: "weak-cells", V: *fault.DefaultTransientWeakCells(seed)})
+		}
+		at := tt
+		if edge != 0 {
+			at = snap(at, cellEnds(env), edge)
+		}
+		if err := checkCell(env, r, tret, at); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
-// TestMemoGateMatchesDraws: the memoized episodes equal Gate.active for
-// every k of the memo, past the window's end, and at k frameOf cannot
-// produce; and compiledSchedule installs the memo for the storm gate,
-// whose telegraph keeps it off the row-invariant timelines.
-func TestMemoGateMatchesDraws(t *testing.T) {
-	for _, seed := range []int64{testSeed, 7, -1} {
-		g := stormStressor(testWindow, seed).(Gate)
-		m := newMemoGate(g, testWindow)
-		if m == nil {
-			t.Fatal("storm gate has no episode memo")
+// TestGridCellsMatchDraws checks every cell of every exactness Env at its
+// start, its trusted end, their midpoint and one ulp past the trusted end,
+// for a spread of rows, as checkCell does; and it pins the grid's shape:
+// every in-window cell wider than twice the edge guard is trusted past its
+// start, kitchen-sink's roster compiles to two row-invariant parts, a gate over a
+// bound telegraph and an adversary, locate starts every in-window walk at
+// or before its cell, and an Env whose roster is too long, or whose gate
+// has more episodes than maxCells, gets no grid and still matches the
+// reference.
+func TestGridCellsMatchDraws(t *testing.T) {
+	for name, env := range exactnessEnvs(t) {
+		g := env.compiledSchedule()
+		if g == nil {
+			if name != "long-roster" {
+				t.Fatalf("%s: no grid", name)
+			}
+			continue
 		}
-		if want := frameOf(testWindow, g.Period) + 2; int64(len(m.on)) != want {
-			t.Fatalf("memo spans %d episodes, want %d", len(m.on), want)
-		}
-		ks := []int64{-1, math.MinInt64, math.MaxInt64}
-		for k := int64(0); k < int64(len(m.on))+16; k++ {
-			ks = append(ks, k)
-		}
-		for _, k := range ks {
-			if m.active(k) != g.active(k) {
-				t.Fatalf("seed %d episode %d: memo %v, draw %v", seed, k, m.active(k), g.active(k))
+		for _, c := range g.cells {
+			if c.end-c.start > 2*edgeGuard*env.Duration && c.start < env.Duration && c.until == c.start {
+				t.Fatalf("%s: cell [%.17g, %.17g] is trusted at its start only", name, c.start, c.end)
+			}
+			for _, at := range []float64{c.start, c.until, (c.start + c.until) / 2, math.Nextafter(c.until, math.Inf(1))} {
+				i := g.locate(at)
+				if i >= len(g.cells) || i > 0 && g.cells[i-1].end > at {
+					t.Fatalf("%s t %.17g: locate starts at cell %d, past the cell holding t", name, at, i)
+				}
+				for row := 0; row < 48; row += 5 {
+					for _, tret := range []float64{0.03, 0.2} {
+						if err := checkCell(env, row, tret, at); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+					}
+				}
 			}
 		}
 	}
-	env := buildNamed(t, "vrt-storm")
-	if _, ok := env.compiledSchedule()[0].eval.(*memoGate); !ok {
-		t.Fatalf("vrt-storm plan evaluates %T, want *memoGate", env.compiledSchedule()[0].eval)
+	var kinds []partKind
+	for _, p := range buildNamed(t, "kitchen-sink").compiledSchedule().parts {
+		kinds = append(kinds, p.kind)
+		if p.telegraph != (p.kind == partGate) {
+			t.Fatalf("kitchen-sink part %v binds telegraph %v", p.kind, p.telegraph)
+		}
 	}
-	fine := stormStressor(testWindow, testSeed).(Gate)
-	fine.Period = testWindow / (2 * maxCachedSegments)
-	if newMemoGate(fine, testWindow) != nil {
-		t.Fatal("a gate with more episodes than maxCachedSegments must be evaluated directly")
+	if want := []partKind{partCell, partGate, partFrame, partCell}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("kitchen-sink parts %v, want %v", kinds, want)
+	}
+	fine := buildNamed(t, "vrt-storm")
+	gate := fine.Stressors[0].(Gate)
+	gate.Period = testWindow / (2 * maxCells)
+	fine.Stressors[0] = gate
+	if fine.compiledSchedule() != nil {
+		t.Fatal("a gate with more episodes than maxCells must be evaluated directly")
+	}
+	if err := checkAgainstReference(fine, exactnessCases(fine, rand.New(rand.NewSource(37)))); err != nil {
+		t.Fatal(err)
 	}
 }
 

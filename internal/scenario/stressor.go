@@ -162,6 +162,15 @@ func (a PatternAdversary) hot(row int, k int64) bool {
 	return unitOf(splitmix64(h)) < a.HotFrac
 }
 
+// frameKey and rowKey split hot's hash: hot(row, k) is
+// unitOf(splitmix64(rowKey(row) ^ a.frameKey(k))) < HotFrac, as XOR is
+// associative, so a walk hashes its row once and each frame once per Env.
+func (a PatternAdversary) frameKey(k int64) uint64 {
+	return splitmix64(uint64(a.Seed)) ^ splitmix64(uint64(k)+0x517cc1b727220a95)
+}
+
+func rowKey(row int) uint64 { return splitmix64(uint64(row) + 0x6a09e667f3bcc909) }
+
 // ScaleAt implements Stressor.
 func (a PatternAdversary) ScaleAt(row int, tret, t float64) float64 {
 	if a.hot(row, frameOf(t, a.FramePeriod)) {
@@ -317,20 +326,14 @@ func (g Gate) NextChange(row int, tret, t float64) float64 {
 }
 
 // segment implements segmenter: one episode draw, and the inner stressor
-// evaluated once and only inside an active episode.
+// evaluated once and only inside an active episode, capped at the boundary
+// exactly as NextChange caps it.
 func (g Gate) segment(row int, tret, t float64) (scale, next float64) {
 	k, boundary := frame(t, g.Period)
-	return gateSegment(g.active(k), boundary, g.Inner, row, tret, t)
-}
-
-// gateSegment is a gate's segment once the episode's activity and boundary
-// are known: the inner stressor's values inside an active episode, capped
-// at the boundary exactly as NextChange caps them.
-func gateSegment(active bool, boundary float64, inner Stressor, row int, tret, t float64) (scale, next float64) {
-	if !active {
+	if !g.active(k) {
 		return 1, boundary
 	}
-	scale, next = segmentOf(inner, row, tret, t)
+	scale, next = segmentOf(g.Inner, row, tret, t)
 	if !(next < boundary) {
 		next = boundary
 	}

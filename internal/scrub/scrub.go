@@ -30,6 +30,7 @@ package scrub
 
 import (
 	"fmt"
+	"math"
 
 	"vrldram/internal/core"
 	"vrldram/internal/ecc"
@@ -109,18 +110,21 @@ func (c Config) withDefaults() Config {
 
 // Validate reports the first unusable field after defaulting.
 func (c Config) Validate() error {
+	// Each check is written so that NaN fails it, and a period must also be
+	// finite: a NaN or infinite patrol spacing never advances the patrol.
+	period := func(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 	switch {
-	case c.SweepPeriod <= 0:
-		return fmt.Errorf("scrub: sweep period %g must be positive", c.SweepPeriod)
-	case c.Window <= 0:
-		return fmt.Errorf("scrub: SLO window %g must be positive", c.Window)
-	case c.MinCoverage <= 0 || c.MinCoverage > 1:
+	case !period(c.SweepPeriod):
+		return fmt.Errorf("scrub: sweep period %g must be positive and finite", c.SweepPeriod)
+	case !period(c.Window):
+		return fmt.Errorf("scrub: SLO window %g must be positive and finite", c.Window)
+	case !(c.MinCoverage > 0 && c.MinCoverage <= 1):
 		return fmt.Errorf("scrub: min coverage %g outside (0,1]", c.MinCoverage)
 	case c.CleanPromote < 1:
 		return fmt.Errorf("scrub: CleanPromote %d must be >= 1", c.CleanPromote)
-	case c.Floor <= 0:
-		return fmt.Errorf("scrub: floor period %g must be positive", c.Floor)
-	case c.BackoffBase <= 0 || c.BackoffMax < c.BackoffBase:
+	case !period(c.Floor):
+		return fmt.Errorf("scrub: floor period %g must be positive and finite", c.Floor)
+	case !period(c.BackoffBase) || !period(c.BackoffMax) || c.BackoffMax < c.BackoffBase:
 		return fmt.Errorf("scrub: backoff bounds [%g,%g] invalid", c.BackoffBase, c.BackoffMax)
 	}
 	return nil

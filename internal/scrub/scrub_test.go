@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vrldram/internal/core"
@@ -52,38 +53,64 @@ type fakeSched struct {
 	demoted, upgraded, promoted []int
 }
 
-func (s *fakeSched) Name() string                     { return "fake" }
-func (s *fakeSched) Period(int) float64               { return 0.064 }
-func (s *fakeSched) RefreshOp(int, float64) core.Op   { return core.Op{Full: true, Cycles: 1, Alpha: 1} }
-func (s *fakeSched) OnAccess(int, float64)            {}
-func (s *fakeSched) MPRSF(int) int                    { return 0 }
-func (s *fakeSched) Demote(row int)                   { s.demoted = append(s.demoted, row) }
-func (s *fakeSched) Upgrade(row int)                  { s.upgraded = append(s.upgraded, row) }
-func (s *fakeSched) Promote(row int)                  { s.promoted = append(s.promoted, row) }
+func (s *fakeSched) Name() string                   { return "fake" }
+func (s *fakeSched) Period(int) float64             { return 0.064 }
+func (s *fakeSched) RefreshOp(int, float64) core.Op { return core.Op{Full: true, Cycles: 1, Alpha: 1} }
+func (s *fakeSched) OnAccess(int, float64)          {}
+func (s *fakeSched) MPRSF(int) int                  { return 0 }
+func (s *fakeSched) Demote(row int)                 { s.demoted = append(s.demoted, row) }
+func (s *fakeSched) Upgrade(row int)                { s.upgraded = append(s.upgraded, row) }
+func (s *fakeSched) Promote(row int)                { s.promoted = append(s.promoted, row) }
 
 // upgradeOnlySched masks off Demote/Promote so the fallback path is used.
 type upgradeOnlySched struct{ inner *fakeSched }
 
-func (s upgradeOnlySched) Name() string                   { return "fake-up" }
-func (s upgradeOnlySched) Period(int) float64             { return 0.064 }
-func (s upgradeOnlySched) RefreshOp(int, float64) core.Op { return core.Op{Full: true, Cycles: 1, Alpha: 1} }
-func (s upgradeOnlySched) OnAccess(int, float64)          {}
-func (s upgradeOnlySched) MPRSF(int) int                  { return 0 }
-func (s upgradeOnlySched) Upgrade(row int)                { s.inner.Upgrade(row) }
+func (s upgradeOnlySched) Name() string       { return "fake-up" }
+func (s upgradeOnlySched) Period(int) float64 { return 0.064 }
+func (s upgradeOnlySched) RefreshOp(int, float64) core.Op {
+	return core.Op{Full: true, Cycles: 1, Alpha: 1}
+}
+func (s upgradeOnlySched) OnAccess(int, float64) {}
+func (s upgradeOnlySched) MPRSF(int) int         { return 0 }
+func (s upgradeOnlySched) Upgrade(row int)       { s.inner.Upgrade(row) }
 
 func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{SweepPeriod: -1},
-		{Window: -1},
-		{MinCoverage: 2},
-		{CleanPromote: -3},
-		{Floor: -0.1},
-		{BackoffBase: 0.5, BackoffMax: 0.25},
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"sweep", Config{SweepPeriod: -1}, "sweep period"},
+		{"sweep-nan", Config{SweepPeriod: nan}, "sweep period"},
+		{"sweep-inf", Config{SweepPeriod: inf}, "sweep period"},
+		{"window", Config{Window: -1}, "window"},
+		{"window-nan", Config{Window: nan}, "window"},
+		{"window-inf", Config{Window: inf}, "window"},
+		{"coverage", Config{MinCoverage: 2}, "coverage"},
+		{"coverage-nan", Config{MinCoverage: nan}, "coverage"},
+		{"promote", Config{CleanPromote: -3}, "CleanPromote"},
+		{"floor", Config{Floor: -0.1}, "floor"},
+		{"floor-nan", Config{Floor: nan}, "floor"},
+		{"floor-inf", Config{Floor: inf}, "floor"},
+		{"backoff", Config{BackoffBase: 0.5, BackoffMax: 0.25}, "backoff"},
+		{"backoff-base-nan", Config{BackoffBase: nan}, "backoff"},
+		{"backoff-max-nan", Config{BackoffMax: nan}, "backoff"},
+		{"backoff-max-inf", Config{BackoffMax: inf}, "backoff"},
+		{"backoff-base-inf", Config{BackoffBase: inf, BackoffMax: inf}, "backoff"},
 	}
-	for i, cfg := range bad {
-		if _, err := New(newFakeStore(4), cfg); err == nil {
-			t.Errorf("case %d: New accepted invalid config %+v", i, cfg)
-		}
+	for _, c := range bad {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.cfg.withDefaults().Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate = %v, want mention of %q", err, c.want)
+			}
+			if _, err := New(newFakeStore(4), c.cfg); err == nil {
+				t.Fatalf("New accepted invalid config %+v", c.cfg)
+			}
+		})
+	}
+	if err := (Config{}).withDefaults().Validate(); err != nil {
+		t.Fatalf("default config must validate: %v", err)
 	}
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("New accepted a nil store")
