@@ -46,33 +46,27 @@ func TestGateAllocs(t *testing.T) {
 		ceiling float64
 		setup   func(tb testing.TB) func()
 	}{
-		// Ten of a quiet window's eleven allocations are the fresh scheduler
+		// All ten of a quiet window's allocations are the fresh scheduler
 		// (its tick column among them) and bank (its int64 last-restore
-		// column among them); the run makes one and reuses the warmed queue
-		// and columns.
-		{"device-year-quiet", 11, func(tb testing.TB) func() {
+		// column among them); the run itself reuses the warmed queue and
+		// columns.
+		{"device-year-quiet", 10, func(tb testing.TB) func() {
 			return discard(deviceYearRun(tb, false, deviceYearWindow, sim.BackendAuto))
 		}},
-		{"device-year-active", 30, func(tb testing.TB) func() {
+		{"device-year-active", 15, func(tb testing.TB) func() {
 			return discard(deviceYearRun(tb, true, deviceYearWindow, sim.BackendAuto))
 		}},
-		{"sim-refresh-only-reusable", 11, func(tb testing.TB) func() {
+		{"sim-refresh-only-reusable", 10, func(tb testing.TB) func() {
 			return discard(deviceYearRun(tb, false, 0.768, sim.BackendAuto))
 		}},
 		{"presense-meter-warm", 0, func(tb testing.TB) func() {
 			m := warmPreSenseMeter(tb, 32)
 			return func() { measurePreSense(tb, m) }
 		}},
-		{"bank-refresh-batch-warm", 0, func(tb testing.TB) func() {
-			step, _ := bankBatchRefresh(tb)
-			i := 0
-			return func() { step(i); i++ }
-		}},
 		{"compute-mprsf", 0, mprsfStep},
 		// A scenario decay walk reads its Env's compiled grid and keeps its
 		// cursor, bound telegraph rows and walk on the stack.
-		{"scenario-decay-factor", 0, func(tb testing.TB) func() { return scenarioDecayStep(tb, false) }},
-		{"scenario-decay-factors", 0, func(tb testing.TB) func() { return scenarioDecayStep(tb, true) }},
+		{"scenario-decay-factor", 0, scenarioDecayStep},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkCeiling(t, exactAllocs(5, tc.setup(t)), tc.ceiling)
@@ -80,11 +74,10 @@ func TestGateAllocs(t *testing.T) {
 	}
 }
 
-// scenarioDecayStep returns one round of decay queries on a fleet-shaped
-// scenario Env (kitchen-sink over a 0.128 s window plus a weak-cell
-// telegraph), through DecayFactor or, with batch, one DecayFactors call.
-// The Env's grid is compiled before it returns.
-func scenarioDecayStep(tb testing.TB, batch bool) func() {
+// scenarioDecayStep returns one round of DecayFactor queries on a
+// fleet-shaped scenario Env (kitchen-sink over a 0.128 s window plus a
+// weak-cell telegraph). The Env's grid is compiled before it returns.
+func scenarioDecayStep(tb testing.TB) func() {
 	const window = 0.128
 	env, err := scenario.BuildEnv(scenario.Ref{Name: "kitchen-sink"}, window, 42)
 	if err != nil {
@@ -100,13 +93,11 @@ func scenarioDecayStep(tb testing.TB, batch bool) func() {
 		t1[i] = t0[i] + window/4*(1+float64(i%5)/5)
 	}
 	base := retention.ExpDecay{}
-	env.DecayFactors(rows, tret, t0, t1, base, out)
-	if batch {
-		return func() { env.DecayFactors(rows, tret, t0, t1, base, out) }
-	}
-	return func() {
+	step := func() {
 		for i := range rows {
 			out[i] = env.DecayFactor(rows[i], tret[i], t0[i], t1[i], base)
 		}
 	}
+	step()
+	return step
 }

@@ -239,51 +239,6 @@ func BenchmarkProfileConstruction(b *testing.B) {
 	}
 }
 
-// bankBatchRefresh prepares one RefreshBatch over every row of the paper
-// bank, warmed once so the bank's scratch columns are grown. step(i) runs
-// the i-th batch; the per-batch time bump keeps every batch valid without
-// re-allocating it. It also returns the number of rows per batch.
-func bankBatchRefresh(tb testing.TB) (step func(i int), rows int) {
-	tb.Helper()
-	prof, _ := paperModels(tb)
-	bank, err := dram.NewBank(prof, retention.ExpDecay{}, retention.PatternAllZeros)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rows = bank.Geom.Rows
-	ops := make([]dram.BatchOp, rows)
-	results := make([]dram.RefreshResult, rows)
-	period := dram.Ticks(0.064)
-	for r := range ops {
-		ops[r] = dram.BatchOp{Row: r, Time: period, Alpha: 1}
-	}
-	if err := bank.RefreshBatch(ops, results); err != nil {
-		tb.Fatal(err)
-	}
-	return func(i int) {
-		t := period * int64(i+2)
-		for r := range ops {
-			ops[r].Time = t
-		}
-		if err := bank.RefreshBatch(ops, results); err != nil {
-			tb.Fatal(err)
-		}
-	}, rows
-}
-
-// BenchmarkBankBatchRefresh measures the raw columnar kernel: one
-// RefreshBatch over every row of the paper bank per iteration, the shape the
-// batched simulator backend drains one batch window in.
-func BenchmarkBankBatchRefresh(b *testing.B) {
-	step, rows := bankBatchRefresh(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step(i)
-	}
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
 // deviceYearWindow is the simulated span of the device-year benchmarks: four
 // bin hyperperiods, long enough that steady-state behavior (and any
 // fast-forward engagement) dominates the one-time run setup.
@@ -295,7 +250,7 @@ const deviceYearWindow = 4 * 0.768
 // builds a fresh scheduler and bank, runs them and returns the row refreshes
 // performed. The active variant adds the dpd-adversary scenario and a
 // 4096-record trace spread over the window, which keep fast-forward
-// disengaged so the batched path carries the run.
+// disengaged so the per-event path carries the run.
 func deviceYearRun(tb testing.TB, active bool, window float64, backend sim.Backend) func() int64 {
 	tb.Helper()
 	p := device.Default90nm()

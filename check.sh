@@ -62,6 +62,30 @@ go test -count=1 -run '^TestGate' . ./internal/scenario
 echo "== periodic skip long equivalence (go test -long) =="
 go test -count=1 -run '^TestPeriodicSkipLongEquivalence$' ./internal/sim -long
 
+# Report gate: regenerate docs/REPORT.md with the default configuration and
+# diff it against the committed file. Only wall-clock fields change from run
+# to run - each section's "regenerated in" line and tab1's three time
+# columns - so those are masked on both sides before the diff.
+echo "== docs/REPORT.md regeneration =="
+REPORT_DIR=$(mktemp -d /tmp/vrlreport-check.XXXXXX)
+TMP_PATHS="$TMP_PATHS $REPORT_DIR"
+go build -o "$REPORT_DIR/vrlreport" ./cmd/vrlreport
+"$REPORT_DIR/vrlreport" -o "$REPORT_DIR/REPORT.md"
+mask_report() {
+    awk -F'|' -v OFS='|' '
+        /^## / { tab1 = ($0 ~ /^## tab1 /) }
+        tab1 && $2 ~ /^ [0-9]+x[0-9]+ $/ { $6 = " T "; $7 = " T "; $8 = " T " }
+        { sub(/regenerated in [^ ]+ by/, "regenerated in T by"); print }
+    ' "$1"
+}
+mask_report docs/REPORT.md >"$REPORT_DIR/want.md"
+mask_report "$REPORT_DIR/REPORT.md" >"$REPORT_DIR/got.md"
+if ! diff -u "$REPORT_DIR/want.md" "$REPORT_DIR/got.md"; then
+    echo "docs/REPORT.md differs from a fresh vrlreport run beyond its wall-clock fields;"
+    echo "regenerate it with: go run ./cmd/vrlreport -o docs/REPORT.md"
+    exit 1
+fi
+
 # Short-budget fuzz passes: regression corpora plus a few seconds of new
 # coverage-guided inputs per target. 'go test -fuzz' accepts one target per
 # invocation, so one pkg:target list drives one loop - add new targets here,
@@ -78,7 +102,6 @@ internal/fleet:FuzzManifestDecode
 internal/scenario:FuzzScenarioDecode
 internal/scenario:FuzzEnvDecayFactor
 internal/scenario:FuzzStressorSegment
-internal/dram:FuzzRefreshBatch
 internal/sim:FuzzFastForwardPlan
 internal/sim:FuzzRunEquivalence
 internal/fleet:FuzzDeviceEquivalence

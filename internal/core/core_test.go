@@ -195,12 +195,14 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := c
-	bad.Guardband = 0.3
-	if err := bad.Validate(); err == nil {
-		t.Fatal("guardband below the sensing limit must be rejected")
+	for _, g := range []float64{0.3, 1, math.NaN(), math.Inf(1)} {
+		bad := c
+		bad.Guardband = g
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("guardband %g outside [SenseLimit, 1) must be rejected", g)
+		}
 	}
-	bad = c
+	bad := c
 	bad.NBits = 40
 	if err := bad.Validate(); err == nil {
 		t.Fatal("absurd nbits must be rejected")

@@ -33,25 +33,6 @@ type Scheduler interface {
 	MPRSF(row int) int
 }
 
-// BatchScheduler is an optional Scheduler capability: RefreshOps is
-// RefreshOp applied once per batch entry, in batch order, filling ops[i]
-// for (rows[i], times[i]). By implementing it a scheduler declares that its
-// RefreshOp state is independent across rows, so the batched runner may
-// hoist one bucket's per-event calls ahead of applying the bucket: the
-// per-row op sequences - the only state a row-independent policy carries -
-// are unchanged by the hoist, which is what keeps the batched backend
-// bit-identical to the scalar one. All shipped policies (JEDEC, RAIDR, VRL,
-// VRL-Access) qualify; a policy with cross-row coupling must not implement
-// this interface.
-type BatchScheduler interface {
-	Scheduler
-	RefreshOps(rows []int, times []float64, ops []Op)
-	// Periods gathers Period(rows[i]) into out[i]. The runner only hoists
-	// this when nothing in the batch can mutate a period mid-bucket (no
-	// ECC-driven demotes/upgrades are configured).
-	Periods(rows []int, out []float64)
-}
-
 // SteadyScheduler is an optional Scheduler capability the fast-forward
 // engine keys on: StablePeriodUntil returns a time up to which the row's
 // refresh period - and the per-row op sequence it drives - cannot change
@@ -120,7 +101,7 @@ func (c Config) Validate() error {
 	if err := c.Restore.Validate(); err != nil {
 		return err
 	}
-	if c.Guardband < retention.SenseLimit || c.Guardband >= 1 {
+	if !(c.Guardband >= retention.SenseLimit && c.Guardband < 1) { // rejects NaN too
 		return fmt.Errorf("core: guardband %g outside [%g,1)", c.Guardband, retention.SenseLimit)
 	}
 	if c.NBits < 1 || c.NBits > 16 {
@@ -173,21 +154,6 @@ func (s *jedec) OnAccess(int, float64) {}
 func (s *jedec) MPRSF(int) int         { return 0 }
 func (s *jedec) RefreshOp(int, float64) Op {
 	return Op{Full: true, Cycles: s.rm.FullCycles, Alpha: s.rm.AlphaFull}
-}
-
-// RefreshOps implements BatchScheduler; JEDEC is stateless.
-func (s *jedec) RefreshOps(rows []int, _ []float64, ops []Op) {
-	op := Op{Full: true, Cycles: s.rm.FullCycles, Alpha: s.rm.AlphaFull}
-	for i := range rows {
-		ops[i] = op
-	}
-}
-
-// Periods implements BatchScheduler.
-func (s *jedec) Periods(rows []int, out []float64) {
-	for i := range rows {
-		out[i] = s.period
-	}
 }
 
 // StablePeriodUntil implements SteadyScheduler: the JEDEC schedule is fixed
@@ -255,22 +221,6 @@ func (s *raidr) OnAccess(int, float64)  {}
 func (s *raidr) MPRSF(int) int          { return 0 }
 func (s *raidr) RefreshOp(int, float64) Op {
 	return Op{Full: true, Cycles: s.rm.FullCycles, Alpha: s.rm.AlphaFull}
-}
-
-// RefreshOps implements BatchScheduler; RAIDR issues full refreshes with no
-// per-refresh state.
-func (s *raidr) RefreshOps(rows []int, _ []float64, ops []Op) {
-	op := Op{Full: true, Cycles: s.rm.FullCycles, Alpha: s.rm.AlphaFull}
-	for i := range rows {
-		ops[i] = op
-	}
-}
-
-// Periods implements BatchScheduler.
-func (s *raidr) Periods(rows []int, out []float64) {
-	for i, r := range rows {
-		out[i] = s.periods[r]
-	}
 }
 
 // StablePeriodUntil implements SteadyScheduler: the binned periods are fixed
@@ -418,31 +368,6 @@ func (s *vrl) RefreshOp(row int, _ float64) Op {
 	}
 	s.rcount[row]++
 	return Op{Full: false, Cycles: s.rm.PartialCycles, Alpha: s.rm.AlphaPartial}
-}
-
-// RefreshOps implements BatchScheduler: Algorithm 1 across a batch, with
-// exactly the counter updates RefreshOp would apply entry by entry (the
-// counters are per-row, so batch order equals per-row order).
-func (s *vrl) RefreshOps(rows []int, _ []float64, ops []Op) {
-	full := Op{Full: true, Cycles: s.rm.FullCycles, Alpha: s.rm.AlphaFull}
-	partial := Op{Full: false, Cycles: s.rm.PartialCycles, Alpha: s.rm.AlphaPartial}
-	rc, mp := s.rcount, s.mprsf
-	for i, r := range rows {
-		if rc[r] == mp[r] {
-			rc[r] = 0
-			ops[i] = full
-		} else {
-			rc[r]++
-			ops[i] = partial
-		}
-	}
-}
-
-// Periods implements BatchScheduler.
-func (s *vrl) Periods(rows []int, out []float64) {
-	for i, r := range rows {
-		out[i] = s.periods[r]
-	}
 }
 
 // StablePeriodUntil implements SteadyScheduler. VRL's periods and MPRSF

@@ -12,6 +12,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"vrldram/internal/device"
 	"vrldram/internal/retention"
@@ -53,9 +54,10 @@ type Bank struct {
 	// attaching both is refused.
 	mod Modulator
 
-	// Row state is a structure-of-arrays: the batched kernels in batch.go
-	// stream over these slices directly, so they are never appended to;
-	// the two float columns share one backing array.
+	// Row state is a structure-of-arrays: the fast-forward kernel
+	// (macro.go) and the plain CheckAll sweep stream over these slices
+	// directly, so they are never appended to; the two float columns share
+	// one backing array.
 	charge []float64 // normalized charge at lastT
 	lastT  []int64   // tick the charge was last set
 	tret   []float64 // effective retention under the stored pattern (s)
@@ -72,27 +74,6 @@ type Bank struct {
 	retired []bool
 
 	violations []Violation
-
-	// Batch scratch (pure caches, never part of State): epoch-stamped
-	// duplicate-row detection and gather buffers for the batched kernels.
-	batchSeen   []int32
-	batchEpoch  int32
-	batchF      []float64 // modulator decay factors
-	batchT0     []float64 // gathered last-restore times (s) for BatchModulator
-	batchTret   []float64 // gathered effective retentions for BatchModulator
-	batchRows   []int     // RefreshBatch gather columns
-	batchTimes  []int64
-	batchCharge []float64
-
-	// Per-row Exp2 memo for the batched exponential-decay kernel. A row
-	// refreshed on a steady period sees the bit-identical -dt/tret argument
-	// refresh after refresh, so caching the last (argument, result) pair
-	// skips most Exp2 calls. Value-keyed on the exact argument bits, the
-	// memo can never change a result. expMemoArg[r] is the last argument
-	// (always negative in the kernel, so the zero value never false-hits);
-	// expMemoVal[r] the corresponding Exp2. One backing array holds both.
-	expMemoArg []float64
-	expMemoVal []float64
 }
 
 // NewBank returns a bank with every row fully charged at t = 0.
@@ -126,8 +107,8 @@ func NewBank(profile *retention.BankProfile, decay retention.DecayModel, pattern
 }
 
 // fillRetentions precomputes the tret column with exactly the expression
-// effectiveRetention evaluates, so the batched kernels read values that are
-// bit-identical to the scalar path's.
+// effectiveRetention evaluates, so the columnar kernels read values that
+// are bit-identical to the scalar path's.
 func (b *Bank) fillRetentions() {
 	pf := retention.PatternFactor(b.Pattern)
 	for r := range b.tret {
@@ -398,4 +379,23 @@ func (b *Bank) checkAllPlain(t int64) (int, error) {
 		}
 	}
 	return bad, nil
+}
+
+// decayPlain evaluates the unmodulated decay laws with exactly the guards
+// and expression shapes of retention.ExpDecay.Factor / LinearDecay.Factor.
+func decayPlain(exp bool, dt, tret float64) float64 {
+	if dt <= 0 {
+		return 1
+	}
+	if tret <= 0 {
+		return 0
+	}
+	if exp {
+		return math.Exp2(-dt / tret)
+	}
+	f := 1 - (1-retention.SenseLimit)*dt/tret
+	if f < 0 {
+		return 0
+	}
+	return f
 }

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"vrldram/internal/device"
@@ -122,6 +123,27 @@ func TestRefreshRestores(t *testing.T) {
 	}
 	if _, err := b.Refresh(row, Ticks(at), 1.5); err == nil {
 		t.Fatal("alpha > 1 must be rejected")
+	}
+}
+
+// TestRefreshValidation: a row outside the bank, or a restore coefficient
+// outside [0,1] (NaN included), is refused with an error and leaves the
+// bank untouched.
+func TestRefreshValidation(t *testing.T) {
+	b := newBank(t)
+	before := b.State()
+	for _, c := range []struct {
+		row   int
+		alpha float64
+	}{
+		{-1, 1}, {b.Geom.Rows, 1}, {1, 1.5}, {1, -0.5}, {1, math.NaN()},
+	} {
+		if _, err := b.Refresh(c.row, Ticks(0.1), c.alpha); err == nil {
+			t.Errorf("Refresh(row %d, alpha %g) accepted", c.row, c.alpha)
+		}
+	}
+	if after := b.State(); !reflect.DeepEqual(before, after) {
+		t.Fatal("a refused refresh mutated the bank")
 	}
 }
 

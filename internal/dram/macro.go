@@ -105,8 +105,12 @@ func (b *Bank) RefreshMacro(sc *StreamScratch, lanes []RefreshLane, horizon int6
 			res.Bailed = true
 			return res, nil
 		}
+		// append rounds each column's capacity up by its own element
+		// size, so the two columns are grown independently.
 		if cap(sc.mrows) < rowTotal+n {
 			sc.mrows = append(sc.mrows[:rowTotal], make([]int32, n)...)
+		}
+		if cap(sc.mcnt) < rowTotal+n {
 			sc.mcnt = append(sc.mcnt[:rowTotal], make([]int64, n)...)
 		}
 		sc.mrows, sc.mcnt = sc.mrows[:rowTotal+n], sc.mcnt[:rowTotal+n]

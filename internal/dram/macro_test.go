@@ -191,3 +191,49 @@ func TestRefreshMacroMatchesPerEventRefresh(t *testing.T) {
 		t.Fatalf("lanes hold %v, reference pending %v", next, pending)
 	}
 }
+
+// TestRefreshMacroGrowsScratchColumnsIndependently reuses a StreamScratch
+// whose row and count columns have different capacities - what append
+// leaves behind, since it rounds an int32 and an int64 column to different
+// size classes - and requires the window to replay exactly as on a fresh
+// scratch. A check of one column's capacity standing in for both slices
+// the shorter column past its capacity.
+func TestRefreshMacroGrowsScratchColumnsIndependently(t *testing.T) {
+	horizon := Ticks(0.5)
+	ref := newMacroFixture(t)
+	var fresh StreamScratch
+	want, err := ref.bank.RefreshMacro(&fresh, ref.lanes, horizon, &ref.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := ref.bank.Geom.Rows
+	for _, c := range []struct {
+		name             string
+		rowsCap, cntsCap int
+	}{
+		{"counts-shorter", rows, rows / 4},
+		{"rows-shorter", rows / 4, rows},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newMacroFixture(t)
+			sc := StreamScratch{mrows: make([]int32, 0, c.rowsCap), mcnt: make([]int64, 0, c.cntsCap)}
+			got, err := f.bank.RefreshMacro(&sc, f.lanes, horizon, &f.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("window %+v, fresh scratch %+v", got, want)
+			}
+			var gotState, wantState bytes.Buffer
+			if err := gob.NewEncoder(&gotState).Encode(f.bank.State()); err != nil {
+				t.Fatal(err)
+			}
+			if err := gob.NewEncoder(&wantState).Encode(ref.bank.State()); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotState.Bytes(), wantState.Bytes()) {
+				t.Fatal("bank state diverged from the fresh-scratch window")
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"vrldram/internal/retention"
 )
@@ -50,6 +51,9 @@ func DefaultTransientWeakCells(seed int64) *retention.VRT {
 func TemperatureExcursion(p *retention.BankProfile, m retention.TempModel, tempC float64) (*retention.BankProfile, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("fault: %w", err)
+	}
+	if math.IsNaN(tempC) || math.IsInf(tempC, 0) {
+		return nil, fmt.Errorf("fault: operating temperature must be finite, got %g", tempC)
 	}
 	s := m.Scale(tempC)
 	out := &retention.BankProfile{

@@ -200,6 +200,53 @@ func TestTemperatureExcursion(t *testing.T) {
 	}
 }
 
+// TestTemperatureExcursionRejectsNonFinite: a NaN temperature makes every
+// true retention NaN, whose charge never compares below the sense limit (a
+// silent zero-violation run), and an infinite one zeroes or inflates every
+// retention; the injector must refuse both, and any non-finite model.
+func TestTemperatureExcursionRejectsNonFinite(t *testing.T) {
+	prof := testProfile(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name  string
+		m     retention.TempModel
+		tempC float64
+	}{
+		{"temp-nan", retention.DefaultTempModel(), nan},
+		{"temp-inf", retention.DefaultTempModel(), inf},
+		{"temp-neg-inf", retention.DefaultTempModel(), -inf},
+		{"ref-nan", retention.TempModel{RefC: nan, HalvingC: 10}, 90},
+		{"halving-nan", retention.TempModel{RefC: 85, HalvingC: nan}, 90},
+		{"halving-inf", retention.TempModel{RefC: 85, HalvingC: inf}, 90},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := TemperatureExcursion(prof, c.m, c.tempC); err == nil {
+				t.Fatalf("model %+v at %g degC accepted", c.m, c.tempC)
+			}
+		})
+	}
+}
+
+// TestFaultFractionsRejectNaN: NaN passes a "< 0 || > 1" range check, so
+// each fraction check must be written to fail it.
+func TestFaultFractionsRejectNaN(t *testing.T) {
+	prof := testProfile(t)
+	nan := math.NaN()
+	for _, frac := range []float64{nan, math.Inf(1), math.Inf(-1), -0.1, 1.1} {
+		if _, _, err := MisBinProfile(prof, frac, nil, 1); err == nil {
+			t.Errorf("MisBinProfile accepted fraction %g", frac)
+		}
+	}
+	for _, f := range []RefreshFaults{
+		{Rate: nan, AlphaFactor: 0.5},
+		{Rate: 0.03, AlphaFactor: nan},
+	} {
+		if err := f.Validate(); err == nil {
+			t.Errorf("RefreshFaults %+v accepted", f)
+		}
+	}
+}
+
 func TestRefreshInjector(t *testing.T) {
 	p := device.Default90nm()
 	rm, err := core.PaperRestoreModel(p, device.PaperBank)

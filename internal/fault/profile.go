@@ -17,7 +17,7 @@ import (
 //
 // It returns the corrupted profile and the number of rows mis-binned.
 func MisBinProfile(p *retention.BankProfile, frac float64, bins []float64, seed int64) (*retention.BankProfile, int, error) {
-	if frac < 0 || frac > 1 {
+	if !(frac >= 0 && frac <= 1) { // rejects NaN too
 		return nil, 0, fmt.Errorf("fault: mis-bin fraction %g outside [0,1]", frac)
 	}
 	if len(bins) == 0 {

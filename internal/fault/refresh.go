@@ -25,10 +25,11 @@ func DefaultRefreshFaults(seed int64) RefreshFaults {
 
 // Validate reports the first unusable parameter.
 func (f RefreshFaults) Validate() error {
-	if f.Rate < 0 || f.Rate > 1 {
+	// Each check is written so that NaN fails it.
+	if !(f.Rate >= 0 && f.Rate <= 1) {
 		return fmt.Errorf("fault: refresh fault rate %g outside [0,1]", f.Rate)
 	}
-	if f.AlphaFactor < 0 || f.AlphaFactor >= 1 {
+	if !(f.AlphaFactor >= 0 && f.AlphaFactor < 1) {
 		return fmt.Errorf("fault: AlphaFactor %g outside [0,1)", f.AlphaFactor)
 	}
 	return nil

@@ -59,15 +59,15 @@ func (o Options) Validate() error {
 	}
 	prev := 0.0
 	for i, iv := range o.Intervals {
-		if iv <= prev {
-			return fmt.Errorf("profiler: intervals must increase (index %d)", i)
+		if !(iv > prev) || math.IsInf(iv, 1) { // rejects NaN too
+			return fmt.Errorf("profiler: intervals must be finite and increase (index %d: %g)", i, iv)
 		}
 		prev = iv
 	}
 	if len(o.Patterns) == 0 {
 		return fmt.Errorf("profiler: no test patterns")
 	}
-	if o.Margin <= 0 || o.Margin > 1 {
+	if !(o.Margin > 0 && o.Margin <= 1) { // rejects NaN too
 		return fmt.Errorf("profiler: margin %g outside (0,1]", o.Margin)
 	}
 	return nil

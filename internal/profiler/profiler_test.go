@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"math"
 	"testing"
 
 	"vrldram/internal/core"
@@ -30,6 +31,12 @@ func TestOptionsValidation(t *testing.T) {
 		{Intervals: []float64{0.2, 0.1}, Patterns: retention.Patterns, Margin: 0.9},
 		{Intervals: []float64{0.1}, Patterns: []retention.Pattern{}, Margin: 0.9},
 		{Intervals: []float64{0.1}, Patterns: retention.Patterns, Margin: 1.5},
+		// Non-finite values pass plain sign and order checks.
+		{Intervals: []float64{0.1}, Patterns: retention.Patterns, Margin: math.NaN()},
+		{Intervals: []float64{0.1}, Patterns: retention.Patterns, Margin: math.Inf(1)},
+		{Intervals: []float64{math.NaN()}, Patterns: retention.Patterns, Margin: 0.9},
+		{Intervals: []float64{0.1, math.NaN()}, Patterns: retention.Patterns, Margin: 0.9},
+		{Intervals: []float64{0.1, math.Inf(1)}, Patterns: retention.Patterns, Margin: 0.9},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {

@@ -370,6 +370,25 @@ func TestTempModel(t *testing.T) {
 	}
 }
 
+// TestTempModelRejectsNonFinite: a NaN or infinite parameter passes a sign
+// check and turns every scaled retention into NaN, 0 or +Inf, so Validate
+// must refuse each one.
+func TestTempModelRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, m := range []TempModel{
+		{RefC: nan, HalvingC: 10},
+		{RefC: inf, HalvingC: 10},
+		{RefC: -inf, HalvingC: 10},
+		{RefC: 85, HalvingC: nan},
+		{RefC: 85, HalvingC: inf},
+		{RefC: 85, HalvingC: -inf},
+	} {
+		if err := m.Validate(); err == nil {
+			t.Errorf("%+v accepted", m)
+		}
+	}
+}
+
 func TestAtTemperature(t *testing.T) {
 	p, err := NewPaperProfile(DefaultCellDistribution(), 42)
 	if err != nil {

@@ -26,10 +26,14 @@ func DefaultTempModel() TempModel {
 	return TempModel{RefC: 85, HalvingC: 10}
 }
 
-// Validate reports the first unusable parameter.
+// Validate reports the first unusable parameter. Both must be finite: a
+// NaN or infinite one makes every scaled retention NaN, 0 or infinite.
 func (m TempModel) Validate() error {
-	if m.HalvingC <= 0 {
-		return fmt.Errorf("retention: temperature halving slope must be positive, got %g", m.HalvingC)
+	if math.IsNaN(m.RefC) || math.IsInf(m.RefC, 0) {
+		return fmt.Errorf("retention: reference temperature must be finite, got %g", m.RefC)
+	}
+	if !(m.HalvingC > 0) || math.IsInf(m.HalvingC, 1) {
+		return fmt.Errorf("retention: temperature halving slope must be positive and finite, got %g", m.HalvingC)
 	}
 	return nil
 }

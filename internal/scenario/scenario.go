@@ -86,8 +86,8 @@ type Env struct {
 	Seed     int64   // scenario master seed (streams derive from it)
 	Duration float64 // the run window the schedule was built for (s)
 	// Stressors is the composition, multiplied in this order. It must not
-	// change after the first DecayFactor or DecayFactors call, which
-	// compiles the time-only part of the schedule.
+	// change after the first DecayFactor call, which compiles the time-only
+	// part of the schedule.
 	Stressors []Stressor
 
 	compileOnce sync.Once
@@ -368,17 +368,6 @@ func (g *grid) locate(t float64) int {
 		i--
 	}
 	return i
-}
-
-// DecayFactors implements dram.BatchModulator: out[i] is
-// DecayFactor(rows[i], tret[i], t0[i], t1[i], base), bit for bit. Every
-// row reads the one grid compiled per Env, so a batch costs no more set-up
-// than a scalar call.
-func (e *Env) DecayFactors(rows []int, tret, t0, t1 []float64, base retention.DecayModel, out []float64) {
-	g := e.compiledSchedule()
-	for i := range rows {
-		out[i] = e.decayFactorWith(g, rows[i], tret[i], t0[i], t1[i], base)
-	}
 }
 
 // decayFactorWith is decayFactorRef evaluated through the grid, with the

@@ -337,49 +337,6 @@ func TestFprintCatalogListsEveryScenario(t *testing.T) {
 	}
 }
 
-// TestDecayFactorsMatchesScalar pins the dram.BatchModulator contract on
-// every catalog scenario: DecayFactors over a mixed batch - repeated rows,
-// varied retention times, degenerate (t1 <= t0) spans, intervals crossing
-// segment change-points - must reproduce the reference segment walk bit for
-// bit. This is what lets the batched simulator backend route scenario runs
-// through the columnar kernel without perturbing a single violation.
-func TestDecayFactorsMatchesScalar(t *testing.T) {
-	base := retention.ExpDecay{}
-	for _, name := range Names() {
-		t.Run(name, func(t *testing.T) {
-			env := buildNamed(t, name)
-			rng := rand.New(rand.NewSource(17))
-			const n = 600
-			rows := make([]int, n)
-			tret := make([]float64, n)
-			t0 := make([]float64, n)
-			t1 := make([]float64, n)
-			out := make([]float64, n)
-			for i := 0; i < n; i++ {
-				rows[i] = rng.Intn(96)
-				tret[i] = 0.02 + rng.Float64()*0.5
-				t0[i] = testWindow * rng.Float64()
-				switch rng.Intn(8) {
-				case 0:
-					t1[i] = t0[i] // empty span
-				case 1:
-					t1[i] = t0[i] - rng.Float64()*0.1 // inverted span
-				default:
-					t1[i] = t0[i] + rng.Float64()*testWindow/2
-				}
-			}
-			env.DecayFactors(rows, tret, t0, t1, base, out)
-			for i := 0; i < n; i++ {
-				want := env.decayFactorRef(rows[i], tret[i], t0[i], t1[i], base)
-				if out[i] != want {
-					t.Fatalf("op %d (row %d tret %g [%g,%g]): batch %.17g, reference %.17g",
-						i, rows[i], tret[i], t0[i], t1[i], out[i], want)
-				}
-			}
-		})
-	}
-}
-
 // fleetWindow is the fleet-mixed benchmark's device run window.
 const fleetWindow = 0.128
 
@@ -474,28 +431,15 @@ func exactnessCases(env *Env, rng *rand.Rand) []decayCase {
 	return cs
 }
 
-// checkAgainstReference requires DecayFactor and DecayFactors to equal
-// decayFactorRef bit for bit on every case, and reports the first mismatch.
+// checkAgainstReference requires DecayFactor to equal decayFactorRef bit
+// for bit on every case, and reports the first mismatch.
 func checkAgainstReference(env *Env, cs []decayCase) error {
 	base := retention.ExpDecay{}
-	rows := make([]int, len(cs))
-	tret := make([]float64, len(cs))
-	t0 := make([]float64, len(cs))
-	t1 := make([]float64, len(cs))
-	out := make([]float64, len(cs))
-	for i, c := range cs {
-		rows[i], tret[i], t0[i], t1[i] = c.row, c.tret, c.t0, c.t1
-	}
-	env.DecayFactors(rows, tret, t0, t1, base, out)
 	for i, c := range cs {
 		want := env.decayFactorRef(c.row, c.tret, c.t0, c.t1, base)
 		if got := env.DecayFactor(c.row, c.tret, c.t0, c.t1, base); got != want {
 			return fmt.Errorf("case %d (row %d tret %g [%.17g,%.17g]): DecayFactor %.17g, reference %.17g",
 				i, c.row, c.tret, c.t0, c.t1, got, want)
-		}
-		if out[i] != want {
-			return fmt.Errorf("case %d (row %d tret %g [%.17g,%.17g]): DecayFactors %.17g, reference %.17g",
-				i, c.row, c.tret, c.t0, c.t1, out[i], want)
 		}
 	}
 	return nil
@@ -503,7 +447,7 @@ func checkAgainstReference(env *Env, cs []decayCase) error {
 
 // TestCompiledScheduleMatchesReference pins the compiled schedule to the
 // reference walk: every catalog scenario, and one with a stressor appended
-// after BuildEnv, through both the scalar and the batch entry points.
+// after BuildEnv.
 func TestCompiledScheduleMatchesReference(t *testing.T) {
 	for name, env := range exactnessEnvs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -603,11 +547,6 @@ func FuzzEnvDecayFactor(f *testing.F) {
 		want := env.decayFactorRef(int(row), tret, t0, t1, base)
 		if got := env.DecayFactor(int(row), tret, t0, t1, base); got != want {
 			t.Fatalf("DecayFactor %.17g, reference %.17g", got, want)
-		}
-		out := make([]float64, 1)
-		env.DecayFactors([]int{int(row)}, []float64{tret}, []float64{t0}, []float64{t1}, base, out)
-		if out[0] != want {
-			t.Fatalf("DecayFactors %.17g, reference %.17g", out[0], want)
 		}
 	})
 }
@@ -892,28 +831,6 @@ func BenchmarkEnvDecayFactor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cs[i%len(cs)]
 		env.DecayFactor(c.row, c.tret, c.t0, c.t1, base)
-	}
-}
-
-// BenchmarkEnvDecayFactors times the batch path on kitchen-sink, one
-// 256-row batch per op. Once the schedule is compiled it must not allocate.
-func BenchmarkEnvDecayFactors(b *testing.B) {
-	env, cs := benchDecayCases(b)
-	base := retention.ExpDecay{}
-	n := len(cs)
-	rows := make([]int, n)
-	tret := make([]float64, n)
-	t0 := make([]float64, n)
-	t1 := make([]float64, n)
-	out := make([]float64, n)
-	for i, c := range cs {
-		rows[i], tret[i], t0[i], t1[i] = c.row, c.tret, c.t0, c.t1
-	}
-	env.DecayFactors(rows, tret, t0, t1, base, out)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env.DecayFactors(rows, tret, t0, t1, base, out)
 	}
 }
 

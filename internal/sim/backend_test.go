@@ -23,15 +23,13 @@ import (
 )
 
 // TestBatchQueueMatchesHeapPopOrder is the queue-level property for the
-// lane-based batch queue: against random periodic workloads drained through
-// popBatch at random horizons - exercising the per-period FIFO lanes, the
-// mixed-lane sort, and FIFO-violation spills - the batch queue must emit
-// exactly the (time, row) sequence the reference binary heap does, one
-// event at a time. Horizons stay below the earliest possible re-push
-// (tFirst + the minimum period): a re-push landing inside an already
-// extracted batch is legal for the queue but handled by the runner's merge
-// fallback, which the full-run equivalence tests cover.
+// lane queue: against random periodic workloads popped one event at a time
+// - exercising the per-period FIFO lanes, the mixed-lane sort, FIFO-
+// violation spills, late pushes into the mixed lane, and short-period
+// re-pushes that land ahead of every other lane's head - it must emit
+// exactly the (time, row) sequence the reference binary heap does.
 func TestBatchQueueMatchesHeapPopOrder(t *testing.T) {
+	overtakes := 0 // re-pushes that became the queue minimum
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows := 1 + rng.Intn(200)
@@ -39,48 +37,53 @@ func TestBatchQueueMatchesHeapPopOrder(t *testing.T) {
 		bq.reset()
 		var heap eventQueue
 		periods := make([]int64, rows)
-		minPeriod := never
 		for r := 0; r < rows; r++ {
-			// A handful of shared periods (lane-friendly) plus a random tail
-			// that overflows batchMaxLanes and spills to the mixed lane.
-			if rng.Intn(2) == 0 {
+			// A handful of shared periods (lane-friendly), a few short ones
+			// whose re-pushes overtake the other lanes' heads, and a random
+			// tail that overflows batchMaxLanes and spills to the mixed lane.
+			switch rng.Intn(8) {
+			case 0:
+				periods[r] = dram.Ticks(1e-3 * float64(1+rng.Intn(2)))
+			case 1, 2, 3, 4:
 				periods[r] = dram.Ticks(64e-3 * float64(1+rng.Intn(4)))
-			} else {
+			default:
 				periods[r] = dram.Ticks(32e-3 * math.Pow(2, 5*rng.Float64()))
 			}
-			minPeriod = min(minPeriod, periods[r])
 			e := event{T: int64(staggerFrac(r) * float64(periods[r])), Row: r}
 			bq.push(e)
 			heap.push(e)
 		}
-		var rowsBuf []int
-		var timesBuf []int64
 		horizon := dram.Ticks(0.7)
 		for heap.size() > 0 {
 			if bq.size() != heap.size() || bq.peekTime() != heap.peekTime() {
 				return false
 			}
-			h := heap.peekTime() + 1 + int64((0.05+0.95*rng.Float64())*float64(minPeriod-1))
-			rowsBuf, timesBuf = bq.popBatch(h, rowsBuf[:0], timesBuf[:0])
-			if len(rowsBuf) == 0 {
+			he := heap.pop()
+			if be := bq.pop(); be != he {
 				return false
 			}
-			for i := range rowsBuf {
-				he := heap.pop()
-				if he.Row != rowsBuf[i] || he.T != timesBuf[i] {
-					return false
-				}
-				if next := he.T + periods[he.Row]; next < horizon {
-					ne := event{T: next, Row: he.Row}
-					bq.pushNext(ne, periods[he.Row])
-					heap.push(ne)
-				}
+			next := he.T + periods[he.Row]
+			if next >= horizon {
+				continue
 			}
+			ne := event{T: next, Row: he.Row}
+			if heap.size() > 0 && eventLess(ne, heap[0]) {
+				overtakes++
+			}
+			if rng.Intn(64) == 0 {
+				bq.push(ne) // a hintless push, as a resume would make
+			} else {
+				bq.pushNext(ne, periods[he.Row])
+			}
+			heap.push(ne)
 		}
 		return bq.size() == 0 && bq.peekTime() == never
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+	if overtakes == 0 {
+		t.Fatal("no re-push ever overtook the other lanes' heads; the workload misses the case")
 	}
 }
 
@@ -102,12 +105,12 @@ func TestBatchQueuePendingSortedMatchesHeap(t *testing.T) {
 		}
 		heap.push(e)
 	}
-	// Consume a prefix so head offsets are non-trivial in both.
-	var rowsBuf []int
-	var timesBuf []int64
-	rowsBuf, _ = bq.popBatch(dram.Ticks(0.25), rowsBuf, timesBuf)
-	for range rowsBuf {
-		heap.pop()
+	// Consume a prefix one event at a time so head offsets are non-trivial
+	// in both.
+	for bq.peekTime() < dram.Ticks(0.25) {
+		if got, want := bq.pop(), heap.pop(); got != want {
+			t.Fatalf("pop %+v, heap popped %+v", got, want)
+		}
 	}
 	if got, want := bq.pendingSorted(), heap.pendingSorted(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pendingSorted diverged:\nbatch: %v\nheap:  %v", got, want)
@@ -276,31 +279,31 @@ func (h *backendHarness) runOnce(t *testing.T, schedName, scenName string, withS
 
 // comparePair runs the same configuration on the scalar reference and the
 // auto backend and demands bit-identical Stats and bit-identical serialized
-// checkpoints. With the harness's ECC classification on, auto is the plain
-// batched runner (fast-forward is statically ineligible).
+// checkpoints. With the harness's ECC classification on, auto runs every
+// window event by event (fast-forward is statically ineligible).
 func (h *backendHarness) comparePair(t *testing.T, schedName, scenName string, withScrub bool) {
 	t.Helper()
 	scalarStats, scalarBlobs := h.runOnce(t, schedName, scenName, withScrub, BackendScalar)
-	batchStats, batchBlobs := h.runOnce(t, schedName, scenName, withScrub, BackendAuto)
-	if !reflect.DeepEqual(scalarStats, batchStats) {
-		t.Fatalf("stats diverged:\nscalar: %+v\nbatch:  %+v", scalarStats, batchStats)
+	autoStats, autoBlobs := h.runOnce(t, schedName, scenName, withScrub, BackendAuto)
+	if !reflect.DeepEqual(scalarStats, autoStats) {
+		t.Fatalf("stats diverged:\nscalar: %+v\nauto:   %+v", scalarStats, autoStats)
 	}
-	if len(scalarBlobs) != len(batchBlobs) {
-		t.Fatalf("checkpoint counts diverged: %d vs %d", len(scalarBlobs), len(batchBlobs))
+	if len(scalarBlobs) != len(autoBlobs) {
+		t.Fatalf("checkpoint counts diverged: %d vs %d", len(scalarBlobs), len(autoBlobs))
 	}
 	if len(scalarBlobs) == 0 {
 		t.Fatal("run produced no checkpoints; the blob comparison is vacuous")
 	}
 	for i := range scalarBlobs {
-		if !bytes.Equal(scalarBlobs[i], batchBlobs[i]) {
+		if !bytes.Equal(scalarBlobs[i], autoBlobs[i]) {
 			t.Fatalf("checkpoint %d blob diverged between backends", i)
 		}
 	}
 }
 
 // TestBatchMatchesScalarFullRuns is the keystone equivalence property of
-// the columnar kernels: across all four schedulers, scrub on and off, and
-// every catalog scenario (plus the bare bank), a run on the batched backend
+// the auto backend: across all four schedulers, scrub on and off, and
+// every catalog scenario (plus the bare bank), a run on the auto backend
 // must produce bit-identical Stats and bit-identical serialized checkpoints
 // to the same run on the scalar reference.
 func TestBatchMatchesScalarFullRuns(t *testing.T) {

@@ -9,27 +9,27 @@ import (
 // never is the queue's "no event" time, above every real tick.
 const never = int64(math.MaxInt64)
 
-// Batched event queue. Almost every refresh event is a re-push at
+// Lane event queue. Almost every refresh event is a re-push at
 // "now + period" for a period drawn from a handful of distinct values (the
 // retention bins), and the runner processes events in ascending time order
 // - so the re-pushes of one period value arrive already sorted. Keeping one
-// FIFO lane per distinct period makes push an append and drain a k-way
-// merge of sorted lanes, with no hashing and no sorting on the hot path.
-// Events that do not come with a period (initial seeds, resume snapshots)
-// or that would break a lane's ordering go to a "mixed" intake lane that is
-// sorted lazily, once per disturbance.
+// FIFO lane per distinct period makes push an append and pop a min over the
+// lane heads, with no hashing and no sorting on the hot path, and hands the
+// fast-forward kernel its events already grouped by period. Events that do
+// not come with a period (initial seeds, resume snapshots) or that would
+// break a lane's ordering go to a "mixed" intake lane that is sorted lazily,
+// once per disturbance.
 //
 // Ordering invariant: identical to the reference heap - events leave in
-// strictly increasing (time, row) order, so the batched runner observes
+// strictly increasing (time, row) order, so the auto runner observes
 // exactly the sequence the scalar runner would.
 const (
-	// batchWindow is the batch granularity: the batched runner drains
-	// [tFirst, tFirst+batchWindow) as one batch (further cut by
-	// checkpoint/scrub/trace boundaries, so a wider window never delays an
-	// interleaving interaction - the window only sets how much per-batch
-	// overhead each kernel call amortizes). Eight milliseconds holds on the
-	// order of a thousand refresh events of an 8K-row bank while keeping
-	// the gather columns comfortably cache-resident. In ticks.
+	// batchWindow bounds one per-event window of the auto runner:
+	// [tFirst, tFirst+batchWindow), further cut by checkpoint/scrub/trace
+	// boundaries, so a wider window never delays an interleaving
+	// interaction. It only sets how often the loop re-tries fast-forward
+	// and re-checks the context; eight milliseconds holds on the order of a
+	// thousand refresh events of an 8K-row bank. In ticks.
 	batchWindow = 8e-3 / dram.Tick
 	// batchMaxLanes caps the per-period lanes. Schedulers with more
 	// distinct periods than this (none of the shipped ones; the bins are
@@ -249,14 +249,8 @@ func (bq *batchQueue) peekTime() int64 {
 	if bq.count == 0 {
 		return never
 	}
-	return bq.peek().T
-}
-
-// peek returns the earliest outstanding event without removing it. The
-// queue must be non-empty.
-func (bq *batchQueue) peek() event {
 	_, e := bq.argmin()
-	return e
+	return e.T
 }
 
 // argmin locates the lane holding the earliest event: index into lanes, or
@@ -289,80 +283,6 @@ func (bq *batchQueue) pop() event {
 	}
 	bq.count--
 	return e
-}
-
-// popBatch removes every outstanding event with t < h, appending them in
-// (time, row) order to rows and times: a k-way merge over the lane prefixes
-// below the horizon.
-func (bq *batchQueue) popBatch(h int64, rows []int, times []int64) ([]int, []int64) {
-	bq.ensureMixedSorted()
-	for bq.count > 0 {
-		best := -2
-		var bestE event
-		if bq.mixedHead < len(bq.mixed) {
-			if e := bq.mixed[bq.mixedHead]; e.T < h {
-				best, bestE = -1, e
-			}
-		}
-		for i := range bq.lanes {
-			l := &bq.lanes[i]
-			if l.Head < len(l.Events) {
-				if e := l.Events[l.Head]; e.T < h && (best == -2 || eventLess(e, bestE)) {
-					best, bestE = i, e
-				}
-			}
-		}
-		if best == -2 {
-			break
-		}
-		// Consume the whole run below the horizon that keeps this lane the
-		// minimum: everything up to the next other-lane head (or h). This
-		// turns the k-way merge into long memcpy-like stretches when one
-		// retention bin dominates, which is the common shape.
-		limit := h
-		limRow := -1
-		if bq.mixedHead < len(bq.mixed) && best != -1 {
-			if e := bq.mixed[bq.mixedHead]; e.T < limit {
-				limit, limRow = e.T, e.Row
-			}
-		}
-		for i := range bq.lanes {
-			if i == best {
-				continue
-			}
-			l := &bq.lanes[i]
-			if l.Head < len(l.Events) {
-				if e := l.Events[l.Head]; e.T < limit || (e.T == limit && limRow >= 0 && e.Row < limRow) {
-					limit, limRow = e.T, e.Row
-				}
-			}
-		}
-		if best == -1 {
-			for bq.mixedHead < len(bq.mixed) {
-				e := bq.mixed[bq.mixedHead]
-				if e.T > limit || (e.T == limit && limRow >= 0 && e.Row > limRow) || e.T >= h {
-					break
-				}
-				rows = append(rows, e.Row)
-				times = append(times, e.T)
-				bq.mixedHead++
-				bq.count--
-			}
-		} else {
-			l := &bq.lanes[best]
-			for l.Head < len(l.Events) {
-				e := l.Events[l.Head]
-				if e.T > limit || (e.T == limit && limRow >= 0 && e.Row > limRow) || e.T >= h {
-					break
-				}
-				rows = append(rows, e.Row)
-				times = append(times, e.T)
-				l.Head++
-				bq.count--
-			}
-		}
-	}
-	return rows, times
 }
 
 // pendingSorted returns the outstanding events in canonical (time, row)

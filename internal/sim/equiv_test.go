@@ -43,7 +43,7 @@ func TestRunRejectsUndefinedBackends(t *testing.T) {
 // steadyScheduler is every capability a fast-forward eligible scheduler
 // offers; misreportedView embeds one to forward them all.
 type steadyScheduler interface {
-	core.BatchScheduler
+	core.Scheduler
 	core.SteadyScheduler
 	core.OpStreamer
 	core.Snapshotter
@@ -52,7 +52,7 @@ type steadyScheduler interface {
 // misreportedView is a scheduler whose StreamView reports one row's period
 // as -1 tick while the row keeps refreshing at its real period: a view no lane
 // can match, so every fast-forward window the run attempts must be refused
-// and the batch path must take it instead.
+// and the per-event path must take it instead.
 type misreportedView struct {
 	steadyScheduler
 	row int
@@ -67,7 +67,7 @@ func (m misreportedView) StreamView() core.StreamView {
 
 // TestMacroBailFallsThroughToBatch runs a quiet, checkpointed VRL run whose
 // StreamView misreports a row's period: the kernel bails on every window it
-// is offered, and the run - taking the batch path for each of them - must
+// is offered, and the run - taking the per-event path for each of them - must
 // still produce Stats and checkpoint blobs bit-identical to the scalar
 // reference. The honest view on the same run must fast-forward, so the
 // refusals come from the misreported row alone.

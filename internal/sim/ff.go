@@ -34,7 +34,7 @@ func ffHorizon(duration, nextCP, scrubDue, traceNext, stableUntil int64) int64 {
 // kernel can replay at least one full lap of some lane. Windows narrower
 // than this cannot amortize the kernel's per-window full-lane scans, so the
 // runner skips the attempt (never when no lane holds events, or a lane's
-// period is degenerate, which sends the window to the batch path).
+// period is degenerate, which sends the window to the per-event path).
 func ffMinLap(lanes []batchLane) int64 {
 	min := never
 	for i := range lanes {
@@ -66,8 +66,9 @@ func (bq *batchQueue) mixedQuietBelow(h int64) bool {
 // adoptMixed moves every unconsumed mixed-intake event into the period lane
 // its row's current refresh period keys, so a run whose queue was seeded
 // through the mixed intake (initial stagger, resume) can fast-forward from
-// its very first window instead of waiting for the batch path to drain the
-// seeds. It reports whether the mixed intake is now empty.
+// its very first window instead of waiting for the per-event path to drain the
+// seeds. It does nothing while any lane holds events, or when the move
+// does not fit the lanes.
 //
 // Safe only when every lane is empty: the mixed intake is globally sorted,
 // so each period's subsequence is itself sorted and every lane it builds is
@@ -75,13 +76,13 @@ func (bq *batchQueue) mixedQuietBelow(h int64) bool {
 // land behind the lane's tail. The move preserves the queue's event
 // multiset and count, so pendingSorted (and with it every checkpoint) is
 // unchanged.
-func (bq *batchQueue) adoptMixed(period int64, periods []int64) bool {
+func (bq *batchQueue) adoptMixed(period int64, periods []int64) {
 	if bq.mixedHead >= len(bq.mixed) {
-		return true
+		return
 	}
 	for i := range bq.lanes {
 		if bq.lanes[i].Head < len(bq.lanes[i].Events) {
-			return false
+			return
 		}
 	}
 	bq.ensureMixedSorted()
@@ -99,12 +100,12 @@ precheck:
 		p := period
 		if periods != nil {
 			if uint(e.Row) >= uint(len(periods)) {
-				return false
+				return
 			}
 			p = periods[e.Row]
 		}
 		if p <= 0 {
-			return false
+			return
 		}
 		for i := 0; i < nd; i++ {
 			if deltas[i] == p {
@@ -112,7 +113,7 @@ precheck:
 			}
 		}
 		if nd == batchMaxLanes {
-			return false
+			return
 		}
 		deltas[nd] = p
 		nd++
@@ -147,7 +148,6 @@ precheck:
 	bq.mixed = bq.mixed[:0]
 	bq.mixedHead = 0
 	bq.mixedSorted = false
-	return true
 }
 
 // advance moves every outstanding event d ticks later: the periodic skip's

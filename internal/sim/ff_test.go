@@ -102,8 +102,8 @@ func TestFastForwardMatchesScalarSecondSeed(t *testing.T) {
 }
 
 // TestFastForwardFallsBackUnderECC pins the static-ineligibility path: with
-// ECC classification on, the auto backend must quietly run the plain
-// batched path and still match the scalar reference bit for bit.
+// ECC classification on, the auto backend must quietly run the per-event
+// path and still match the scalar reference bit for bit.
 func TestFastForwardFallsBackUnderECC(t *testing.T) {
 	h := newBackendHarness(t, 7) // keeps ECC set
 	scalarStats, scalarBlobs := h.runOnce(t, "vrl", "", false, BackendScalar)
@@ -153,6 +153,60 @@ func TestFastForwardEngagesOnQuietRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(scalarStats, ffStats) {
 		t.Fatalf("stats diverged:\nscalar:       %+v\nfast-forward: %+v", scalarStats, ffStats)
+	}
+}
+
+// quietVRLRun runs refresh-only VRL for one bin hyperperiod on a freshly
+// sampled bank of the given rows, through r.
+func quietVRLRun(t *testing.T, r *Reusable, rows int, backend Backend) Stats {
+	t.Helper()
+	p := device.Default90nm()
+	geom := device.BankGeometry{Rows: rows, Cols: 32}
+	prof, err := retention.NewSampledProfile(geom, retention.DefaultCellDistribution(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := core.PaperRestoreModel(p, geom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := core.NewVRL(prof, core.Config{Restore: rm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank, err := dram.NewBank(prof, retention.ExpDecay{}, retention.PatternAllZeros)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Run(bank, sched, nil, Options{Duration: 0.768, TCK: p.TCK, Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestFastForwardLargeBank runs quiet VRL on a 32768-row sampled bank,
+// where the kernel's row and count columns outgrow the capacities append
+// first rounded them to, under both backends; then one Reusable taken
+// through 4096, 32768 and 16384 rows, so the columns are re-grown and
+// re-used across bank sizes. Every auto run must equal the scalar one.
+func TestFastForwardLargeBank(t *testing.T) {
+	scalar := map[int]Stats{}
+	for _, rows := range []int{4096, 32768, 16384} {
+		scalar[rows] = quietVRLRun(t, NewReusable(rows), rows, BackendScalar)
+	}
+	if got := quietVRLRun(t, NewReusable(32768), 32768, BackendAuto); !reflect.DeepEqual(got, scalar[32768]) {
+		t.Fatalf("32768 rows: stats diverged:\nscalar: %+v\nauto:   %+v", scalar[32768], got)
+	}
+	r := NewReusable(4096)
+	for _, rows := range []int{4096, 32768, 16384} {
+		got := quietVRLRun(t, r, rows, BackendAuto)
+		if !reflect.DeepEqual(got, scalar[rows]) {
+			t.Fatalf("reused scratch at %d rows: stats diverged:\nscalar: %+v\nauto:   %+v", rows, scalar[rows], got)
+		}
+	}
+	if r.scratch.ffWindows == 0 {
+		t.Fatal("fast-forward never engaged; the large-bank check is vacuous")
 	}
 }
 

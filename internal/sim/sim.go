@@ -24,12 +24,13 @@ import (
 
 // Backend selects the simulator's runner implementation, in the same spirit
 // as the SPICE solver's banded/dense switch: the scalar per-event loop over
-// a binary heap is the checked reference, and the batched runner - which
-// drains the period lanes in windows, applies decay/sense/restore through
-// the columnar dram kernels, and fast-forwards quiescent spans through
-// dram.Bank.RefreshMacro - is bit-identical to it (Stats and checkpoint
-// blobs; the backend equivalence tests and FuzzRunEquivalence pin this
-// across schedulers, scrub modes, scenarios, and kill/resume points).
+// a binary heap is the checked reference, and the auto runner - which keeps
+// the events in per-period lanes, fast-forwards quiescent spans through
+// dram.Bank.RefreshMacro and the periodic skip, and runs every other window
+// event by event through the same per-event step as the reference - is
+// bit-identical to it (Stats and checkpoint blobs; the backend equivalence
+// tests and FuzzRunEquivalence pin this across schedulers, scrub modes,
+// scenarios, and kill/resume points).
 //
 // The numeric values are part of the fleet manifest encoding; retired
 // values (2-4 named the batch, batch-lut and fast-forward runners) are
@@ -37,7 +38,7 @@ import (
 type Backend int
 
 const (
-	// BackendAuto is the batched runner with fast-forward: it is exact, so
+	// BackendAuto is the lane runner with fast-forward: it is exact, so
 	// there is no accuracy trade-off to opt into. Fast-forward engages on
 	// its own whenever the run is eligible (no ECC classification, no sense
 	// monitor, a streamable decay law, a steady scheduler and modulator).
@@ -91,7 +92,7 @@ type Options struct {
 	TCK      float64 // DRAM clock period (s), for the overhead fraction
 
 	// Backend selects the runner implementation; the zero value (Auto) runs
-	// the batched-exact path with fast-forward.
+	// the exact lane runner with fast-forward.
 	Backend Backend
 
 	// ECC, when set, classifies every sub-limit sensing event into
@@ -227,7 +228,7 @@ func (s Stats) OverheadFraction(tck float64) float64 {
 
 // refresh event queue -------------------------------------------------------
 
-// event aliases dram.StreamEvent so the batch queue's period lanes can be
+// event aliases dram.StreamEvent so the lane queue's period lanes can be
 // handed to the fast-forward kernel (dram.Bank.RefreshMacro) without
 // copying or converting.
 type event = dram.StreamEvent
@@ -327,21 +328,12 @@ func sortPending(out []PendingEvent) {
 
 // Scratch holds the simulator's reusable per-run allocations - the refresh
 // event queues (the heap for the scalar backend, the period lanes for the
-// batched one) and the batch gather columns. A Scratch may be reused across
-// any number of sequential runs; concurrent runs need one Scratch each. The
-// zero value is usable.
+// auto one) and the fast-forward columns. A Scratch may be reused across any
+// number of sequential runs; concurrent runs need one Scratch each. The zero
+// value is usable.
 type Scratch struct {
 	queue eventQueue
 	batch batchQueue
-
-	// Batch gather columns: one batch window's worth of (row, time) pairs
-	// and their sensed charges.
-	bRows    []int
-	bTimes   []int64
-	bCharge  []float64
-	bOps     []core.Op
-	bSecs    []float64 // bTimes in seconds, for the scheduler's batch call
-	bPeriods []float64
 
 	// ffScratch is the fast-forward kernel's per-window row columns.
 	ffScratch dram.StreamScratch
@@ -356,7 +348,7 @@ type Scratch struct {
 	ffSkips            int64
 }
 
-// refreshQueue is the queue contract shared by the scalar and batched
+// refreshQueue is the queue contract shared by the scalar and auto
 // runners; the prologue (initial fill, resume, checkpoint capture) runs
 // against it so both backends share one implementation of everything that
 // is not the hot loop.
@@ -365,7 +357,7 @@ type refreshQueue interface {
 	size() int
 	push(event)
 	// pushNext enqueues a re-push scheduled delta after the event being
-	// processed; the batched queue uses the hint to keep per-period FIFO
+	// processed; the lane queue uses the hint to keep per-period FIFO
 	// lanes sorted by construction, the scalar queue ignores it.
 	pushNext(e event, delta int64)
 	pop() event
@@ -530,19 +522,17 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 
 	rows := bank.Geom.Rows
 	// Backend split: both runners share the prologue, drains, checkpointing,
-	// and epilogue through the refreshQueue interface; only the hot loop
-	// differs. BackendAuto is the batched runner - it is bit-identical to
-	// the scalar reference, so there is nothing to trade away.
-	batched := opts.Backend == BackendAuto
+	// the per-event step and the epilogue through the refreshQueue
+	// interface; only the loop differs. BackendAuto is the lane runner - it
+	// is bit-identical to the scalar reference, so there is nothing to trade
+	// away.
+	auto := opts.Backend == BackendAuto
 	var q refreshQueue
-	if batched {
+	if auto {
 		q = &scratch.batch
 	} else {
 		q = &scratch.queue
 	}
-	// Schedulers that declare row-independent state let the batched runner
-	// hoist a batch window's RefreshOp calls into one batch call.
-	bSched, _ := sched.(core.BatchScheduler)
 	q.reset()
 	scratch.ffWindows, scratch.ffBails, scratch.ffSkips = 0, 0, 0
 	sk := &scratch.skip
@@ -613,7 +603,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		st = cp.Stats
 		st.Scheduler = sched.Name()
 		st.Duration = opts.Duration
-		// The queues and the batched sense kernel rely on the one-
+		// The queues and the fast-forward kernel rely on the one-
 		// outstanding-event-per-row invariant; a corrupt checkpoint must
 		// fail here, not silently diverge later.
 		seenRow := make([]bool, rows)
@@ -772,16 +762,19 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		nextCP = cpTick(cpK)
 	}
 
-	// postRefresh is the shared tail of one refresh event - scheduler
+	// processEvent runs one refresh event - the scheduler's Algorithm 1
+	// decision, sense+restore through the scalar bank path, scheduler
 	// feedback, ECC classification and repair routing, accounting, and the
-	// row's next refresh - identical for both backends. It returns the tick
-	// of the next event it pushed for the row, so the batched loop can track
-	// the earliest queued time without re-peeking the queue per entry.
-	// period is the row's refresh period in seconds when the caller already
-	// gathered it (the batched loop, when no ECC repair can demote a row
-	// mid-batch), or negative to read it from the scheduler here - after any
-	// demotion this event's ECC outcome just applied.
-	postRefresh := func(row int, t int64, op core.Op, res dram.RefreshResult, period float64) (int64, error) {
+	// row's next refresh. It is the one per-event step of both backends:
+	// the scalar loop runs every event through it, the auto loop every
+	// event of a window the fast-forward kernel does not take.
+	processEvent := func(ev event) error {
+		row, t := ev.Row, ev.T
+		op := sched.RefreshOp(row, dram.Seconds(t))
+		res, err := bank.Refresh(row, t, op.Alpha)
+		if err != nil {
+			return err
+		}
 		if hasMonitor {
 			// Report before rescheduling so a demotion or promotion decided
 			// here shapes the row's very next refresh interval.
@@ -800,7 +793,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				// a detection event exactly like a patrol read, so the pipeline
 				// converges no matter which path sees the sag first.
 				if err := opts.Scrub.OnEccEvent(row, outcome); err != nil {
-					return 0, err
+					return err
 				}
 			} else if outcome == ecc.Corrected {
 				if opts.DemoteOnCorrect {
@@ -823,30 +816,14 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		st.BusyCycles += int64(op.Cycles)
 		st.ChargeRestored.Add(res.ChargeRestored)
 		busyAt, busyCycles = t, op.Cycles
-		if period < 0 {
-			period = sched.Period(row)
-		}
-		p, err := periodTicks(row, period)
-		if err != nil {
-			return 0, err
-		}
-		next := t + p
-		q.pushNext(event{T: next, Row: row}, p)
-		return next, nil
-	}
-
-	// processEvent runs one full scalar refresh: sense+restore through the
-	// scalar bank path, then the shared tail. The scalar backend runs on it
-	// exclusively; the batched backend uses it for events a period shorter
-	// than the batch window pushes back into the open batch window.
-	processEvent := func(ev event) error {
-		op := sched.RefreshOp(ev.Row, dram.Seconds(ev.T))
-		res, err := bank.Refresh(ev.Row, ev.T, op.Alpha)
+		// The period is read after any demotion this event's ECC outcome
+		// just applied.
+		p, err := periodTicks(row, sched.Period(row))
 		if err != nil {
 			return err
 		}
-		_, err = postRefresh(ev.Row, ev.T, op, res, -1)
-		return err
+		q.pushNext(event{T: t + p, Row: row}, p)
+		return nil
 	}
 
 	// Fast-forward eligibility is a run-level property: every dynamic
@@ -856,7 +833,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	// scheduler must expose both its stability horizon and its decision
 	// columns. Per-window caps (trace, scrub, checkpoints, scenario change-
 	// points) are then handled by the horizon computation inside the loop.
-	ffEligible := batched && opts.ECC == nil && !hasMonitor && bank.Streamable()
+	ffEligible := auto && opts.ECC == nil && !hasMonitor && bank.Streamable()
 	var (
 		ffSteady core.SteadyScheduler
 		ffMod    dram.SteadyModulator
@@ -921,7 +898,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			cpK++
 			nextCP = cpTick(cpK)
 		}
-		if !batched {
+		if !auto {
 			ev := q.pop()
 			if ev.T >= durT {
 				// The queue minimum is past the run window, so every
@@ -944,12 +921,11 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			continue
 		}
 
-		// Batched: drain every event in the batch window up to the nearest
-		// non-refresh boundary, sense the whole batch through the columnar
-		// kernel, then apply the ops in (time, row) order. The horizon h is
-		// capped below every boundary where non-refresh activity (a
-		// checkpoint, a patrol tick, a trace record) could interleave, so no
-		// bank state a batched sense depends on can change mid-batch.
+		// Auto: fast-forward the window when the kernel can take it, else
+		// run it event by event up to the nearest non-refresh boundary. The
+		// window's horizon is capped below every boundary where non-refresh
+		// activity (a checkpoint, a patrol tick, a trace record) could
+		// interleave, so those drains run only between windows.
 		tFirst := q.peekTime()
 		if tFirst >= durT {
 			// tFirst is the queue minimum, so no outstanding event can fire
@@ -979,12 +955,16 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				traceNext = nextT
 			}
 			hf := ffHorizon(durT, cpCap, scrubDue, traceNext, dram.Ticks(ffSteady.StablePeriodUntil(-1, dram.Seconds(tFirst))))
+			// Seeds and resumed events enter through the mixed intake, where
+			// no lane shows their periods; moving them into their period
+			// lanes first lets the very first window fast-forward.
+			bq.adoptMixed(ffCfg.Period, ffCfg.Periods)
 			// Engagement gate, purely a cost heuristic (any choice keeps the
 			// output bit-identical): the kernel pays a full scan of every
 			// lane row per window, so a window too short for even one lap of
 			// the densest lane - the norm on trace-dense runs, where the next
 			// record caps the horizon microseconds away - must go straight to
-			// the batch path instead of thrashing that scan per record.
+			// the per-event path instead of thrashing that scan per record.
 			minLap := ffMinLap(bq.lanes)
 			if ffMod != nil && hf-tFirst >= minLap {
 				// The scenario must be exactly nominal over every decay
@@ -1010,7 +990,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 					continue // the jump may have reached a checkpoint or the run's end
 				}
 			}
-			if hf-tFirst >= minLap && (bq.mixedQuietBelow(hf) || bq.adoptMixed(ffCfg.Period, ffCfg.Periods)) {
+			if hf-tFirst >= minLap && bq.mixedQuietBelow(hf) {
 				hw, capped := hf, false
 				if ffMod == nil {
 					hw, capped = sk.plan(tFirst, hf, &ffCfg, rows)
@@ -1042,9 +1022,9 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				// No events: either the kernel refused a lane shape outside
 				// its verified structure (Bailed, with bank and lanes
 				// untouched) or the lanes held nothing below hw after all.
-				// Either way the batch path below takes this window and
-				// guarantees progress; a single scalar step here would
-				// re-attempt the kernel once per event.
+				// Either way the per-event path below takes this window and
+				// guarantees progress; a single step here would re-attempt
+				// the kernel once per event.
 			}
 		}
 		// Any window the kernel does not take breaks the skip's chain.
@@ -1064,105 +1044,16 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		if havePending && nextT < h {
 			h = nextT
 		}
-		scratch.bRows, scratch.bTimes = bq.popBatch(h, scratch.bRows[:0], scratch.bTimes[:0])
-		bRows, bTimes := scratch.bRows, scratch.bTimes
-		n := len(bRows)
-		if n == 0 {
-			// Every cap on h sits strictly above tFirst (the drains above
-			// consumed anything due at tFirst), so this is unreachable;
-			// processing one event scalar-style still guarantees progress.
+		// Every cap on h sits strictly above tFirst (the drains above
+		// consumed anything due at tFirst), so the window makes progress.
+		// Re-pushes of rows whose period is shorter than the window land
+		// back inside it and pop in their (time, row) turn.
+		for q.peekTime() < h {
 			ev := q.pop()
 			now = ev.T
 			if err := processEvent(ev); err != nil {
 				finalize(ev.T)
 				return st, err
-			}
-			continue
-		}
-		if cap(scratch.bCharge) < n {
-			scratch.bCharge = make([]float64, n)
-		}
-		bCharge := scratch.bCharge[:n]
-		if err := bank.ChargeAtBatch(bRows, bTimes, bCharge); err != nil {
-			finalize(tFirst)
-			return st, err
-		}
-		var bOps []core.Op
-		var bPeriods []float64
-		if bSched != nil {
-			if cap(scratch.bOps) < n {
-				scratch.bOps = make([]core.Op, n)
-			}
-			bOps = scratch.bOps[:n]
-			if cap(scratch.bSecs) < n {
-				scratch.bSecs = make([]float64, n)
-			}
-			bSecs := scratch.bSecs[:n]
-			for i, t := range bTimes {
-				bSecs[i] = dram.Seconds(t)
-			}
-			bSched.RefreshOps(bRows, bSecs, bOps)
-			if opts.ECC == nil {
-				// No ECC means no mid-batch demotes/upgrades, so periods
-				// are immutable across the batch and can be gathered too.
-				if cap(scratch.bPeriods) < n {
-					scratch.bPeriods = make([]float64, n)
-				}
-				bPeriods = scratch.bPeriods[:n]
-				bSched.Periods(bRows, bPeriods)
-			}
-		}
-		// qNext tracks a lower bound on the earliest queued event tick so
-		// the merge check below is one compare per entry instead of a queue
-		// peek. Re-pushes from postRefresh are folded in as they happen; a
-		// full peek runs only when the bound says a queued event might
-		// precede the next batch entry.
-		qNext := bq.peekTime()
-		for i := 0; i < n; i++ {
-			evT, evRow := bTimes[i], bRows[i]
-			// A row whose period is shorter than the batch window can push
-			// its next refresh back inside the open batch window; process
-			// those scalar-style so the total (time, row) order - and with
-			// it every scheduler and accounting interaction - is preserved.
-			// Such a row cannot still be in the batch tail (one outstanding
-			// event per row), so the precomputed senses stay valid.
-			for qNext <= evT && bq.size() > 0 {
-				pe := bq.peek()
-				if pe.T > evT || (pe.T == evT && pe.Row > evRow) {
-					qNext = pe.T
-					break
-				}
-				bq.pop()
-				now = pe.T
-				if err := processEvent(pe); err != nil {
-					finalize(pe.T)
-					return st, err
-				}
-				qNext = bq.peekTime()
-			}
-			now = evT
-			var op core.Op
-			if bOps != nil {
-				op = bOps[i]
-			} else {
-				op = sched.RefreshOp(evRow, dram.Seconds(evT))
-			}
-			res, err := bank.RestoreSensed(evRow, evT, op.Alpha, bCharge[i])
-			if err != nil {
-				finalize(evT)
-				return st, err
-			}
-			p := -1.0
-			if bPeriods != nil {
-				p = bPeriods[i]
-			}
-			nt, err := postRefresh(evRow, evT, op, res, p)
-			if err != nil {
-				finalize(evT)
-				return st, err
-			}
-			if nt < qNext {
-				qNext = nt
 			}
 		}
 	}

@@ -35,10 +35,10 @@ func minRatio(a, b func()) (ratio float64, minA, minB time.Duration) {
 
 // TestGateFastForwardSpeedup is the fast-forward engine's floor: on a quiet
 // run over four device-year windows (12.288 s), BackendAuto must beat the
-// scalar reference by at least 6x. The batched path alone, with
-// fast-forward off, is itself about 4x faster than the scalar loop, so the
-// floor sits between the two; over one window, set-up narrows the gap too
-// much to tell them apart.
+// scalar reference by at least 6x. With fast-forward off, the auto
+// backend's per-event path over the period lanes is itself about 2x faster
+// than the scalar heap loop, so the floor sits between the two; over one
+// window, set-up narrows the gap too much to tell them apart.
 func TestGateFastForwardSpeedup(t *testing.T) {
 	const floor = 6
 	auto := deviceYearRun(t, false, 4*deviceYearWindow, sim.BackendAuto)
@@ -54,9 +54,9 @@ func TestGateFastForwardSpeedup(t *testing.T) {
 // simulated span: four times the device-year window may cost at most 8x.
 // Linear is 4x (less, as set-up is amortized); an O(n^2) step costs about
 // 16x. The quiet run covers the fast-forward kernel (auto) and the heap
-// (scalar); the active run covers the batch queue, which carries every one
-// of its events, while in a quiet run it hands all but the first lap to the
-// kernel.
+// (scalar); the active run covers the per-event path over the period
+// lanes, which carries every one of its events, while a quiet run hands
+// them to the kernel.
 func TestGateWindowScaling(t *testing.T) {
 	const ceiling = 8
 	for _, tc := range []struct {
