@@ -93,6 +93,7 @@ fi
 FUZZ_TARGETS="
 internal/trace:FuzzReader
 internal/trace:FuzzBinaryReader
+internal/trace:FuzzGenerate
 internal/circuit/spice:FuzzParseDeck
 internal/circuit/spice:FuzzParseValue
 internal/checkpoint:FuzzCheckpointDecode

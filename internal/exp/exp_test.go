@@ -3,9 +3,15 @@ package exp
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"vrldram/internal/core"
+	"vrldram/internal/device"
+	"vrldram/internal/profcache"
+	"vrldram/internal/retention"
 )
 
 // fastConfig shrinks the simulation window so the trace-driven experiments
@@ -554,6 +560,108 @@ func TestRankPerfSweep(t *testing.T) {
 	// Busy-cycle columns: per-bank VRL < per-bank RAIDR < all-bank RAIDR.
 	if !(cell(t, r, 1, 5) < cell(t, r, 0, 5) && cell(t, r, 0, 5) < cell(t, r, 2, 5)) {
 		t.Fatal("busy-cycle ordering violated")
+	}
+}
+
+// TestRankProfilesShared runs both rank experiments back to back on a seed
+// no other test uses: between them they build their 8 bank profiles exactly
+// once in profcache, and sharing the profiles across cells leaves every one
+// equal to a fresh build.
+func TestRankProfilesShared(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Seed = 90017
+	if _, err := profcache.PaperRestoreModel(cfg.Params, cfg.Geom); err != nil {
+		t.Fatal(err)
+	}
+	before := profcache.Len()
+	if _, err := RankSweep(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RankPerfSweep(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if grew := profcache.Len() - before; grew != 8 {
+		t.Fatalf("profcache grew by %d entries, want the 8 bank profiles", grew)
+	}
+	geom := device.BankGeometry{Rows: 2048, Cols: cfg.Geom.Cols}
+	for b := int64(0); b < 8; b++ {
+		seed := cfg.Seed + b*7919
+		cached, err := profcache.SampledProfile(geom, cfg.Dist, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := retention.NewSampledProfile(geom, cfg.Dist, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached.Geom != fresh.Geom || !slices.Equal(cached.True, fresh.True) || !slices.Equal(cached.Profiled, fresh.Profiled) {
+			t.Errorf("bank %d: the shared profile differs from a fresh build", b)
+		}
+	}
+	if grew := profcache.Len() - before; grew != 8 {
+		t.Fatalf("profcache grew by %d entries after the lookups, want 8", grew)
+	}
+}
+
+// TestVRLAccessBound tests the cause of the gap between the repo's
+// VRL-Access saving and the paper's. An access resets a row's partial-refresh
+// counter, so at best every refresh of a row with MPRSF > 0 is partial, while
+// a row with MPRSF 0 always pays a full refresh. Over a window that spans
+// whole periods, VRL-Access/RAIDR is therefore at least
+//
+//	sum over rows of tau/P  /  sum over rows of full/P
+//
+// with tau the partial latency for MPRSF > 0 and the full latency otherwise,
+// for any trace. Figure 4's VRL-Access ratios must stay above that bound, and
+// a trace touching every row each window must come within 0.005 of it.
+func TestVRLAccessBound(t *testing.T) {
+	cfg := Default() // the paper's 0.768 s window
+	f, err := newFig4Setup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raidr, err := core.NewRAIDR(f.profile, f.schedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vrl, err := core.NewVRLAccess(f.profile, f.schedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var best, full float64
+	for row := 0; row < f.profile.Geom.Rows; row++ {
+		tau := f.rm.FullCycles
+		if vrl.MPRSF(row) > 0 {
+			tau = f.rm.PartialCycles
+		}
+		best += float64(tau) / vrl.Period(row)
+		full += float64(f.rm.FullCycles) / raidr.Period(row)
+	}
+	bound := best / full
+	t.Logf("VRL-Access/RAIDR bound %.4f (partial %d, full %d cycles)", bound, f.rm.PartialCycles, f.rm.FullCycles)
+
+	// Ratios are printed to three decimals, so each may sit half a unit
+	// below its exact value.
+	const half = 0.0005
+	fig4, err := Figure4(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range fig4.Rows {
+		if v := cell(t, fig4, i, 3); v < bound-half {
+			t.Errorf("fig4 %s: VRL-Access/RAIDR %v below the bound %.4f", row[0], v, bound)
+		}
+	}
+	cov, err := CoverageSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(cov.Rows) - 1
+	if cov.Rows[last][0] != "100%" {
+		t.Fatalf("last coverage row is %s, want 100%%", cov.Rows[last][0])
+	}
+	if v := cell(t, cov, last, 1); math.Abs(v-bound) > 0.005 {
+		t.Errorf("abl-coverage at 100%%: VRL-Access/RAIDR %v, more than 0.005 from the bound %.4f", v, bound)
 	}
 }
 

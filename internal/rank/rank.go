@@ -21,6 +21,7 @@ import (
 	"vrldram/internal/core"
 	"vrldram/internal/device"
 	"vrldram/internal/dram"
+	"vrldram/internal/profcache"
 	"vrldram/internal/retention"
 	"vrldram/internal/sim"
 )
@@ -78,6 +79,9 @@ type Stats struct {
 
 // NewRank builds per-bank profiles, banks, and schedulers for a rank of n
 // banks; profiles are drawn independently per bank (real ranks mix chips).
+// The profiles come from the process-wide profcache, built once per (geometry,
+// distribution, seed) and shared read-only: banks and schedulers only read
+// them.
 func NewRank(n int, dist retention.CellDistribution, geomRows, geomCols int, seed int64,
 	mkSched func(*retention.BankProfile) (core.Scheduler, error)) ([]*dram.Bank, []core.Scheduler, error) {
 	if n <= 0 {
@@ -86,7 +90,7 @@ func NewRank(n int, dist retention.CellDistribution, geomRows, geomCols int, see
 	banks := make([]*dram.Bank, n)
 	scheds := make([]core.Scheduler, n)
 	for b := 0; b < n; b++ {
-		profile, err := retention.NewSampledProfile(
+		profile, err := profcache.SampledProfile(
 			device.BankGeometry{Rows: geomRows, Cols: geomCols}, dist, seed+int64(b)*7919)
 		if err != nil {
 			return nil, nil, err

@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -54,4 +58,106 @@ func FuzzBinaryReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// generateRef is Generate with one global sort in place of the per-window
+// sort and merge: the same random draws in the same order, sorted by
+// slices.SortFunc. It is the reference FuzzGenerate holds Generate to.
+func generateRef(b BenchmarkSpec, rows int, duration float64, seed int64) ([]Record, error) {
+	g, err := b.newGenerator(rows, duration, seed)
+	if err != nil {
+		return nil, err
+	}
+	var recs []Record
+	for w := 0; w < g.windows; w++ {
+		t0 := float64(w) * window
+		recs = g.appendSweep(recs, t0)
+		for k := 0; k < g.hotPerWindow; k++ {
+			recs = append(recs, g.hotRecord(t0))
+		}
+	}
+	slices.SortFunc(recs, byTime)
+	return clampTo(recs, duration), nil
+}
+
+// FuzzGenerate: Generate must return generateRef's records, record for
+// record. Records that share a time may come out in either order (the
+// reference's sort is unstable), so such runs are compared as sets.
+func FuzzGenerate(f *testing.F) {
+	for _, b := range PARSEC()[:3] {
+		f.Add(b.FootprintFrac, b.SweepFrac, b.HotRows, b.HotAccessesPerWindow, b.ZipfS, b.WriteFrac, 2048, 0.2, int64(42))
+	}
+	f.Add(1.0, 0.0, 64, 500, 1.5, 0.5, 100, 0.064, int64(1))
+	f.Add(0.5, 1.0, 0, 0, 1.0, 0.0, 4096, 0.3, int64(7))
+	f.Add(0.01, 0.5, 8, 2000, 0.5, 1.0, 7, 0.5, int64(-3))
+	f.Fuzz(func(t *testing.T, fp, sweep float64, hotRows, hits int, zipfS, wf float64, rows int, duration float64, seed int64) {
+		b := BenchmarkSpec{
+			Name: "fuzz", FootprintFrac: fp, SweepFrac: sweep,
+			HotRows: hotRows % 4096, HotAccessesPerWindow: hits % 4096, ZipfS: zipfS, WriteFrac: wf,
+		}
+		rows %= 4096
+		duration = math.Mod(duration, 0.5) // keeps NaN and Inf as NaN
+		got, err := b.Generate(rows, duration, seed)
+		want, refErr := generateRef(b, rows, duration, seed)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Generate error %v, reference error %v", err, refErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d records, reference %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Time != want[i].Time {
+				t.Fatalf("record %d at %v, reference at %v", i, got[i].Time, want[i].Time)
+			}
+		}
+		byAll := func(a, b Record) int {
+			return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Row, b.Row), cmp.Compare(a.Op, b.Op))
+		}
+		slices.SortFunc(got, byAll)
+		slices.SortFunc(want, byAll)
+		if !slices.Equal(got, want) {
+			t.Fatal("records differ from the reference's at equal times")
+		}
+	})
+}
+
+// TestSortWindowMerge tests the per-window sort and merge on their own:
+// Generate's final order check would otherwise hide a helper that leaves
+// records out of order behind the global-sort fallback.
+func TestSortWindowMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, w := range []int{0, 1, 1 << 20} {
+		t0 := float64(w) * window
+		for _, n := range []int{1, 2, 3, 17, 1000} {
+			hot := make([]Record, n)
+			for k := range hot {
+				hot[k] = Record{Time: t0 + window*rng.Float64(), Row: k}
+			}
+			hot[0].Time = t0
+			hot[n-1].Time = t0 + window // rounded onto the window's end
+			sorted := make([]Record, n)
+			sortWindow(sorted, hot, make([]int, n+1), t0)
+			if !slices.IsSortedFunc(sorted, byTime) {
+				t.Fatalf("window %d, %d records: sortWindow left them out of order", w, n)
+			}
+			want := slices.Clone(hot)
+			slices.SortFunc(want, byTime)
+			if !slices.Equal(sorted, want) {
+				t.Fatalf("window %d, %d records: sortWindow lost or duplicated records", w, n)
+			}
+
+			prior := Record{Time: t0 + window, Row: -1} // a record before the window's start index
+			recs := make([]Record, 0, 1+n+n)
+			recs = append(recs, prior)
+			for k := 0; k < n; k++ {
+				recs = append(recs, Record{Time: t0 + window*(float64(k)+0.5)/float64(n+1), Row: n + k})
+			}
+			want = append(slices.Clone(recs[1:]), sorted...)
+			slices.SortFunc(want, byTime)
+			recs = mergeBehind(recs, 1, sorted)
+			if recs[0] != prior || !slices.Equal(recs[1:], want) {
+				t.Fatalf("window %d, %d records: mergeBehind did not merge the window in order", w, n)
+			}
+		}
+	}
 }

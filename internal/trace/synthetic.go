@@ -98,38 +98,93 @@ func FindBenchmark(name string) (BenchmarkSpec, error) {
 	return BenchmarkSpec{}, fmt.Errorf("trace: unknown benchmark %q", name)
 }
 
+// window is the 64 ms nominal refresh period that paces program phases.
+const window = 0.064
+
 // Generate produces the benchmark's access records over [0, duration) for a
 // bank with the given number of rows, deterministically for a seed. Records
 // come out time-sorted.
+//
+// Records are drawn one window at a time: the window's sweep records, which
+// come out in time order, then its hot records at random times inside the
+// window. Only the hot records need sorting, so each window sorts them by a
+// counting pass plus one insertion pass and merges them behind its sweep
+// records. The result is checked once for order and falls back to one global
+// sort if a hot record rounded past the next window's start.
 func (b BenchmarkSpec) Generate(rows int, duration float64, seed int64) ([]Record, error) {
+	g, err := b.newGenerator(rows, duration, seed)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]Record, 0, g.records)
+	sorted := make([]Record, g.hotPerWindow)
+	count := make([]int, g.hotPerWindow+1)
+	for w := 0; w < g.windows; w++ {
+		t0 := float64(w) * window
+		start := len(recs)
+		recs = g.appendSweep(recs, t0)
+		hot := len(recs)
+		for k := 0; k < g.hotPerWindow; k++ {
+			recs = append(recs, g.hotRecord(t0))
+		}
+		sortWindow(sorted, recs[hot:], count, t0)
+		recs = mergeBehind(recs[:hot], start, sorted)
+	}
+	if !slices.IsSortedFunc(recs, byTime) {
+		slices.SortFunc(recs, byTime)
+	}
+	return clampTo(recs, duration), nil
+}
+
+// generator holds one Generate call's set-up draws and its position in the
+// footprint's sweep.
+type generator struct {
+	spec           BenchmarkSpec
+	rng            *rand.Rand
+	zipf           *rand.Zipf // nil when no hot record is drawn
+	base           int        // the footprint's first row
+	footprint      int
+	hotSet         []int
+	sweepPos       int
+	sweepPerWindow int
+	hotPerWindow   int
+	windows        int
+	records        int // windows * (sweepPerWindow + hotPerWindow)
+}
+
+// newGenerator checks the inputs, including that the window and record
+// counts fit an int, and makes the set-up draws: the footprint's offset, then
+// the hot set.
+func (b BenchmarkSpec) newGenerator(rows int, duration float64, seed int64) (*generator, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	if rows <= 0 || duration <= 0 {
-		return nil, fmt.Errorf("trace: rows %d and duration %g must be positive", rows, duration)
+	if rows <= 0 || !(duration > 0) || math.IsInf(duration, 1) {
+		return nil, fmt.Errorf("trace: rows %d and duration %g must be positive and finite", rows, duration)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	const window = 0.064 // the nominal refresh period paces program phases
+	windows := math.Ceil(duration / window)
+	if !(windows < math.MaxInt) {
+		return nil, fmt.Errorf("trace: duration %g s spans more windows than an int counts", duration)
+	}
+	g := &generator{spec: b, rng: rand.New(rand.NewSource(seed)), windows: int(windows)}
 
-	footprint := int(math.Round(b.FootprintFrac * float64(rows)))
-	if footprint < 1 {
-		footprint = 1
+	g.footprint = int(math.Round(b.FootprintFrac * float64(rows)))
+	if g.footprint < 1 {
+		g.footprint = 1
 	}
 	hot := b.HotRows
-	if hot > footprint {
-		hot = footprint
+	if hot > g.footprint {
+		hot = g.footprint
 	}
 	// The footprint occupies a contiguous region at a random offset; the hot
 	// set is a random subset of it. Real row allocation is scattered, but
 	// refresh scheduling is insensitive to which rows are hot - only to how
 	// many and how often.
-	base := 0
-	if rows > footprint {
-		base = rng.Intn(rows - footprint)
+	if rows > g.footprint {
+		g.base = g.rng.Intn(rows - g.footprint)
 	}
-	hotSet := rng.Perm(footprint)[:hot]
+	g.hotSet = g.rng.Perm(g.footprint)[:hot]
 
-	var zipf *rand.Zipf
 	if hot > 0 && b.HotAccessesPerWindow > 0 {
 		// rand.Zipf requires s > 1; clamp and fold milder skews into v.
 		s := b.ZipfS
@@ -138,34 +193,101 @@ func (b BenchmarkSpec) Generate(rows int, duration float64, seed int64) ([]Recor
 			v = 2 + (1-s)*8 // flatter distributions via larger v
 			s = 1.01
 		}
-		zipf = rand.NewZipf(rng, s, v, uint64(hot-1))
+		g.zipf = rand.NewZipf(g.rng, s, v, uint64(hot-1))
+		g.hotPerWindow = b.HotAccessesPerWindow
 	}
+	g.sweepPerWindow = int(math.Round(b.SweepFrac * float64(g.footprint)))
 
-	sweepPerWindow := int(math.Round(b.SweepFrac * float64(footprint)))
-	nWindows := int(math.Ceil(duration / window))
-	var recs []Record
-	sweepPos := 0
-	for w := 0; w < nWindows; w++ {
-		t0 := float64(w) * window
-		// Streaming component: the next sweepPerWindow rows of the
-		// footprint, round-robin.
-		for k := 0; k < sweepPerWindow; k++ {
-			row := base + sweepPos
-			sweepPos = (sweepPos + 1) % footprint
-			t := t0 + window*float64(k)/float64(sweepPerWindow+1)
-			recs = append(recs, Record{Time: t, Op: b.op(rng), Row: row})
+	perWindow := g.sweepPerWindow + g.hotPerWindow
+	if perWindow < g.sweepPerWindow || perWindow > 0 && g.windows > math.MaxInt/perWindow {
+		return nil, fmt.Errorf("trace: %s over %g s has more records than an int counts", b.Name, duration)
+	}
+	g.records = g.windows * perWindow
+	return g, nil
+}
+
+// appendSweep appends the window's streaming component: the next
+// sweepPerWindow rows of the footprint, round-robin, evenly spaced in time.
+func (g *generator) appendSweep(recs []Record, t0 float64) []Record {
+	for k := 0; k < g.sweepPerWindow; k++ {
+		row := g.base + g.sweepPos
+		g.sweepPos = (g.sweepPos + 1) % g.footprint
+		t := t0 + window*float64(k)/float64(g.sweepPerWindow+1)
+		recs = append(recs, Record{Time: t, Op: g.spec.op(g.rng), Row: row})
+	}
+	return recs
+}
+
+// hotRecord draws one record of the window's skewed hot component.
+func (g *generator) hotRecord(t0 float64) Record {
+	row := g.base + g.hotSet[int(g.zipf.Uint64())]
+	t := t0 + window*g.rng.Float64()
+	return Record{Time: t, Op: g.spec.op(g.rng), Row: row}
+}
+
+// sortWindow puts the window's hot records in time order into dst. A counting
+// pass places each record in one of len(src) equal slices of the window;
+// the slice index only grows with time (IEEE subtraction and scaling by a
+// positive constant are monotone), so bucket order never contradicts time
+// order and one insertion pass finishes the sort. count is scratch of
+// len(src)+1.
+func sortWindow(dst, src []Record, count []int, t0 float64) {
+	n := len(src)
+	if n == 0 {
+		return
+	}
+	scale := float64(n) / window
+	key := func(t float64) int {
+		return min(int((t-t0)*scale), n-1) // a record may round onto the window's end
+	}
+	clear(count)
+	for _, r := range src {
+		count[key(r.Time)+1]++
+	}
+	for i := 1; i < n; i++ {
+		count[i] += count[i-1]
+	}
+	for _, r := range src {
+		k := key(r.Time)
+		dst[count[k]] = r
+		count[k]++
+	}
+	for i := 1; i < n; i++ {
+		r := dst[i]
+		j := i
+		for j > 0 && dst[j-1].Time > r.Time {
+			dst[j] = dst[j-1]
+			j--
 		}
-		// Skewed hot component.
-		for k := 0; k < b.HotAccessesPerWindow && zipf != nil; k++ {
-			row := base + hotSet[int(zipf.Uint64())]
-			t := t0 + window*rng.Float64()
-			recs = append(recs, Record{Time: t, Op: b.op(rng), Row: row})
+		dst[j] = r
+	}
+}
+
+// mergeBehind appends the time-sorted hot records to recs, merging them into
+// the window's sweep records, the sorted run recs[start:]. It merges from the
+// back, so each sweep record moves at most once and needs no buffer.
+func mergeBehind(recs []Record, start int, hot []Record) []Record {
+	i := len(recs) - 1
+	recs = recs[:len(recs)+len(hot)]
+	j := len(hot) - 1
+	for w := len(recs) - 1; j >= 0; w-- {
+		if i >= start && recs[i].Time > hot[j].Time {
+			recs[w] = recs[i]
+			i--
+		} else {
+			recs[w] = hot[j]
+			j--
 		}
 	}
-	slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.Time, b.Time) })
-	// Clamp to the duration (the last window may overrun).
+	return recs
+}
+
+func byTime(a, b Record) int { return cmp.Compare(a.Time, b.Time) }
+
+// clampTo cuts time-sorted records at duration (the last window may overrun).
+func clampTo(recs []Record, duration float64) []Record {
 	cut := sort.Search(len(recs), func(i int) bool { return recs[i].Time >= duration })
-	return recs[:cut], nil
+	return recs[:cut]
 }
 
 func (b BenchmarkSpec) op(rng *rand.Rand) OpKind {
@@ -188,7 +310,6 @@ type Stats struct {
 // Analyze computes trace statistics for a bank of the given rows over the
 // given duration.
 func Analyze(recs []Record, rows int, duration float64) Stats {
-	const window = 0.064
 	st := Stats{Records: len(recs)}
 	seen := make(map[int]struct{})
 	nWindows := int(math.Ceil(duration / window))

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -237,17 +238,31 @@ func TestGenerateWellFormed(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	spec, _ := FindBenchmark("vips")
-	if _, err := spec.Generate(0, 0.1, 1); err == nil {
-		t.Fatal("zero rows must be rejected")
-	}
-	if _, err := spec.Generate(10, 0, 1); err == nil {
-		t.Fatal("zero duration must be rejected")
-	}
-	bad := spec
-	bad.ZipfS = 0
-	if _, err := bad.Generate(10, 0.1, 1); err == nil {
-		t.Fatal("invalid spec must be rejected")
+	vips, _ := FindBenchmark("vips")
+	badSpec := vips
+	badSpec.ZipfS = 0
+	flood := vips
+	flood.HotAccessesPerWindow = math.MaxInt
+	for _, tc := range []struct {
+		name     string
+		spec     BenchmarkSpec
+		rows     int
+		duration float64
+	}{
+		{"zero rows", vips, 0, 0.1},
+		{"zero duration", vips, 10, 0},
+		{"negative duration", vips, 10, -0.1},
+		{"NaN duration", vips, 10, math.NaN()},
+		{"+Inf duration", vips, 10, math.Inf(1)},
+		{"-Inf duration", vips, 10, math.Inf(-1)},
+		{"window count overflows int", vips, 10, 1e300},
+		{"record count overflows int", vips, 10, 1e17},
+		{"per-window count overflows int", flood, 10, 0.1},
+		{"invalid spec", badSpec, 10, 0.1},
+	} {
+		if recs, err := tc.spec.Generate(tc.rows, tc.duration, 1); err == nil {
+			t.Errorf("%s: got %d records, want an error", tc.name, len(recs))
+		}
 	}
 }
 

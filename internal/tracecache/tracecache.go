@@ -2,10 +2,10 @@
 // grids in internal/exp run the same (benchmark, rows, duration, seed)
 // workload against several schedulers - the Figure 4 grid alone used to
 // regenerate each benchmark's trace once per scheduler - and trace synthesis
-// (tens of thousands of records, globally sorted) is one of the most
-// expensive setup steps a cell pays. The cache generates each distinct trace
-// once and hands every caller a shared, read-only view, safe under the
-// parallel sweep engine's concurrent cells.
+// (tens of thousands of records, drawn and sorted one 64 ms window at a time)
+// is one of the larger setup steps a cell pays. The cache generates each
+// distinct trace once and hands every caller a shared, read-only view, safe
+// under the parallel sweep engine's concurrent cells.
 //
 // As with internal/profcache, the package-level functions use one
 // process-wide default cache (right for a one-shot CLI run); long-lived
