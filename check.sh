@@ -106,6 +106,7 @@ internal/scenario:FuzzStressorSegment
 internal/sim:FuzzFastForwardPlan
 internal/sim:FuzzRunEquivalence
 internal/fleet:FuzzDeviceEquivalence
+internal/memctrl:FuzzControllerEquivalence
 "
 for entry in $FUZZ_TARGETS; do
     pkg=${entry%%:*}

@@ -54,10 +54,11 @@ func digestRequests(h hash.Hash, reqs []Request) {
 
 func hexSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 
-// TestControllerGolden pins the three controller engines' Stats and
-// per-request outputs. The digests were taken with every event, requests
-// included, in one container/heap min-heap on (cycle, kind, seq); the
-// merged event queue must reproduce that pop order exactly. Elastic slack
+// TestControllerGolden pins the Stats and per-request outputs of the
+// engine's three entry points, Run, RunSALP and RunMulti. The digests were
+// taken when each entry point had its own event loop, with every event,
+// requests included, in one container/heap min-heap on (cycle, kind, seq);
+// the merged event queue must reproduce that pop order exactly. Elastic slack
 // 0.1 and 0.3 agree here because no postponement reaches its deadline.
 func TestControllerGolden(t *testing.T) {
 	f := setup(t)

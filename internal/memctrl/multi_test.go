@@ -48,7 +48,7 @@ func multiOpts(g RefreshGranularity) MultiOptions {
 	}
 }
 
-func benchTraceReqs(t *testing.T) []MultiRequest {
+func benchTraceReqs(t *testing.T) []Request {
 	t.Helper()
 	spec, err := trace.FindBenchmark("streamcluster")
 	if err != nil {
@@ -101,11 +101,11 @@ func TestMultiValidation(t *testing.T) {
 	if _, _, err := RunMulti(banks, scheds, nil, weird); err == nil {
 		t.Fatal("unknown granularity must be rejected")
 	}
-	oob := []MultiRequest{{Arrival: 5, Bank: 99, Row: 0}}
+	oob := []Request{{Arrival: 5, Bank: 99, Row: 0}}
 	if _, _, err := RunMulti(banks, scheds, oob, multiOpts(PerBankRefresh)); err == nil {
 		t.Fatal("bad bank address must be rejected")
 	}
-	ooo := []MultiRequest{{Arrival: 5, Bank: 0, Row: 0}, {Arrival: 4, Bank: 0, Row: 0}}
+	ooo := []Request{{Arrival: 5, Bank: 0, Row: 0}, {Arrival: 4, Bank: 0, Row: 0}}
 	if _, _, err := RunMulti(banks, scheds, ooo, multiOpts(PerBankRefresh)); err == nil {
 		t.Fatal("out-of-order arrivals must be rejected")
 	}
@@ -115,7 +115,7 @@ func TestMultiBankParallelism(t *testing.T) {
 	// Two simultaneous requests to different banks overlap; to the same bank
 	// they serialize.
 	banks, scheds := multiSetup(t, "raidr")
-	parallel := []MultiRequest{
+	parallel := []Request{
 		{Arrival: 1000, Bank: 0, Row: 10},
 		{Arrival: 1000, Bank: 1, Row: 10},
 	}
@@ -124,7 +124,7 @@ func TestMultiBankParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	banks2, scheds2 := multiSetup(t, "raidr")
-	serial := []MultiRequest{
+	serial := []Request{
 		{Arrival: 1000, Bank: 0, Row: 10},
 		{Arrival: 1000, Bank: 0, Row: 10},
 	}

@@ -16,13 +16,13 @@ type event struct {
 	kind  evKind
 	row   int   // refresh row
 	due   int64 // refresh: originally scheduled cycle (for elastic postponement)
-	req   int   // request index; RunMulti refresh: bank, or -1 for all-bank
+	req   int   // request index; refresh: the unit it addresses, or -1 for all-bank
 	seq   int64 // push order among refresh and scrub events
 }
 
 // eventQueue is a controller's timeline. It merges two sources in
 // (cycle, kind, seq) order: a binary min-heap of refresh and scrub events,
-// and a cursor over the requests, whose arrival cycles the engines have
+// and a cursor over the requests, whose arrival cycles the engine has
 // validated as nondecreasing. The order compares seq only between events of
 // one kind and requests leave in index order, so the merge pops exactly the
 // sequence of one heap holding every event, requests numbered in arrival
@@ -46,7 +46,7 @@ func newEventQueue(horizon int64, events, requests int) *eventQueue {
 }
 
 // pushRequest appends the next request, numbered in call order. Arrivals
-// must be nondecreasing; the engines drop requests past the horizon first.
+// must be nondecreasing; the engine drops requests past the horizon first.
 func (q *eventQueue) pushRequest(arrival int64) {
 	q.arrivals = append(q.arrivals, arrival)
 }

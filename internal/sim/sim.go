@@ -365,15 +365,6 @@ type refreshQueue interface {
 	pendingSorted() []PendingEvent
 }
 
-// NewScratch returns a Scratch for a bank with the given number of rows (the
-// event queue holds at most one outstanding refresh per row).
-func NewScratch(rows int) *Scratch {
-	if rows < 0 {
-		rows = 0
-	}
-	return &Scratch{queue: make(eventQueue, 0, rows)}
-}
-
 // scratchPool recycles Scratch buffers across Run/RunContext calls, so even
 // callers that never touch the Reusable API run allocation-lean in steady
 // state (sweep cells, benchmark loops, campaign experiments).

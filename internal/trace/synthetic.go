@@ -101,9 +101,17 @@ func FindBenchmark(name string) (BenchmarkSpec, error) {
 // window is the 64 ms nominal refresh period that paces program phases.
 const window = 0.064
 
+// MaxRecords caps the records one Generate call draws (2^27, 3 GiB of
+// Records): Generate holds the whole trace in memory, so a longer trace is
+// an error rather than an allocation that cannot succeed. That is about 8.5
+// simulated minutes of bgsave, the densest benchmark, on the paper's
+// 8192-row bank.
+const MaxRecords = 1 << 27
+
 // Generate produces the benchmark's access records over [0, duration) for a
 // bank with the given number of rows, deterministically for a seed. Records
-// come out time-sorted.
+// come out time-sorted. A trace that would draw more than MaxRecords records
+// is an error.
 //
 // Records are drawn one window at a time: the window's sweep records, which
 // come out in time order, then its hot records at random times inside the
@@ -152,9 +160,9 @@ type generator struct {
 	records        int // windows * (sweepPerWindow + hotPerWindow)
 }
 
-// newGenerator checks the inputs, including that the window and record
-// counts fit an int, and makes the set-up draws: the footprint's offset, then
-// the hot set.
+// newGenerator checks the inputs, including that the window count fits an
+// int and the record count MaxRecords, and makes the set-up draws: the
+// footprint's offset, then the hot set.
 func (b BenchmarkSpec) newGenerator(rows int, duration float64, seed int64) (*generator, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -199,8 +207,8 @@ func (b BenchmarkSpec) newGenerator(rows int, duration float64, seed int64) (*ge
 	g.sweepPerWindow = int(math.Round(b.SweepFrac * float64(g.footprint)))
 
 	perWindow := g.sweepPerWindow + g.hotPerWindow
-	if perWindow < g.sweepPerWindow || perWindow > 0 && g.windows > math.MaxInt/perWindow {
-		return nil, fmt.Errorf("trace: %s over %g s has more records than an int counts", b.Name, duration)
+	if perWindow < g.sweepPerWindow || perWindow > 0 && g.windows > MaxRecords/perWindow {
+		return nil, fmt.Errorf("trace: %s over %g s draws more than MaxRecords (%d) records", b.Name, duration, MaxRecords)
 	}
 	g.records = g.windows * perWindow
 	return g, nil
