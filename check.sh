@@ -97,6 +97,7 @@ internal/trace:FuzzGenerate
 internal/circuit/spice:FuzzParseDeck
 internal/circuit/spice:FuzzParseValue
 internal/checkpoint:FuzzCheckpointDecode
+internal/checkpoint:FuzzManagerGenerations
 internal/scrub:FuzzScrubStateDecode
 internal/serve:FuzzFrameDecode
 internal/fleet:FuzzManifestDecode

@@ -36,7 +36,9 @@ type RunControl struct {
 	// continues that run instead of starting cold. The system, scheduler
 	// kind, accesses, and duration must match the interrupted run's.
 	Resume bool
-	// Generations is how many prior snapshots to retain (default 3).
+	// Generations is how many snapshots to retain in total (default 3). A
+	// crash mid-write leaves one fewer intact: the oldest is the buffer the
+	// next snapshot is written into.
 	Generations int
 	// OnEvent, when non-nil, receives one-line progress notes (resume
 	// source, fallback to an older generation) for operator visibility.

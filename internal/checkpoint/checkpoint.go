@@ -1,8 +1,10 @@
 // Package checkpoint persists simulation and campaign state across process
 // deaths: a versioned, CRC-32-checksummed container written atomically
-// (temp file + rename) with N-generation retention, so a crash mid-write
-// never destroys the last good snapshot, and a corrupted newest generation
-// falls back to the one before it.
+// (fsynced scratch file + rename) with N-generation retention, so a crash
+// mid-write never destroys the newest snapshot, and a corrupted newest
+// generation falls back to the one before it. The scratch file is the
+// recycled oldest generation (see Manager), so a steady-state save frees no
+// disk blocks, and a crash mid-write leaves keep-1 intact generations.
 //
 // Several payload kinds share the container: a sim.Checkpoint (the full
 // resumable state of one RunContext invocation), a campaign progress record

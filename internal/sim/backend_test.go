@@ -23,24 +23,35 @@ import (
 )
 
 // TestBatchQueueMatchesHeapPopOrder is the queue-level property for the
-// lane queue: against random periodic workloads popped one event at a time
-// - exercising the per-period FIFO lanes, the mixed-lane sort, FIFO-
-// violation spills, late pushes into the mixed lane, and short-period
-// re-pushes that land ahead of every other lane's head - it must emit
-// exactly the (time, row) sequence the reference binary heap does.
+// lane queue: popped one event at a time, it must emit exactly the (time,
+// row) sequence the reference binary heap does. An explicit case pins
+// short-period re-pushes that land ahead of every other lane's head; random
+// periodic workloads add the per-period FIFO lanes, the mixed-lane sort,
+// FIFO-violation spills and late pushes into the mixed lane.
 func TestBatchQueueMatchesHeapPopOrder(t *testing.T) {
-	overtakes := 0 // re-pushes that became the queue minimum
+	// One 1 ms row among 64 ms and 128 ms lanes: between the long rows'
+	// refreshes each of its re-pushes becomes the queue minimum. Every fifth
+	// re-push carries no period hint.
+	periods := []int64{dram.Ticks(1e-3)}
+	for r := 1; r < 7; r++ {
+		periods = append(periods, dram.Ticks(64e-3*float64(1+r%2)))
+	}
+	pushes := 0
+	ok, overtakes := popAgainstHeap(periods, func() bool { pushes++; return pushes%5 == 0 })
+	if !ok {
+		t.Fatal("lane queue diverged from the heap on the short-period case")
+	}
+	if overtakes == 0 {
+		t.Fatal("no re-push ever overtook the other lanes' heads; the short-period case misses it")
+	}
+
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rows := 1 + rng.Intn(200)
-		var bq batchQueue
-		bq.reset()
-		var heap eventQueue
-		periods := make([]int64, rows)
-		for r := 0; r < rows; r++ {
-			// A handful of shared periods (lane-friendly), a few short ones
-			// whose re-pushes overtake the other lanes' heads, and a random
-			// tail that overflows batchMaxLanes and spills to the mixed lane.
+		periods := make([]int64, 1+rng.Intn(200))
+		for r := range periods {
+			// A handful of shared periods (lane-friendly), a few short ones,
+			// and a random tail that overflows batchMaxLanes and spills to
+			// the mixed lane.
 			switch rng.Intn(8) {
 			case 0:
 				periods[r] = dram.Ticks(1e-3 * float64(1+rng.Intn(2)))
@@ -49,42 +60,55 @@ func TestBatchQueueMatchesHeapPopOrder(t *testing.T) {
 			default:
 				periods[r] = dram.Ticks(32e-3 * math.Pow(2, 5*rng.Float64()))
 			}
-			e := event{T: int64(staggerFrac(r) * float64(periods[r])), Row: r}
-			bq.push(e)
-			heap.push(e)
 		}
-		horizon := dram.Ticks(0.7)
-		for heap.size() > 0 {
-			if bq.size() != heap.size() || bq.peekTime() != heap.peekTime() {
-				return false
-			}
-			he := heap.pop()
-			if be := bq.pop(); be != he {
-				return false
-			}
-			next := he.T + periods[he.Row]
-			if next >= horizon {
-				continue
-			}
-			ne := event{T: next, Row: he.Row}
-			if heap.size() > 0 && eventLess(ne, heap[0]) {
-				overtakes++
-			}
-			if rng.Intn(64) == 0 {
-				bq.push(ne) // a hintless push, as a resume would make
-			} else {
-				bq.pushNext(ne, periods[he.Row])
-			}
-			heap.push(ne)
-		}
-		return bq.size() == 0 && bq.peekTime() == never
+		ok, _ := popAgainstHeap(periods, func() bool { return rng.Intn(64) == 0 })
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-	if overtakes == 0 {
-		t.Fatal("no re-push ever overtook the other lanes' heads; the workload misses the case")
+}
+
+// popAgainstHeap pushes one event per row, at its staggered phase of its
+// period, into both the lane queue and the reference heap, then pops them
+// one event at a time and re-pushes each popped row a period later until
+// 0.7 s. It reports whether every pop matched and how many re-pushes became
+// the queue minimum. hintless picks the re-pushes made without a period
+// hint, as a resume would make them.
+func popAgainstHeap(periods []int64, hintless func() bool) (ok bool, overtakes int) {
+	var bq batchQueue
+	bq.reset()
+	var heap eventQueue
+	for r, p := range periods {
+		e := event{T: int64(staggerFrac(r) * float64(p)), Row: r}
+		bq.push(e)
+		heap.push(e)
 	}
+	horizon := dram.Ticks(0.7)
+	for heap.size() > 0 {
+		if bq.size() != heap.size() || bq.peekTime() != heap.peekTime() {
+			return false, overtakes
+		}
+		he := heap.pop()
+		if be := bq.pop(); be != he {
+			return false, overtakes
+		}
+		next := he.T + periods[he.Row]
+		if next >= horizon {
+			continue
+		}
+		ne := event{T: next, Row: he.Row}
+		if heap.size() > 0 && eventLess(ne, heap[0]) {
+			overtakes++
+		}
+		if hintless() {
+			bq.push(ne)
+		} else {
+			bq.pushNext(ne, periods[he.Row])
+		}
+		heap.push(ne)
+	}
+	return bq.size() == 0 && bq.peekTime() == never, overtakes
 }
 
 // TestBatchQueuePendingSortedMatchesHeap pins the checkpoint form: however
