@@ -4,9 +4,13 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"vrldram/internal/device"
+	"vrldram/internal/dram"
+	"vrldram/internal/ecc"
 	"vrldram/internal/fault"
 	"vrldram/internal/retention"
 	"vrldram/internal/scenario"
+	"vrldram/internal/scrub"
 	"vrldram/internal/sim"
 )
 
@@ -67,6 +71,9 @@ func TestGateAllocs(t *testing.T) {
 		// A scenario decay walk reads its Env's compiled grid and keeps its
 		// cursor, bound telegraph rows and walk on the stack.
 		{"scenario-decay-factor", 0, scenarioDecayStep},
+		// A patrol read the decay bound decides returns its decode outcome
+		// by value, as does the exact sense it replaces.
+		{"bounded-patrol-read", 0, patrolReadStep},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkCeiling(t, exactAllocs(5, tc.setup(t)), tc.ceiling)
@@ -100,4 +107,44 @@ func scenarioDecayStep(tb testing.TB) func() {
 	}
 	step()
 	return step
+}
+
+// patrolReadStep returns one patrol sweep over a fleet-shaped scenario bank
+// (kitchen-sink over a 0.128 s window plus a weak-cell telegraph) whose
+// rows the decay bound clears; each sweep reads 1 ms after the last.
+func patrolReadStep(tb testing.TB) func() {
+	const window, rows = 0.128, 256
+	env, err := scenario.BuildEnv(scenario.Ref{Name: "kitchen-sink"}, window, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	env.Stressors = append(env.Stressors, scenario.VRTStressor{Label: "weak-cells", V: *fault.DefaultTransientWeakCells(43)})
+	p := &retention.BankProfile{
+		Geom:     device.BankGeometry{Rows: rows, Cols: 4},
+		True:     make([]float64, rows),
+		Profiled: make([]float64, rows),
+	}
+	for r := range p.True {
+		p.True[r], p.Profiled[r] = 0.5, retention.ProfileRetention(0.5)
+	}
+	bank, err := dram.NewBank(p, retention.ExpDecay{}, retention.PatternAllZeros)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := bank.SetModulator(env); err != nil {
+		tb.Fatal(err)
+	}
+	store, err := scrub.NewBankStore(bank, ecc.DefaultClassifier())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	now := 0.0
+	return func() {
+		now += 0.001
+		for r := 0; r < rows; r++ {
+			if outcome, err := store.PatrolRead(r, now); err != nil || outcome != ecc.OK {
+				tb.Fatalf("row %d: outcome %v, err %v", r, outcome, err)
+			}
+		}
+	}
 }

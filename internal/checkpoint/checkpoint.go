@@ -331,6 +331,11 @@ func validateSim(cp *sim.Checkpoint) error {
 			return fmt.Errorf("checkpoint: event tick %d negative for row %d", ev.Time, ev.Row)
 		}
 	}
+	for r, c := range cp.Bank.Charge {
+		if !(c >= 0 && c <= 1) { // rejects NaN too
+			return fmt.Errorf("checkpoint: bank charge %g for row %d outside [0,1]", c, r)
+		}
+	}
 	for _, r := range cp.Bank.Retired {
 		if r < 0 || r >= len(cp.Bank.Charge) {
 			return fmt.Errorf("checkpoint: retired row %d outside bank of %d rows", r, len(cp.Bank.Charge))

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -134,6 +135,18 @@ func TestDecodeRejectsPreviousSimFormat(t *testing.T) {
 	_, err := DecodeSim(&buf)
 	if err == nil || !strings.Contains(err.Error(), `"sim3"`) || !strings.Contains(err.Error(), `"sim4"`) {
 		t.Fatalf("sim3 snapshot: err = %v, want a format error naming sim3 and sim4", err)
+	}
+}
+
+// TestDecodeRejectsOutOfRangeCharge: no bank holds a charge outside [0,1],
+// and a NaN one would sense clean against every limit.
+func TestDecodeRejectsOutOfRangeCharge(t *testing.T) {
+	for _, c := range []float64{math.NaN(), -0.25, 1.5} {
+		cp := sampleSim()
+		cp.Bank.Charge[1] = c
+		if _, err := DecodeSim(bytes.NewReader(encodeSim(t, cp))); err == nil {
+			t.Errorf("charge %v: decode unexpectedly succeeded", c)
+		}
 	}
 }
 

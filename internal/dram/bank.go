@@ -35,6 +35,15 @@ type Modulator interface {
 	DecayFactor(row int, tret, t0, t1 float64, base retention.DecayModel) float64
 }
 
+// FlooredModulator is an optional Modulator capability the sense bound keys
+// on: MinScale returns a retention scale no larger than any the modulation
+// applies to any row at any time; a return <= 0 means none is known.
+// internal/scenario's Env implements it.
+type FlooredModulator interface {
+	Modulator
+	MinScale() float64
+}
+
 // Bank tracks per-row weakest-cell charge lazily: each row stores its charge
 // at the time of its last restore, and decay is applied on demand.
 type Bank struct {
@@ -186,6 +195,60 @@ func errBackwards(row int, t, last int64) error {
 	return fmt.Errorf("dram: time went backwards for row %d: %.6g < %.6g", row, Seconds(t), Seconds(last))
 }
 
+// senseSlack is the relative margin by which the decay bound must clear a
+// limit: orders of magnitude wider than the rounding of the exact decay
+// evaluation (a few ulps per segment of a modulated walk).
+const senseSlack = 1e-9
+
+// boundSlope returns the slope s of the bank's linear decay bound: a row
+// holding charge c at its last restore holds at least c*(1 - s*dt/tret) dt
+// seconds later. Under ExpDecay s is ln 2, as 2^-x >= 1 - x*ln 2; under
+// LinearDecay it is 1 - SenseLimit, as the product of a walk's per-segment
+// factors 1 - a_i is at least 1 - sum(a_i). Either is divided by the lowest
+// retention scale the bank's retention view applies: 1 for a plain bank,
+// the VRT's LowFactor, a modulator's MinScale. Any other decay law, or a
+// modulator without a floor, gets +Inf, which clears no read.
+func (b *Bank) boundSlope() float64 {
+	var k float64
+	switch b.Decay.(type) {
+	case retention.ExpDecay:
+		k = math.Ln2
+	case retention.LinearDecay:
+		k = 1 - retention.SenseLimit
+	default:
+		return math.Inf(1)
+	}
+	floor := 1.0
+	if b.mod != nil {
+		fm, ok := b.mod.(FlooredModulator)
+		if !ok {
+			return math.Inf(1)
+		}
+		floor = fm.MinScale()
+	} else if b.VRT != nil {
+		floor = math.Min(1, b.VRT.LowFactor)
+	}
+	if !(floor > 0) {
+		return math.Inf(1)
+	}
+	return k / floor
+}
+
+// cleared reports whether the decay bound of slope proves the row's charge
+// at tick t (not before its last restore) to be at least limit; false
+// proves nothing. The elapsed time is taken as the exact evaluation takes
+// it, so the two see the same interval. The tret column must be current
+// (see retentions).
+func (b *Bank) cleared(slope float64, row int, t int64, limit float64) bool {
+	var dt float64
+	if b.mod != nil || b.VRT != nil {
+		dt = Seconds(t) - Seconds(b.lastT[row])
+	} else {
+		dt = Seconds(t - b.lastT[row])
+	}
+	return b.charge[row]*(1-slope*dt/b.tret[row]) >= limit*(1+senseSlack)
+}
+
 // sense reads the row's charge at tick t, recording a violation if it is
 // below the sensing limit.
 func (b *Bank) sense(row int, t int64) (float64, error) {
@@ -255,16 +318,29 @@ func (b *Bank) Refresh(row int, t int64, alpha float64) (RefreshResult, error) {
 	return RefreshResult{ChargeBefore: v, ChargeAfter: after, ChargeRestored: after - v}, nil
 }
 
-// Access senses and activates the row at tick t; an activation fully
-// restores the row's charge (the property VRL-Access exploits).
-func (b *Bank) Access(row int, t int64) (RefreshResult, error) {
-	v, err := b.sense(row, t)
-	if err != nil {
-		return RefreshResult{}, err
+// Access senses and activates the row at tick t: the sense records a
+// violation if the charge is below the sensing limit, and the activation
+// fully restores the row (the property VRL-Access exploits). low reports
+// whether the sensed charge was below the caller's limit, and only then is
+// charge set, to the exact sensed charge; a caller that needs no decision
+// passes limit 0. A read the decay bound clears against both limits skips
+// the exact decay evaluation; the exact sense also reports a row out of
+// range or a tick before the row's last restore.
+func (b *Bank) Access(row int, t int64, limit float64) (charge float64, low bool, err error) {
+	b.retentions()
+	if row < 0 || row >= b.Geom.Rows || t < b.lastT[row] ||
+		!b.cleared(b.boundSlope(), row, t, math.Max(limit, retention.SenseLimit)) {
+		v, err := b.sense(row, t)
+		if err != nil {
+			return 0, false, err
+		}
+		if v < limit {
+			charge, low = v, true
+		}
 	}
 	b.charge[row] = 1
 	b.lastT[row] = t
-	return RefreshResult{ChargeBefore: v, ChargeAfter: 1, ChargeRestored: 1 - v}, nil
+	return charge, low, nil
 }
 
 // Violations returns a copy of the integrity violations recorded so far.
@@ -303,7 +379,7 @@ func (b *Bank) SetState(s State) error {
 		return fmt.Errorf("dram: state has %d/%d rows, bank has %d", len(s.Charge), len(s.LastT), b.Geom.Rows)
 	}
 	for r, c := range s.Charge {
-		if c < 0 || c > 1 {
+		if !(c >= 0 && c <= 1) { // rejects NaN too
 			return fmt.Errorf("dram: state charge %g for row %d outside [0,1]", c, r)
 		}
 	}
@@ -329,19 +405,22 @@ func (b *Bank) SetState(s State) error {
 // skipped: their data lives on a spare. Useful as an end-of-simulation
 // integrity sweep.
 //
-// For the plain-decay configuration the sweep runs as one tight loop over
-// the charge/lastT/tret columns, producing the same violations in the same
-// order as the scalar path.
+// Rows the decay bound clears are skipped without evaluating their decay;
+// they could record no violation. For the plain-decay configuration the
+// sweep runs as one tight loop over the charge/lastT/tret columns. Either
+// way the violations are the scalar path's, in the same row order.
 func (b *Bank) CheckAll(t int64) (int, error) {
+	slope := b.boundSlope()
+	b.retentions()
 	if b.mod == nil && b.VRT == nil {
 		switch b.Decay.(type) {
 		case retention.ExpDecay, retention.LinearDecay:
-			return b.checkAllPlain(t)
+			return b.checkAllPlain(slope, t)
 		}
 	}
 	bad := 0
 	for r := 0; r < b.Geom.Rows; r++ {
-		if b.retired[r] {
+		if b.retired[r] || t >= b.lastT[r] && b.cleared(slope, r, t, retention.SenseLimit) {
 			continue
 		}
 		v, err := b.sense(r, t)
@@ -357,8 +436,8 @@ func (b *Bank) CheckAll(t int64) (int, error) {
 
 // checkAllPlain is CheckAll for the unmodulated decay laws, evaluated
 // columnar: identical arithmetic, violations appended in the same row order.
-func (b *Bank) checkAllPlain(t int64) (int, error) {
-	tret := b.retentions()
+func (b *Bank) checkAllPlain(slope float64, t int64) (int, error) {
+	tret := b.tret
 	exp := true
 	if _, lin := b.Decay.(retention.LinearDecay); lin {
 		exp = false
@@ -371,6 +450,9 @@ func (b *Bank) checkAllPlain(t int64) (int, error) {
 		dt := t - b.lastT[r]
 		if dt < 0 {
 			return bad, errBackwards(r, t, b.lastT[r])
+		}
+		if b.cleared(slope, r, t, retention.SenseLimit) {
+			continue
 		}
 		v := b.charge[r] * decayPlain(exp, Seconds(dt), tret[r])
 		if v < retention.SenseLimit {

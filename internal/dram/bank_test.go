@@ -149,16 +149,57 @@ func TestRefreshValidation(t *testing.T) {
 
 func TestAccessFullyRestores(t *testing.T) {
 	b := newBank(t)
-	res, err := b.Access(3, Ticks(0.05))
+	charge, low, err := b.Access(3, Ticks(0.05), retention.SenseLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ChargeAfter != 1 {
-		t.Fatalf("access restores to %v, want 1", res.ChargeAfter)
+	if low || charge != 0 {
+		t.Fatalf("healthy row read low (charge %v)", charge)
 	}
 	v, _ := b.ChargeAt(3, Ticks(0.05))
 	if v != 1 {
 		t.Fatal("state not updated")
+	}
+}
+
+// TestAccessReportsExactLowCharge: a read below the caller's limit returns
+// the exact sensed charge, and one below the sensing limit records it.
+func TestAccessReportsExactLowCharge(t *testing.T) {
+	b := newBank(t)
+	row := 0 // true retention 128 ms
+	at := Ticks(b.Profile.True[row] * 0.9)
+	want, _ := b.ChargeAt(row, at)
+	charge, low, err := b.Access(row, at, 0.9)
+	if err != nil || !low || charge != want {
+		t.Fatalf("Access = (%v, %v, %v), want (%v, true, nil)", charge, low, err, want)
+	}
+	if b.ViolationCount() != 0 {
+		t.Fatalf("a charge of %v above the sensing limit booked a violation", want)
+	}
+	at += Ticks(b.Profile.True[row] * 1.5)
+	want, _ = b.ChargeAt(row, at)
+	if charge, low, err = b.Access(row, at, 0); err != nil || low || charge != 0 {
+		t.Fatalf("limit 0: Access = (%v, %v, %v), want (0, false, nil)", charge, low, err)
+	}
+	if v := b.Violations(); len(v) != 1 || v[0].Charge != want {
+		t.Fatalf("violations %+v, want one at charge %v", v, want)
+	}
+	if _, _, err := b.Access(row, at-1, 0); err == nil {
+		t.Fatal("Access before the row's last restore accepted")
+	}
+	if _, _, err := b.Access(-1, at, 0); err == nil {
+		t.Fatal("Access on row -1 accepted")
+	}
+}
+
+// TestSetStateRejectsNaNCharge: a NaN charge compares false against every
+// limit, so a row holding one would sense clean forever.
+func TestSetStateRejectsNaNCharge(t *testing.T) {
+	b := newBank(t)
+	s := b.State()
+	s.Charge[0] = math.NaN()
+	if err := b.SetState(s); err == nil {
+		t.Fatal("SetState accepted a NaN charge")
 	}
 }
 

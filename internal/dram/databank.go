@@ -52,7 +52,7 @@ func (db *DataBank) WriteWord(row int, t float64, data uint64) error {
 	if row < 0 || row >= db.Geom.Rows {
 		return fmt.Errorf("dram: row %d out of range", row)
 	}
-	if _, err := db.Bank.Access(row, Ticks(t)); err != nil {
+	if _, _, err := db.Bank.Access(row, Ticks(t), 0); err != nil {
 		return err
 	}
 	db.words[row] = ecc.Encode(data)
@@ -94,7 +94,7 @@ func (db *DataBank) ReadWord(row int, t float64) (ReadResult, error) {
 
 	// The activation restores the row; a successful (or corrected) read
 	// scrubs the stored word back to its clean encoding.
-	if _, err := db.Bank.Access(row, Ticks(t)); err != nil {
+	if _, _, err := db.Bank.Access(row, Ticks(t), 0); err != nil {
 		return ReadResult{}, err
 	}
 	if decode != ecc.Uncorrectable {

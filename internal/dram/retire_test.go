@@ -43,7 +43,7 @@ func TestRetire(t *testing.T) {
 	if _, err := b.Refresh(1, Ticks(0.128), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Access(1, Ticks(0.192)); err != nil {
+	if _, _, err := b.Access(1, Ticks(0.192), 0); err != nil {
 		t.Fatal(err)
 	}
 	bad, err := b.CheckAll(Ticks(0.3))

@@ -259,7 +259,7 @@ func (e *engine) serveOne(u int, now int64) {
 		s.openRow = req.Row
 		s.rowOpenedAt = start
 		when := float64(start) * e.opts.TCK
-		if _, err := e.banks[req.Bank].Access(req.Row, dram.Ticks(when)); err == nil {
+		if _, _, err := e.banks[req.Bank].Access(req.Row, dram.Ticks(when), 0); err == nil {
 			e.scheds[req.Bank].OnAccess(req.Row, when)
 		}
 	}

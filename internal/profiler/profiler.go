@@ -123,7 +123,7 @@ func Profile(trueProfile *retention.BankProfile, decay retention.DecayModel, opt
 			// out back-to-back on the bank's private timeline.
 			t0 := float64(res.Rounds) * (opts.Intervals[len(opts.Intervals)-1] / opts.Margin * 2)
 			for r := 0; r < rows; r++ {
-				if _, err := bank.Access(r, dram.Ticks(t0)); err != nil {
+				if _, _, err := bank.Access(r, dram.Ticks(t0), 0); err != nil {
 					return nil, err
 				}
 			}

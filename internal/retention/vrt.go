@@ -160,6 +160,10 @@ func (v VRT) Segment(row int, tret, t float64) (factor, next float64) {
 // walk sums them and pays one Exp2. For other laws the per-segment factors
 // multiply, which is exact at segment boundaries and conservative in
 // between. An unaffected row is one segment: base.Factor(t1-t0, tret).
+//
+// Far from t = 0 a toggle can land so close to t that Segment's epsilon
+// step rounds back onto t; the rest of the interval is then one segment,
+// as in the scenario walk, instead of a walk that never advances.
 func (v VRT) DecayFactor(row int, tret, t0, t1 float64, base DecayModel) float64 {
 	if t1 <= t0 {
 		return 1
@@ -171,7 +175,7 @@ func (v VRT) DecayFactor(row int, tret, t0, t1 float64, base DecayModel) float64
 	walk := NewDecayWalk(base)
 	for t := t0; t < t1; {
 		state, next := r.Segment(t)
-		if next > t1 {
+		if next <= t || next > t1 {
 			next = t1
 		}
 		walk.Add(next-t, tret*state)

@@ -138,6 +138,19 @@ func TestVRTDecayFactorConsistency(t *testing.T) {
 // Property: for the exponential law, the piecewise integration is
 // multiplicative across any split point (the Chapman-Kolmogorov property of
 // the decay process).
+// TestVRTDecayFactorAdvancesFarFromZero: 2.1e7 s into a run a toggle lands
+// within an ulp of the walk's time, where Segment's epsilon step rounds
+// back onto it; the walk must still finish, and decay.
+func TestVRTDecayFactorAdvancesFarFromZero(t *testing.T) {
+	v := VRT{AffectedFrac: 0.7, LowFactor: 0.3, MeanDwell: 0.05, Seed: 3}
+	t0 := math.Float64frombits(0x4174613a9d025ae3)
+	t1 := math.Float64frombits(0x4174613a9d6494b9)
+	f := v.DecayFactor(13, 0.96, t0, t1, ExpDecay{})
+	if !(f > 0 && f < 1) {
+		t.Fatalf("decay factor %v over [%.17g, %.17g], want in (0, 1)", f, t0, t1)
+	}
+}
+
 func TestVRTDecayComposition(t *testing.T) {
 	v := DefaultVRT()
 	base := ExpDecay{}

@@ -61,6 +61,16 @@ type RowInvariant interface {
 	RowInvariant() bool
 }
 
+// ScaleFloor is an optional Stressor capability: MinScale returns a
+// retention scale no larger than any value ScaleAt can return, for every
+// row and every t, the run window's outside included. An Env whose roster
+// holds a stressor without it reports no floor, and the bank's sense bound
+// then evaluates every read exactly.
+type ScaleFloor interface {
+	Stressor
+	MinScale() float64
+}
+
 // segmenter is an optional Stressor capability: segment returns exactly
 // (ScaleAt(row, tret, t), NextChange(row, tret, t)), bit for bit, from one
 // evaluation, so the decay walk pays one stressor evaluation per segment
@@ -91,7 +101,8 @@ type Env struct {
 	Stressors []Stressor
 
 	compileOnce sync.Once
-	compiled    grid // see compiledSchedule
+	compiled    grid    // see compiledSchedule
+	floor       float64 // see MinScale
 }
 
 // ScaleAt returns the product of all stressors' retention multipliers for
@@ -155,6 +166,33 @@ func (e *Env) decayFactorRef(row int, tret, t0, t1 float64, base retention.Decay
 		t = next
 	}
 	return walk.Factor()
+}
+
+// MinScale implements the dram.FlooredModulator capability: the product of
+// the roster's floors, taken once with the compiled schedule and in the
+// walk's multiplication order, so it is at most every product of scales a
+// walk forms. 0 when a stressor has no positive, finite floor; 1 with no
+// stressors.
+func (e *Env) MinScale() float64 {
+	e.compile()
+	return e.floor
+}
+
+// rosterFloor is MinScale's product over the roster.
+func rosterFloor(roster []Stressor) float64 {
+	floor := 1.0
+	for _, s := range roster {
+		f, ok := s.(ScaleFloor)
+		if !ok {
+			return 0
+		}
+		m := f.MinScale()
+		if !(m > 0 && m < math.Inf(1)) {
+			return 0
+		}
+		floor *= m
+	}
+	return floor
 }
 
 // nominalReporter is the per-stressor side of Env.NominalUntil: the end of
@@ -298,11 +336,19 @@ const (
 // nil means every segment is evaluated directly. The build is lazy because
 // callers may append stressors between BuildEnv and the run.
 func (e *Env) compiledSchedule() *grid {
-	e.compileOnce.Do(func() { e.compiled.build(e.Stressors, e.Duration) })
+	e.compile()
 	if e.compiled.cells == nil {
 		return nil
 	}
 	return &e.compiled
+}
+
+// compile builds the grid and the roster's floor, once.
+func (e *Env) compile() {
+	e.compileOnce.Do(func() {
+		e.compiled.build(e.Stressors, e.Duration)
+		e.floor = rosterFloor(e.Stressors)
+	})
 }
 
 // build walks the roster's time-only change-points across [0, duration],

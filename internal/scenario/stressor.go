@@ -67,6 +67,13 @@ func (c TempCycle) ScaleAt(row int, tret, t float64) float64 {
 // device temperature.
 func (c TempCycle) RowInvariant() bool { return true }
 
+// MinScale implements ScaleFloor: every tread lies within AmplitudeC of
+// MeanC, and the thermal scale is monotone in temperature.
+func (c TempCycle) MinScale() float64 {
+	a := math.Abs(c.AmplitudeC)
+	return math.Min(c.Model.Scale(c.MeanC+a), c.Model.Scale(c.MeanC-a))
+}
+
 // NextChange implements Stressor: the next tread boundary.
 func (c TempCycle) NextChange(row int, tret, t float64) float64 {
 	treads := float64(c.Steps)
@@ -120,6 +127,10 @@ func (s VRTStressor) ScaleAt(row int, tret, t float64) float64 {
 func (s VRTStressor) NextChange(row int, tret, t float64) float64 {
 	return s.V.NextToggle(row, tret, t)
 }
+
+// MinScale implements ScaleFloor: a row is in the high state (1) or the
+// low one.
+func (s VRTStressor) MinScale() float64 { return math.Min(1, s.V.LowFactor) }
 
 // segment implements segmenter: the telegraph state and next toggle from
 // one pass over the row's hashes.
@@ -184,6 +195,11 @@ func (a PatternAdversary) NextChange(row int, tret, t float64) float64 {
 	return frameNext(t, a.FramePeriod)
 }
 
+// MinScale implements ScaleFloor: a row is cold (1) or hot.
+func (a PatternAdversary) MinScale() float64 {
+	return math.Min(1, retention.PatternFactor(a.Pattern))
+}
+
 // segment implements segmenter: one frame computation for both values.
 func (a PatternAdversary) segment(row int, tret, t float64) (scale, next float64) {
 	k, next := frame(t, a.FramePeriod)
@@ -240,6 +256,16 @@ func (a AgingRamp) ScaleAt(row int, tret, t float64) float64 {
 // RowInvariant implements the RowInvariant capability: wear accrues
 // device-wide.
 func (a AgingRamp) RowInvariant() bool { return true }
+
+// MinScale implements ScaleFloor: the ramp's aging stays within [0, Years]
+// (step clamps to [0, Steps] for a positive window), and the aging scale
+// falls with age while RatePerYear < 1. Any other ramp reports no floor.
+func (a AgingRamp) MinScale() float64 {
+	if a.Steps <= 0 || !(a.Window > 0) || !(a.Model.RatePerYear < 1) {
+		return 0
+	}
+	return math.Min(1, a.Model.Scale(a.Years))
+}
 
 // NextChange implements Stressor.
 func (a AgingRamp) NextChange(row int, tret, t float64) float64 {
@@ -299,6 +325,16 @@ func (g Gate) ScaleAt(row int, tret, t float64) float64 {
 func (g Gate) RowInvariant() bool {
 	inv, ok := g.Inner.(RowInvariant)
 	return ok && inv.RowInvariant()
+}
+
+// MinScale implements ScaleFloor: a calm episode is 1, an active one the
+// inner stressor's scale; an inner stressor without a floor gives none.
+func (g Gate) MinScale() float64 {
+	f, ok := g.Inner.(ScaleFloor)
+	if !ok {
+		return 0
+	}
+	return math.Min(1, f.MinScale())
 }
 
 // NominalUntil implements the nominalReporter capability: a calm (inactive)

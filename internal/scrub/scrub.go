@@ -274,11 +274,11 @@ func (s *Scrubber) visit(row int, now float64) error {
 		// the patrol spends the slot but has nothing to verify here.
 		return nil
 	}
-	res, err := s.store.PatrolRead(row, now)
+	outcome, err := s.store.PatrolRead(row, now)
 	if err != nil {
 		return err
 	}
-	switch res.Outcome {
+	switch outcome {
 	case ecc.OK:
 		h := &s.health[row]
 		if h.suspect {

@@ -33,12 +33,12 @@ func newFakeStore(rows int) *fakeStore {
 
 func (f *fakeStore) Rows() int { return f.rows }
 
-func (f *fakeStore) PatrolRead(row int, now float64) (PatrolResult, error) {
+func (f *fakeStore) PatrolRead(row int, now float64) (ecc.DecodeResult, error) {
 	if f.readErr != nil {
-		return PatrolResult{}, f.readErr
+		return ecc.OK, f.readErr
 	}
 	f.reads = append(f.reads, row)
-	return PatrolResult{Outcome: f.outcome[row], Charge: 1}, nil
+	return f.outcome[row], nil
 }
 
 func (f *fakeStore) Retire(row int) error {
@@ -651,21 +651,21 @@ func TestBankStorePatrol(t *testing.T) {
 		t.Fatalf("store rows %d", store.Rows())
 	}
 	res, err := store.PatrolRead(0, 0.064)
-	if err != nil || res.Outcome != ecc.OK {
-		t.Fatalf("healthy row: %+v err=%v", res, err)
+	if err != nil || res != ecc.OK {
+		t.Fatalf("healthy row: %v err=%v", res, err)
 	}
 	res, err = store.PatrolRead(1, 0.064)
-	if err != nil || res.Outcome != ecc.Corrected {
-		t.Fatalf("sagging row: %+v err=%v", res, err)
+	if err != nil || res != ecc.Corrected {
+		t.Fatalf("sagging row: %v err=%v", res, err)
 	}
 	res, err = store.PatrolRead(2, 0.064)
-	if err != nil || res.Outcome != ecc.Uncorrectable {
-		t.Fatalf("dead row: %+v err=%v", res, err)
+	if err != nil || res != ecc.Uncorrectable {
+		t.Fatalf("dead row: %v err=%v", res, err)
 	}
 	// The patrol read restored row 1; an immediate re-read is clean.
 	res, err = store.PatrolRead(1, 0.0641)
-	if err != nil || res.Outcome != ecc.OK {
-		t.Fatalf("restored row: %+v err=%v", res, err)
+	if err != nil || res != ecc.OK {
+		t.Fatalf("restored row: %v err=%v", res, err)
 	}
 	if err := store.Retire(2); err != nil {
 		t.Fatal(err)

@@ -684,7 +684,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 				break
 			}
 			if next.Row >= 0 && next.Row < rows {
-				if _, err := bank.Access(next.Row, nextT); err != nil {
+				if _, _, err := bank.Access(next.Row, nextT, 0); err != nil {
 					return err
 				}
 				sched.OnAccess(next.Row, next.Time)
