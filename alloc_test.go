@@ -11,7 +11,6 @@ import (
 	"vrldram/internal/retention"
 	"vrldram/internal/scenario"
 	"vrldram/internal/scrub"
-	"vrldram/internal/sim"
 )
 
 // exactAllocs is testing.AllocsPerRun with the garbage collector paused. A
@@ -23,8 +22,6 @@ func exactAllocs(runs int, f func()) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	return testing.AllocsPerRun(runs, f)
 }
-
-func discard(run func() int64) func() { return func() { run() } }
 
 // checkCeiling fails unless got equals the exact ceiling.
 func checkCeiling(t *testing.T, got, ceiling float64) {
@@ -38,10 +35,11 @@ func checkCeiling(t *testing.T, got, ceiling float64) {
 }
 
 // TestGateAllocs holds the hot paths to exact allocation counts. Every
-// variant here owns its scratch - a warmed sim.Reusable, PreSenseMeter or
+// variant here owns its scratch - a warmed PreSenseMeter, restore model or
 // bank - so nothing is borrowed from a sync.Pool that the GC may empty
 // between runs, and the count per run is the same on every host, with or
-// without -race. A count above its ceiling is a new allocation on a hot
+// without -race. The simulator's own run gates, which need a Scratch of
+// their own, live in internal/sim's TestGateAllocs. A count above its ceiling is a new allocation on a hot
 // path; a count below it means the ceiling is stale and must be lowered, so
 // that the gate stays exact.
 func TestGateAllocs(t *testing.T) {
@@ -50,19 +48,6 @@ func TestGateAllocs(t *testing.T) {
 		ceiling float64
 		setup   func(tb testing.TB) func()
 	}{
-		// All ten of a quiet window's allocations are the fresh scheduler
-		// (its tick column among them) and bank (its int64 last-restore
-		// column among them); the run itself reuses the warmed queue and
-		// columns.
-		{"device-year-quiet", 10, func(tb testing.TB) func() {
-			return discard(deviceYearRun(tb, false, deviceYearWindow, sim.BackendAuto))
-		}},
-		{"device-year-active", 15, func(tb testing.TB) func() {
-			return discard(deviceYearRun(tb, true, deviceYearWindow, sim.BackendAuto))
-		}},
-		{"sim-refresh-only-reusable", 10, func(tb testing.TB) func() {
-			return discard(deviceYearRun(tb, false, 0.768, sim.BackendAuto))
-		}},
 		{"presense-meter-warm", 0, func(tb testing.TB) func() {
 			m := warmPreSenseMeter(tb, 32)
 			return func() { measurePreSense(tb, m) }

@@ -203,18 +203,6 @@ func BenchmarkSimRefreshOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkSimRefreshOnlyReusable is BenchmarkSimRefreshOnly with an
-// explicit sim.Reusable, isolating the steady-state cost once the event
-// queue is owned by the caller instead of the internal pool.
-func BenchmarkSimRefreshOnlyReusable(b *testing.B) {
-	run := deviceYearRun(b, false, 0.768, sim.BackendAuto)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-}
-
 // BenchmarkTraceGeneration measures synthesizing one benchmark's trace.
 func BenchmarkTraceGeneration(b *testing.B) {
 	spec, err := trace.FindBenchmark("streamcluster")
@@ -245,12 +233,13 @@ func BenchmarkProfileConstruction(b *testing.B) {
 const deviceYearWindow = 4 * 0.768
 
 // deviceYearRun prepares a refresh-only VRL run over window simulated
-// seconds on the paper bank under the given backend, through one
-// sim.Reusable warmed by a first run. Each call of the returned function
-// builds a fresh scheduler and bank, runs them and returns the row refreshes
-// performed. The active variant adds the dpd-adversary scenario and a
-// 4096-record trace spread over the window, which keep fast-forward
-// disengaged so the per-event path carries the run.
+// seconds on the paper bank under the given backend, warmed by a first run.
+// Each call of the returned function builds a fresh scheduler and bank, runs
+// them through sim.Run and returns the row refreshes performed. The active
+// variant adds the dpd-adversary scenario and a 4096-record trace spread
+// over the window, which keep fast-forward disengaged so the per-event path
+// carries the run. internal/sim's TestGateAllocs runs the same shapes on a
+// Scratch of its own.
 func deviceYearRun(tb testing.TB, active bool, window float64, backend sim.Backend) func() int64 {
 	tb.Helper()
 	p := device.Default90nm()
@@ -271,7 +260,6 @@ func deviceYearRun(tb testing.TB, active bool, window float64, backend sim.Backe
 			}
 		}
 	}
-	r := sim.NewReusable(device.PaperBank.Rows)
 	run := func() int64 {
 		sched, err := core.NewVRL(prof, core.Config{Restore: rm})
 		if err != nil {
@@ -294,7 +282,7 @@ func deviceYearRun(tb testing.TB, active bool, window float64, backend sim.Backe
 			opts.Scenario = env
 			src = trace.NewSliceSource(recs)
 		}
-		st, err := r.Run(bank, sched, src, opts)
+		st, err := sim.Run(bank, sched, src, opts)
 		if err != nil {
 			tb.Fatal(err)
 		}

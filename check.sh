@@ -41,10 +41,12 @@ go build ./...
 echo "== go test -race =="
 go test -race -shuffle=on -timeout 5m ./...
 
-# bench/ is a nested module, so the ./... above skips it. Its smoke test runs
-# every benchmark workload once with all output and verification checks
-# (digests, the auto-vs-scalar verification child, zero failures).
-echo "== go test (bench module) =="
+# bench/ is a nested module, so the ./... runs above (vet included) skip
+# it. It is vetted here, and its smoke test runs every benchmark workload
+# once with all output and verification checks (digests, the auto-vs-scalar
+# verification child, zero failures).
+echo "== go vet + go test (bench module) =="
+go -C bench vet ./...
 go -C bench test -timeout 5m ./...
 
 # Kernel gates without -race: the race detector's overhead would skew the
@@ -54,7 +56,7 @@ go -C bench test -timeout 5m ./...
 # those build only without it. The exact hot-path allocation ceilings run
 # in both modes.
 echo "== kernel gates (go test -run '^TestGate', no -race) =="
-go test -count=1 -run '^TestGate' . ./internal/scenario
+go test -count=1 -run '^TestGate' . ./internal/scenario ./internal/sim
 
 # The periodic skip's long equivalence gate: auto against scalar over 100
 # hyperperiods (307.2 s) under seed 42 and a random seed, with checkpoint

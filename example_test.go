@@ -57,26 +57,3 @@ func ExampleSystem_RefreshLatencies() {
 	// Output:
 	// tau_partial=11 tau_full=19
 }
-
-// Any table or figure of the paper regenerates by ID.
-func ExampleRunExperiment() {
-	if err := vrldram.RunExperiment("tab2", fmtWriter{}); err != nil {
-		log.Fatal(err)
-	}
-	// Output:
-	// == tab2: Area overhead of VRL-DRAM at 90nm ==
-	// nbits  Logic area (um^2)  % DRAM bank area
-	// ------------------------------------------
-	// 2      105                0.97%
-	// 3      152                1.41%
-	// 4      200                1.85%
-	// note: paper: 105 / 152 / 200 um^2 at 0.97% / 1.4% / 1.85%
-}
-
-// fmtWriter adapts fmt printing so the example's output is captured.
-type fmtWriter struct{}
-
-func (fmtWriter) Write(p []byte) (int, error) {
-	fmt.Print(string(p))
-	return len(p), nil
-}

@@ -132,45 +132,6 @@ func (ckt *Circuit) V(a string, wave Waveform) {
 	ckt.add(&vsource{ckt.Node(a), 1 / DefaultSourceR, wave})
 }
 
-// VR drives node a with the waveform through rsrc ohms.
-func (ckt *Circuit) VR(a string, wave Waveform, rsrc float64) {
-	if rsrc <= 0 {
-		panic(fmt.Sprintf("spice: source resistance at %s must be positive, got %g", a, rsrc))
-	}
-	ckt.add(&vsource{ckt.Node(a), 1 / rsrc, wave})
-}
-
-// --- Time-controlled switch -------------------------------------------------
-
-type timeSwitch struct {
-	a, b        int
-	gon, goff   float64
-	onAt, offAt float64
-}
-
-func (d *timeSwitch) stampStep(c *stampCtx) {
-	g := d.goff
-	if c.t >= d.onAt && c.t < d.offAt {
-		g = d.gon
-	}
-	c.addG(d.a, d.b, g)
-}
-
-// stampsMatrixPerStep marks the switch conductance as a per-step matrix
-// stamp, so the solver refactors on every timestep it is present.
-func (d *timeSwitch) stampsMatrixPerStep() {}
-func (d *timeSwitch) nodes() []int         { return []int{d.a, d.b} }
-func (d *timeSwitch) linear() bool         { return true }
-
-// SW adds a switch between a and b that is closed (resistance ron) during
-// [onAt, offAt) and open (roff) otherwise.
-func (ckt *Circuit) SW(a, b string, ron, roff, onAt, offAt float64) {
-	if ron <= 0 || roff <= 0 {
-		panic(fmt.Sprintf("spice: switch %s-%s resistances must be positive", a, b))
-	}
-	ckt.add(&timeSwitch{ckt.Node(a), ckt.Node(b), 1 / ron, 1 / roff, onAt, offAt})
-}
-
 // --- Level-1 MOSFET ----------------------------------------------------------
 
 // MOSType selects the device polarity.

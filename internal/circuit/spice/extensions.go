@@ -3,7 +3,6 @@ package spice
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 )
 
@@ -89,9 +88,6 @@ func (ckt *Circuit) ExportDeck(w io.Writer, title string) error {
 		case *isource:
 			_, err = fmt.Fprintf(w, "%s %s %s DC %.6g ; time-dependent drive\n",
 				next("I"), name(dev.a), name(dev.b), dev.wave(0))
-		case *timeSwitch:
-			_, err = fmt.Fprintf(w, "%s %s %s ; switch ron=%.4g closes@%.4gs opens@%.4gs\n",
-				next("S"), name(dev.a), name(dev.b), 1/dev.gon, dev.onAt, dev.offAt)
 		case *satSwitch:
 			_, err = fmt.Fprintf(w, "%s %s %s ; sat access ron=%.4g idsat=%.4g on@%.4gs\n",
 				next("S"), name(dev.a), name(dev.b), dev.ron, dev.idsat, dev.onAt)
@@ -126,26 +122,4 @@ func (ckt *Circuit) ExportDeck(w io.Writer, title string) error {
 	}
 	_, err := fmt.Fprintln(w, ".END")
 	return err
-}
-
-// --- Energy measurement ----------------------------------------------------------
-
-// CapacitorEnergy returns the energy stored on a capacitance C at voltage v.
-func CapacitorEnergy(c, v float64) float64 { return 0.5 * c * v * v }
-
-// RMSDiff returns the root-mean-square difference between two equal-length
-// sample vectors: the waveform comparison metric of Figure 5.
-func RMSDiff(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("spice: RMSDiff length mismatch %d vs %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, nil
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a))), nil
 }

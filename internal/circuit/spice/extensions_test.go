@@ -94,7 +94,6 @@ func TestExportDeck(t *testing.T) {
 	ckt.C("out", "0", 1e-12)
 	ckt.CDriven("out", 2e-15, DC(0.5))
 	ckt.I("0", "out", DC(1e-6))
-	ckt.SW("out", "x", 100, 1e9, 0, 1)
 	ckt.SatSwitch("x", "y", 1e3, 1e-6, 0)
 	ckt.MOS("out", "vdd", "0", MOSParams{Type: NMOS, Beta: 1e-4, Vt: 0.4})
 	ckt.MOSDriven("y", "0", MOSParams{Type: PMOS, Beta: 1e-4, Vt: 0.4}, DC(0))
@@ -111,8 +110,7 @@ func TestExportDeck(t *testing.T) {
 		"C1 out 0 1e-12",
 		"V1 vdd 0 DC 1.2",
 		"I1 0 out DC 1e-06",
-		"S1 out x",
-		"S2 x y",
+		"S1 x y",
 		"M1 out vdd 0 0 NMOS",
 		"M2 y driven 0 0 PMOS",
 		".IC V(out)=0.3",
@@ -121,24 +119,5 @@ func TestExportDeck(t *testing.T) {
 		if !strings.Contains(deck, want) {
 			t.Errorf("deck missing %q:\n%s", want, deck)
 		}
-	}
-}
-
-func TestRMSDiff(t *testing.T) {
-	d, err := RMSDiff([]float64{1, 2}, []float64{1, 4})
-	if err != nil || math.Abs(d-math.Sqrt(2)) > 1e-12 {
-		t.Fatalf("%v, %v", d, err)
-	}
-	if _, err := RMSDiff([]float64{1}, nil); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-	if d, err := RMSDiff(nil, nil); err != nil || d != 0 {
-		t.Fatal("empty inputs should give zero")
-	}
-}
-
-func TestCapacitorEnergy(t *testing.T) {
-	if got := CapacitorEnergy(2e-12, 3); math.Abs(got-9e-12) > 1e-24 {
-		t.Fatalf("energy %v", got)
 	}
 }

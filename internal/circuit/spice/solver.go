@@ -42,13 +42,13 @@ const bandedMinNodes = 16
 //   - constant stamps (resistor, capacitor, driven-capacitor, and source
 //     conductances) go into a base matrix rebuilt only when the timestep or
 //     integration method changes;
-//   - per-step stamps (source and capacitor-history currents, time-switch
-//     conductances) are refreshed once per timestep;
+//   - per-step stamps (source and capacitor-history currents) touch only
+//     the right-hand side and are refreshed once per timestep;
 //   - per-iteration stamps (MOSFET and saturating-switch linearizations) are
 //     refreshed on a scratch copy each Newton iteration.
 //
-// For a linear netlist with no time switches, the factorization itself is
-// reused across every timestep, so a step costs one back-substitution.
+// For a linear netlist the factorization itself is reused across every
+// timestep, so a step costs one back-substitution.
 type Solver struct {
 	ckt    *Circuit
 	n      int
@@ -58,15 +58,14 @@ type Solver struct {
 	constDevs []constStamper
 	stepDevs  []stepStamper
 	iterDevs  []iterStamper
-	hasStepM  bool // some per-step stamp touches the matrix (time switch)
 
 	backend Backend // resolved BackendDense or BackendBanded for buffers
 
-	dBase, dStep, dWork *linalg.Dense
-	dlu                 linalg.LU
-	bBase, bStep, bWork *linalg.Banded
-	blu                 linalg.BandedLU
-	bsym                *linalg.BandedSymbolic // per-netlist sparsity analysis, built lazily
+	dBase, dWork *linalg.Dense
+	dlu          linalg.LU
+	bBase, bWork *linalg.Banded
+	blu          linalg.BandedLU
+	bsym         *linalg.BandedSymbolic // per-netlist sparsity analysis, built lazily
 
 	rhsStep, rhsWork []float64
 	x, xPrev, xNew   []float64
@@ -97,9 +96,6 @@ func NewSolver(ckt *Circuit) *Solver {
 		}
 		if ss, ok := d.(stepStamper); ok {
 			s.stepDevs = append(s.stepDevs, ss)
-			if _, ok := d.(stepMatrixStamper); ok {
-				s.hasStepM = true
-			}
 		}
 		if is, ok := d.(iterStamper); ok {
 			s.iterDevs = append(s.iterDevs, is)
@@ -152,13 +148,11 @@ func (s *Solver) ensureBuffers(b Backend) {
 	case BackendDense:
 		if s.dBase == nil || s.dBase.N != n {
 			s.dBase = linalg.NewDense(n)
-			s.dStep = linalg.NewDense(n)
 			s.dWork = linalg.NewDense(n)
 		}
 	case BackendBanded:
 		if s.bBase == nil || s.bBase.N != n || s.bBase.K != s.band {
 			s.bBase = linalg.NewBanded(n, s.band)
-			s.bStep = linalg.NewBanded(n, s.band)
 			s.bWork = linalg.NewBanded(n, s.band)
 		}
 	}
@@ -247,7 +241,7 @@ func (s *Solver) refactor(dm *linalg.Dense, bm *linalg.Banded) error {
 }
 
 // refactorScratch factors a matrix whose contents are rebuilt before the next
-// factorization anyway (the per-step or per-iteration scratch copy), letting
+// factorization anyway (the per-iteration scratch copy), letting
 // the banded path skip the defensive copy and magnitude scan. keep forces the
 // copying path so the matrix survives for a later residual check.
 func (s *Solver) refactorScratch(dm *linalg.Dense, bm *linalg.Banded, keep bool) error {
@@ -436,22 +430,12 @@ func (s *Solver) Transient(opts TransientOpts) (*Result, error) {
 			s.rhsStep[i] = 0
 		}
 		c.rhs = s.rhsStep
-		// Per-step matrix target: the base directly when no device stamps
-		// the matrix per step (devices then only touch the RHS), a scratch
-		// copy of the base otherwise.
-		stepDM, stepBM := s.dBase, s.bBase
-		if s.hasStepM {
-			if s.backend == BackendBanded {
-				s.bStep.CopyFrom(s.bBase)
-			} else {
-				s.dStep.CopyFrom(s.dBase)
-			}
-			stepDM, stepBM = s.dStep, s.bStep
-		}
+		// Per-step stamps touch only the RHS, so the step's system matrix
+		// is the base itself.
 		if s.backend == BackendBanded {
-			c.m = stepBM
+			c.m = s.bBase
 		} else {
-			c.m = stepDM
+			c.m = s.dBase
 		}
 		for _, d := range s.stepDevs {
 			d.stampStep(c)
@@ -459,17 +443,17 @@ func (s *Solver) Transient(opts TransientOpts) (*Result, error) {
 
 		converged := false
 		for it := 0; it < opts.MaxIter; it++ {
-			facDM, facBM := stepDM, stepBM
+			facDM, facBM := s.dBase, s.bBase
 			rhs := s.rhsStep
 			solved := false
 			if len(s.iterDevs) > 0 {
 				// Nonlinear devices relinearize around the iterate on a
 				// scratch copy of the per-step system.
 				if s.backend == BackendBanded {
-					s.bWork.CopyFrom(stepBM)
+					s.bWork.CopyFrom(s.bBase)
 					c.m = s.bWork
 				} else {
-					s.dWork.CopyFrom(stepDM)
+					s.dWork.CopyFrom(s.dBase)
 					c.m = s.dWork
 				}
 				copy(s.rhsWork, s.rhsStep)
@@ -489,10 +473,6 @@ func (s *Solver) Transient(opts TransientOpts) (*Result, error) {
 					}
 					solved = true
 				} else if err := s.refactorScratch(facDM, facBM, opts.CheckResidual); err != nil {
-					return nil, fmt.Errorf("spice: t=%.4g s: %w", t, err)
-				}
-			} else if s.hasStepM {
-				if err := s.refactorScratch(facDM, facBM, opts.CheckResidual); err != nil {
 					return nil, fmt.Errorf("spice: t=%.4g s: %w", t, err)
 				}
 			} else if !s.facFresh {

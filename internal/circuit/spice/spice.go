@@ -42,34 +42,6 @@ type Waveform func(t float64) float64
 // DC returns a constant waveform.
 func DC(v float64) Waveform { return func(float64) float64 { return v } }
 
-// PWL returns a piecewise-linear waveform through the given (time, value)
-// points; it holds the first value before the first point and the last value
-// after the last point. Points must be in increasing time order.
-func PWL(times, values []float64) (Waveform, error) {
-	if len(times) != len(values) || len(times) == 0 {
-		return nil, fmt.Errorf("spice: PWL needs equal, non-empty point lists (got %d, %d)", len(times), len(values))
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] <= times[i-1] {
-			return nil, fmt.Errorf("spice: PWL times must increase (point %d)", i)
-		}
-	}
-	ts := append([]float64(nil), times...)
-	vs := append([]float64(nil), values...)
-	return func(t float64) float64 {
-		if t <= ts[0] {
-			return vs[0]
-		}
-		for i := 1; i < len(ts); i++ {
-			if t <= ts[i] {
-				f := (t - ts[i-1]) / (ts[i] - ts[i-1])
-				return vs[i-1] + f*(vs[i]-vs[i-1])
-			}
-		}
-		return vs[len(vs)-1]
-	}, nil
-}
-
 // Ramp returns a v0->v1 ramp starting at t0 lasting rise seconds.
 func Ramp(v0, v1, t0, rise float64) Waveform {
 	return func(t float64) float64 {
@@ -162,15 +134,10 @@ type constStamper interface {
 }
 
 // stepStamper contributes stamps that change between timesteps but are
-// fixed within one: history and source currents, time-switch conductances.
+// fixed within one: history and source currents. They touch only the
+// right-hand side, so the matrix is refactored only when it changes.
 type stepStamper interface {
 	stampStep(c *stampCtx)
-}
-
-// stepMatrixStamper marks stepStampers whose per-step stamp touches the
-// matrix (not just the RHS), forcing a refactorization every timestep.
-type stepMatrixStamper interface {
-	stampsMatrixPerStep()
 }
 
 // iterStamper contributes stamps that depend on the Newton iterate: the

@@ -15,30 +15,6 @@ func TestDC(t *testing.T) {
 	}
 }
 
-func TestPWL(t *testing.T) {
-	w, err := PWL([]float64{1, 2, 4}, []float64{0, 10, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ t, want float64 }{
-		{0, 0}, {1, 0}, {1.5, 5}, {2, 10}, {3, 10}, {5, 10},
-	}
-	for _, c := range cases {
-		if got := w(c.t); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("w(%v) = %v, want %v", c.t, got, c.want)
-		}
-	}
-	if _, err := PWL([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch must be rejected")
-	}
-	if _, err := PWL([]float64{2, 1}, []float64{0, 1}); err == nil {
-		t.Fatal("non-increasing times must be rejected")
-	}
-	if _, err := PWL(nil, nil); err == nil {
-		t.Fatal("empty PWL must be rejected")
-	}
-}
-
 func TestRamp(t *testing.T) {
 	w := Ramp(0, 2, 1, 2)
 	if w(0) != 0 || w(1) != 0 || w(3) != 2 || w(10) != 2 {
@@ -119,26 +95,6 @@ func TestVSourceDrivesNode(t *testing.T) {
 	out, _ := res.Final("out")
 	if math.Abs(out-0.6) > 1e-3 {
 		t.Fatalf("out = %v, want 0.6", out)
-	}
-}
-
-func TestTimeSwitch(t *testing.T) {
-	// Node isolated until the switch closes at 5 ns, then charges to 1 V.
-	ckt := New()
-	ckt.V("src", DC(1))
-	ckt.SW("src", "out", 1e3, 1e12, 5e-9, 1)
-	ckt.C("out", "0", 1e-12)
-	res, err := ckt.Transient(TransientOpts{TStop: 30e-9, H: 20e-12, Probes: []string{"out"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, _ := res.At("out", 4e-9)
-	after, _ := res.Final("out")
-	if math.Abs(before) > 1e-3 {
-		t.Fatalf("node charged before switch closed: %v", before)
-	}
-	if math.Abs(after-1) > 1e-2 {
-		t.Fatalf("node did not charge after switch closed: %v", after)
 	}
 }
 
@@ -366,8 +322,6 @@ func TestDevicePanicsOnBadValues(t *testing.T) {
 	mustPanic("R", func() { ckt.R("a", "b", 0) })
 	mustPanic("C", func() { ckt.C("a", "b", -1) })
 	mustPanic("CDriven", func() { ckt.CDriven("a", 0, DC(0)) })
-	mustPanic("SW", func() { ckt.SW("a", "b", 0, 1, 0, 1) })
-	mustPanic("VR", func() { ckt.VR("a", DC(0), 0) })
 	mustPanic("MOS", func() { ckt.MOS("a", "b", "c", MOSParams{}) })
 	mustPanic("SatSwitch", func() { ckt.SatSwitch("a", "b", 0, 1, 0) })
 }

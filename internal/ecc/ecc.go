@@ -1,76 +1,20 @@
-// Package ecc implements the SECDED (single-error-correct, double-error-
-// detect) Hamming code standard DRAM modules carry: 64 data bits protected
-// by 8 check bits (a (72,64) code). It is the substrate behind the online
-// VRT mitigation the paper's ecosystem relies on (AVATAR upgrades a row when
-// ECC corrects an error in it), and behind the system-level abstraction the
-// refresh simulator uses: a row whose weakest cell has sagged moderately
-// reads back with a single-bit error ECC can fix; one that sagged deeply is
-// uncorrectable.
+// Package ecc is the system-level model of the SECDED (single-error-correct,
+// double-error-detect) code standard DRAM modules carry: 64 data bits
+// protected by 8 check bits (a (72,64) code). The refresh simulator and the
+// patrol scrubber never decode bits; they classify a row by its sensed
+// weakest-cell charge. A row whose weakest cell has sagged moderately reads
+// back with a single-bit error ECC can fix; one that sagged deeply is
+// uncorrectable. That outcome drives the online VRT mitigation the paper's
+// ecosystem relies on (AVATAR upgrades a row when ECC corrects an error in
+// it).
 package ecc
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
-// DataBits and CheckBits describe the (72,64) layout.
-const (
-	DataBits  = 64
-	CheckBits = 8
-)
-
-// Codeword is 64 data bits plus the 8 SECDED check bits.
-type Codeword struct {
-	Data  uint64
-	Check uint8
-}
-
-// hammingPositions maps each of the 64 data bits to its position in the
-// 72-bit extended Hamming codeword (positions that are not powers of two,
-// 1-indexed). Computed once at init.
-var hammingPositions [DataBits]uint8
-
-func init() {
-	pos := uint8(1)
-	i := 0
-	for i < DataBits {
-		if pos&(pos-1) != 0 { // not a power of two: data position
-			hammingPositions[i] = pos
-			i++
-		}
-		pos++
-	}
-}
-
-// Encode computes the SECDED codeword of 64 data bits.
-func Encode(data uint64) Codeword {
-	var check uint8
-	// Hamming parity bits p1,p2,p4,p8,p16,p32,p64 live at power-of-two
-	// positions; parity bit k covers positions with bit k set.
-	for k := 0; k < 7; k++ {
-		mask := uint8(1) << uint(k)
-		var p uint8
-		for i := 0; i < DataBits; i++ {
-			if hammingPositions[i]&mask != 0 && data&(1<<uint(i)) != 0 {
-				p ^= 1
-			}
-		}
-		if p != 0 {
-			check |= mask
-		}
-	}
-	// Overall parity (the "extended" bit) over data and the 7 Hamming bits.
-	overall := uint8(bits.OnesCount64(data)+bits.OnesCount8(check&0x7F)) & 1
-	if overall != 0 {
-		check |= 0x80
-	}
-	return Codeword{Data: data, Check: check}
-}
-
-// DecodeResult classifies a decode.
+// DecodeResult classifies a read.
 type DecodeResult int
 
-// Decode outcomes.
+// Read outcomes.
 const (
 	OK DecodeResult = iota
 	Corrected
@@ -90,53 +34,6 @@ func (r DecodeResult) String() string {
 		return fmt.Sprintf("DecodeResult(%d)", int(r))
 	}
 }
-
-// Decode checks a (possibly corrupted) codeword, correcting a single flipped
-// data or check bit and detecting double flips. It returns the corrected
-// data and the classification.
-func Decode(cw Codeword) (uint64, DecodeResult) {
-	ref := Encode(cw.Data)
-	syndrome := (cw.Check ^ ref.Check) & 0x7F
-	overallGot := uint8(bits.OnesCount64(cw.Data)+bits.OnesCount8(cw.Check&0x7F)) & 1
-	overallStored := (cw.Check >> 7) & 1
-	overallErr := overallGot != overallStored
-
-	switch {
-	case syndrome == 0 && !overallErr:
-		return cw.Data, OK
-	case syndrome == 0 && overallErr:
-		// The overall parity bit itself flipped.
-		return cw.Data, Corrected
-	case syndrome != 0 && overallErr:
-		// Single-bit error at position `syndrome`.
-		for i := 0; i < DataBits; i++ {
-			if hammingPositions[i] == syndrome {
-				return cw.Data ^ (1 << uint(i)), Corrected
-			}
-		}
-		// The flipped bit was one of the Hamming check bits.
-		return cw.Data, Corrected
-	default: // syndrome != 0 && !overallErr: double-bit error
-		return cw.Data, Uncorrectable
-	}
-}
-
-// FlipDataBit returns the codeword with one data bit flipped (fault
-// injection helper).
-func (cw Codeword) FlipDataBit(i int) Codeword {
-	out := cw
-	out.Data ^= 1 << uint(i%DataBits)
-	return out
-}
-
-// FlipCheckBit returns the codeword with one check bit flipped.
-func (cw Codeword) FlipCheckBit(i int) Codeword {
-	out := cw
-	out.Check ^= 1 << uint(i%CheckBits)
-	return out
-}
-
-// --- System-level charge thresholds -------------------------------------------
 
 // ChargeClassifier maps a row's sensed weakest-cell charge to an ECC
 // outcome: above the sensing limit all bits read correctly; in the window

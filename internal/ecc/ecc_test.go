@@ -2,96 +2,8 @@ package ecc
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestEncodeDecodeClean(t *testing.T) {
-	f := func(data uint64) bool {
-		cw := Encode(data)
-		got, res := Decode(cw)
-		return got == data && res == OK
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSingleDataBitFlipCorrected(t *testing.T) {
-	f := func(data uint64, bit uint8) bool {
-		cw := Encode(data).FlipDataBit(int(bit))
-		got, res := Decode(cw)
-		return got == data && res == Corrected
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSingleCheckBitFlipCorrected(t *testing.T) {
-	f := func(data uint64, bit uint8) bool {
-		cw := Encode(data).FlipCheckBit(int(bit))
-		got, res := Decode(cw)
-		// A flipped check bit never corrupts the data.
-		return got == data && res == Corrected
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDoubleDataBitFlipDetected(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		data := rng.Uint64()
-		b1 := rng.Intn(DataBits)
-		b2 := rng.Intn(DataBits)
-		if b1 == b2 {
-			continue
-		}
-		cw := Encode(data).FlipDataBit(b1).FlipDataBit(b2)
-		_, res := Decode(cw)
-		if res != Uncorrectable {
-			t.Fatalf("double flip (%d,%d) of %x classified %v", b1, b2, data, res)
-		}
-	}
-}
-
-func TestDataPlusCheckDoubleFlipDetected(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	miss := 0
-	const n = 500
-	for i := 0; i < n; i++ {
-		data := rng.Uint64()
-		cw := Encode(data).FlipDataBit(rng.Intn(DataBits)).FlipCheckBit(rng.Intn(7))
-		got, res := Decode(cw)
-		// SECDED guarantees detection of any double error; it must never
-		// silently return wrong data as OK or "correct" to a wrong value.
-		if res == OK && got != data {
-			t.Fatalf("silent corruption")
-		}
-		if res == Corrected && got != data {
-			miss++
-		}
-	}
-	if miss > 0 {
-		t.Fatalf("%d/%d data+check double flips miscorrected", miss, n)
-	}
-}
-
-func TestHammingPositionsUnique(t *testing.T) {
-	seen := map[uint8]bool{}
-	for i, p := range hammingPositions {
-		if p == 0 || p&(p-1) == 0 {
-			t.Fatalf("data bit %d at invalid position %d", i, p)
-		}
-		if seen[p] {
-			t.Fatalf("duplicate position %d", p)
-		}
-		seen[p] = true
-	}
-}
 
 func TestDecodeResultString(t *testing.T) {
 	if OK.String() != "ok" || Corrected.String() != "corrected" || Uncorrectable.String() != "uncorrectable" {

@@ -113,9 +113,8 @@ func (r VRTRow) Affected() bool { return r.affected }
 
 // Segment returns the row's retention multiplier at t (1 in the high state,
 // LowFactor in the low state) and the first instant strictly after t at
-// which it may change (+Inf for an unaffected row). The epsilon guard keeps
-// a walk advancing when t lands exactly on a toggle at floating-point
-// precision.
+// which it may change (+Inf for an unaffected row). StepPast keeps a walk
+// advancing when t lands exactly on a toggle at floating-point precision.
 func (r VRTRow) Segment(t float64) (factor, next float64) {
 	if !r.affected {
 		return 1, math.Inf(1)
@@ -123,9 +122,22 @@ func (r VRTRow) Segment(t float64) (factor, next float64) {
 	k := math.Floor((t + r.phase) / r.d)
 	next = (k+1)*r.d - r.phase
 	if next <= t {
-		next = t + 1e-9*r.d
+		next = StepPast(t, 1e-9*r.d)
 	}
 	return r.state[int64(k)&1], next
+}
+
+// StepPast is where a change-point walk goes next when the boundary it
+// computed for t does not lie after t, because t sits on that boundary at
+// floating-point precision: t + eps, a small fraction of the period. Far
+// from t = 0, where t + eps rounds back onto t, it is the next float64
+// above t instead, so the walk still advances and meets every later
+// boundary. The telegraph here and the scenario stressors share it.
+func StepPast(t, eps float64) float64 {
+	if next := t + eps; next > t {
+		return next
+	}
+	return math.Nextafter(t, math.Inf(1))
 }
 
 // StateFactor returns the retention multiplier of the row at time t: 1 in
@@ -160,10 +172,6 @@ func (v VRT) Segment(row int, tret, t float64) (factor, next float64) {
 // walk sums them and pays one Exp2. For other laws the per-segment factors
 // multiply, which is exact at segment boundaries and conservative in
 // between. An unaffected row is one segment: base.Factor(t1-t0, tret).
-//
-// Far from t = 0 a toggle can land so close to t that Segment's epsilon
-// step rounds back onto t; the rest of the interval is then one segment,
-// as in the scenario walk, instead of a walk that never advances.
 func (v VRT) DecayFactor(row int, tret, t0, t1 float64, base DecayModel) float64 {
 	if t1 <= t0 {
 		return 1

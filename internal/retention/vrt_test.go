@@ -135,9 +135,6 @@ func TestVRTDecayFactorConsistency(t *testing.T) {
 	}
 }
 
-// Property: for the exponential law, the piecewise integration is
-// multiplicative across any split point (the Chapman-Kolmogorov property of
-// the decay process).
 // TestVRTDecayFactorAdvancesFarFromZero: 2.1e7 s into a run a toggle lands
 // within an ulp of the walk's time, where Segment's epsilon step rounds
 // back onto it; the walk must still finish, and decay.
@@ -151,6 +148,53 @@ func TestVRTDecayFactorAdvancesFarFromZero(t *testing.T) {
 	}
 }
 
+// TestVRTWalkVisitsEveryToggleFarFromZero walks ten dwells of every
+// DefaultVRT row (all affected, tret 0.96 s) from 2.1e7 s and from
+// 3.15e7 s, where half an ulp of t exceeds Segment's 1e-9-dwell step. A walk
+// over [t0, t0+10d] crosses the toggles (k+1)d - phase for the ten k from
+// floor((t0+phase)/d), and its first and last partial dwells share one
+// state and add up to d, so it spends exactly 5d in each state. Segment's
+// walk must meet all ten toggles with 5d of low state, and DecayFactor
+// must decay by 5d/tret + 5d/(tret*LowFactor) halvings.
+func TestVRTWalkVisitsEveryToggleFarFromZero(t *testing.T) {
+	v := DefaultVRT()
+	v.AffectedFrac = 1
+	const tret = 0.96
+	for _, t0 := range []float64{2.1e7, 3.15e7} {
+		for row := 0; row < 256; row++ {
+			r := v.Row(row, tret)
+			t1 := t0 + 10*r.d
+			low, toggles, state := 0.0, 0, 0.0
+			for tt, steps := t0, 0; tt < t1; steps++ {
+				f, next := r.Segment(tt)
+				if !(next > tt) || steps > 1000 {
+					t.Fatalf("t0 %g row %d: the walk stalls at %.17g (next %.17g)", t0, row, tt, next)
+				}
+				if steps > 0 && f != state {
+					toggles++
+				}
+				state = f
+				end := math.Min(next, t1)
+				if f != 1 {
+					low += end - tt
+				}
+				tt = end
+			}
+			if toggles != 10 || math.Abs(low-5*r.d) > 1e-6 {
+				t.Fatalf("t0 %g row %d (dwell %g s): %d toggles and %g s low, want 10 and %g s", t0, row, r.d, toggles, low, 5*r.d)
+			}
+			got := -math.Log2(v.DecayFactor(row, tret, t0, t1, ExpDecay{}))
+			want := 5*r.d/tret + 5*r.d/(tret*v.LowFactor)
+			if math.Abs(got-want) > 1e-6*want {
+				t.Fatalf("t0 %g row %d: DecayFactor decays %g halvings, want %g", t0, row, got, want)
+			}
+		}
+	}
+}
+
+// Property: for the exponential law, the piecewise integration is
+// multiplicative across any split point (the Chapman-Kolmogorov property of
+// the decay process).
 func TestVRTDecayComposition(t *testing.T) {
 	v := DefaultVRT()
 	base := ExpDecay{}

@@ -715,19 +715,19 @@ func frame(t, period float64) (k int64, next float64) {
 	}
 	next = (q + 1) * period
 	if next <= t {
-		next = t + 1e-9*period
+		next = retention.StepPast(t, 1e-9*period)
 	}
 	return k, next
 }
 
 // frameNext returns the first frame boundary strictly after t for the given
-// period, guarding against floating-point stalls the same way
-// retention.VRT's toggle loop does.
+// period, guarding against floating-point stalls with retention.StepPast,
+// as retention.VRT's toggle walk does.
 func frameNext(t, period float64) float64 {
 	k := math.Floor(t / period)
 	next := (k + 1) * period
 	if next <= t {
-		next = t + 1e-9*period
+		next = retention.StepPast(t, 1e-9*period)
 	}
 	return next
 }

@@ -482,11 +482,11 @@ func TestCompiledScheduleConcurrentFirstCall(t *testing.T) {
 	}
 }
 
-// changePoints lists s's change-points for the row over [0, until], at most
+// changePoints lists s's change-points for the row over (from, until], at most
 // limit of them: the frame, tread and toggle boundaries a walk splits at.
-func changePoints(s Stressor, row int, tret, until float64, limit int) []float64 {
+func changePoints(s Stressor, row int, tret, from, until float64, limit int) []float64 {
 	var out []float64
-	for t := 0.0; len(out) < limit; {
+	for t := from; len(out) < limit; {
 		n := s.NextChange(row, tret, t)
 		if !(n > t) || n > until {
 			break
@@ -505,11 +505,11 @@ func snapCandidates(env *Env, row int, tret float64) []float64 {
 	for _, s := range env.Stressors {
 		if g, ok := s.(Gate); ok {
 			// A gate's change-points include every episode boundary.
-			out = append(out, changePoints(g, row, tret, env.Duration, 256)...)
+			out = append(out, changePoints(g, row, tret, 0, env.Duration, 256)...)
 			s = g.Inner
 		}
 		if v, ok := s.(VRTStressor); ok {
-			out = append(out, changePoints(v, row, tret, env.Duration, 256)...)
+			out = append(out, changePoints(v, row, tret, 0, env.Duration, 256)...)
 		}
 	}
 	return out
@@ -653,9 +653,11 @@ func checkCell(env *Env, row int, tret, t float64) error {
 // FuzzStressorSegment pins the pieces the compiled walk reads. Every
 // segmenter must return exactly (ScaleAt, NextChange) for the fuzzed row,
 // retention and instant, and a telegraph's bound row must also equal
-// retention.VRT's Segment, StateFactor and NextToggle; a non-zero edge moves
-// the instant onto one of that stressor's change-points for the row, up to
-// three ulps either side. Then the grid cell of the Env idx picks (a
+// retention.VRT's Segment, StateFactor and NextToggle, and the change-point
+// must lie strictly after any finite instant, however far from 0; a
+// non-zero edge moves the instant onto one of that stressor's change-points
+// for the row within a few windows of it, up to three ulps either side.
+// Then the grid cell of the Env idx picks (a
 // catalog scenario; odd multiples of the catalog size append a weak-cell
 // telegraph, and the next bit selects the fleet's window) must match its
 // stressors at the instant, as checkCell checks, with edge snapping it onto
@@ -666,6 +668,10 @@ func FuzzStressorSegment(f *testing.F) {
 	f.Add(uint8(17), int64(-1), uint16(11), 0.02, 1.2, uint16(0x1f))
 	f.Add(uint8(2), int64(9), uint16(0), 0.3, -0.5, uint16(0x7))
 	f.Add(uint8(23), int64(42), uint16(5), 0.04, 0.2, uint16(0x2b))
+	// Far from t = 0, where half an ulp of t exceeds a change-point's
+	// 1e-9-period step: 2.1e7 s and a year.
+	f.Add(uint8(3), int64(42), uint16(0), 0.96, 2.1e7, uint16(0x3b))
+	f.Add(uint8(8), int64(5), uint16(7), 0.5, 3.1536e7, uint16(0x1a))
 	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
 	names := Names()
 	f.Fuzz(func(t *testing.T, idx uint8, seed int64, row uint16, tret, tt float64, edge uint16) {
@@ -673,9 +679,13 @@ func FuzzStressorSegment(f *testing.F) {
 		for _, s := range segmentStressors(seed) {
 			at := tt
 			if edge != 0 {
-				at = snap(at, changePoints(s, r, tret, 4*testWindow, 64), edge)
+				from := math.Max(0, tt-2*testWindow)
+				at = snap(at, changePoints(s, r, tret, from, from+4*testWindow, 64), edge)
 			}
 			wantScale, wantNext := s.ScaleAt(r, tret, at), s.NextChange(r, tret, at)
+			if !math.IsInf(at, 0) && !math.IsNaN(at) && !(wantNext > at) {
+				t.Fatalf("%s (%T) row %d tret %g t %.17g: NextChange %.17g does not advance", s.Name(), s, row, tret, at, wantNext)
+			}
 			check := func(how string, scale, next float64) {
 				if !same(scale, wantScale) || !same(next, wantNext) {
 					t.Fatalf("%s (%T) row %d tret %g t %.17g: %s (%.17g, %.17g), want (%.17g, %.17g)",

@@ -80,7 +80,7 @@ func (c TempCycle) NextChange(row int, tret, t float64) float64 {
 	k := math.Floor((t/c.Period + c.PhaseFrac) * treads)
 	next := ((k+1)/treads - c.PhaseFrac) * c.Period
 	if next <= t {
-		next = t + 1e-9*c.Period/treads
+		next = retention.StepPast(t, 1e-9*c.Period/treads)
 	}
 	return next
 }

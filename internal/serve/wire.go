@@ -95,10 +95,11 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads and verifies one frame. I/O errors (including timeouts and
-// mid-frame cuts, surfaced as io.ErrUnexpectedEOF) pass through; framing
-// violations (oversized length, CRC mismatch) return a *ProtocolError so the
-// caller can distinguish a sick connection from a sick peer.
+// ReadFrame reads and verifies one frame. I/O errors (including timeouts,
+// io.EOF for a stream that ends cleanly before a frame, and mid-frame cuts,
+// surfaced as io.ErrUnexpectedEOF) pass through; framing violations
+// (oversized length, CRC mismatch) return a *ProtocolError so the caller can
+// distinguish a sick connection from a sick peer.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -121,30 +122,6 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		return 0, nil, &ProtocolError{Msg: fmt.Sprintf("frame CRC mismatch (wire %08x, computed %08x)", want, crc)}
 	}
 	return hdr[0], body[:plen], nil
-}
-
-// DecodeFrame parses one frame from the head of data, returning the
-// remainder. It is the allocation-free core ReadFrame shares with the fuzz
-// target: every byte sequence either yields a verified frame or a
-// *ProtocolError / io.ErrUnexpectedEOF, never a panic or an unbounded
-// allocation.
-func DecodeFrame(data []byte) (typ byte, payload, rest []byte, err error) {
-	if len(data) < frameHeaderLen {
-		return 0, nil, nil, io.ErrUnexpectedEOF
-	}
-	plen := binary.LittleEndian.Uint32(data[1:5])
-	if plen > maxFramePayload {
-		return 0, nil, nil, &ProtocolError{Msg: fmt.Sprintf("frame payload %d bytes exceeds limit %d", plen, maxFramePayload)}
-	}
-	total := frameHeaderLen + int(plen) + 4
-	if len(data) < total {
-		return 0, nil, nil, io.ErrUnexpectedEOF
-	}
-	crc := crc32.ChecksumIEEE(data[:frameHeaderLen+int(plen)])
-	if want := binary.LittleEndian.Uint32(data[frameHeaderLen+int(plen):]); crc != want {
-		return 0, nil, nil, &ProtocolError{Msg: fmt.Sprintf("frame CRC mismatch (wire %08x, computed %08x)", want, crc)}
-	}
-	return data[0], data[frameHeaderLen : frameHeaderLen+int(plen)], data[total:], nil
 }
 
 // ProtocolError marks a violation of the wire framing or payload encoding -

@@ -34,7 +34,7 @@ func TestFrameCRCFlip(t *testing.T) {
 	for i := range raw {
 		bad := append([]byte(nil), raw...)
 		bad[i] ^= 0x01
-		_, _, _, err := DecodeFrame(bad)
+		_, _, err := ReadFrame(bytes.NewReader(bad))
 		if err == nil {
 			// Flipping a length byte may convert the frame into a shorter
 			// valid-looking one only if the CRC happens to match - which it
@@ -49,8 +49,11 @@ func TestFrameTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < len(raw); n++ {
-		_, _, _, err := DecodeFrame(raw[:n])
+	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
+		t.Fatalf("empty stream: got %v, want io.EOF", err)
+	}
+	for n := 1; n < len(raw); n++ {
+		_, _, err := ReadFrame(bytes.NewReader(raw[:n]))
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("truncation to %d bytes: got %v, want ErrUnexpectedEOF", n, err)
 		}
@@ -60,11 +63,8 @@ func TestFrameTruncation(t *testing.T) {
 func TestFrameOversizedLengthRejected(t *testing.T) {
 	raw := []byte{FrameTrace, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}
 	var pe *ProtocolError
-	if _, _, _, err := DecodeFrame(raw); !errors.As(err, &pe) {
-		t.Fatalf("oversized length: got %v, want ProtocolError", err)
-	}
 	if _, _, err := ReadFrame(bytes.NewReader(raw)); !errors.As(err, &pe) {
-		t.Fatal("ReadFrame must reject an oversized length before allocating")
+		t.Fatalf("oversized length: got %v, want a ProtocolError before any allocation", err)
 	}
 }
 
@@ -131,8 +131,9 @@ func TestStatsBlobRejectsPreviousVersion(t *testing.T) {
 	}
 }
 
-// FuzzFrameDecode asserts the frame decoder is total: any byte string either
-// yields a verified frame or a classified error, without panics or unbounded
+// FuzzFrameDecode asserts the frame reader the server and client run is
+// total: any byte stream is a sequence of verified frames ended by io.EOF at
+// a frame boundary or by a classified error, without panics or unbounded
 // allocation.
 func FuzzFrameDecode(f *testing.F) {
 	seed, _ := AppendFrame(nil, FrameHello, Hello{Proto: 1, Token: "tok"}.encode())
@@ -142,9 +143,13 @@ func FuzzFrameDecode(f *testing.F) {
 	multi, _ := AppendFrame(seed, FrameAck, Ack{Watermark: 9}.encode())
 	f.Add(multi)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rest := data
+		r := bytes.NewReader(data)
 		for {
-			typ, payload, next, err := DecodeFrame(rest)
+			start := len(data) - r.Len()
+			typ, payload, err := ReadFrame(r)
+			if err == io.EOF && start == len(data) {
+				return
+			}
 			if err != nil {
 				var pe *ProtocolError
 				if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.As(err, &pe) {
@@ -160,8 +165,7 @@ func FuzzFrameDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encode: %v", err)
 			}
-			consumed := len(rest) - len(next)
-			if !bytes.Equal(re, rest[:consumed]) {
+			if !bytes.Equal(re, data[start:len(data)-r.Len()]) {
 				t.Fatal("decode/encode round trip changed the frame bytes")
 			}
 			// Payload decoders must be total too, whatever the frame type says.
@@ -174,10 +178,6 @@ func FuzzFrameDecode(f *testing.F) {
 			decodeProgress(payload)
 			decodeResult(payload)
 			decodeError(payload)
-			if len(next) == len(rest) {
-				return
-			}
-			rest = next
 		}
 	})
 }

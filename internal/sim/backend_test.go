@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -293,8 +294,7 @@ func (h *backendHarness) runOnce(t *testing.T, schedName, scenName string, withS
 	var blobs [][]byte
 	opts.CheckpointEvery = opts.Duration / 4
 	opts.CheckpointSink = blobSink(&blobs, func() error { return nil })
-	r := NewReusable(h.geom.Rows)
-	st, err := r.Run(bank, sched, trace.NewSliceSource(h.recs), opts)
+	st, err := runContext(context.Background(), bank, sched, trace.NewSliceSource(h.recs), opts, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

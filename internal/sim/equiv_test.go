@@ -73,7 +73,7 @@ func (m misreportedView) StreamView() core.StreamView {
 // refusals come from the misreported row alone.
 func TestMacroBailFallsThroughToBatch(t *testing.T) {
 	h := newFFHarness(t, 7)
-	run := func(backend Backend, misreport bool) (Stats, [][]byte, *Reusable) {
+	run := func(backend Backend, misreport bool) (Stats, [][]byte, *Scratch) {
 		bank, sched, opts := h.build(t, "vrl", "", false, backend)
 		if misreport {
 			sched = misreportedView{steadyScheduler: sched.(steadyScheduler), row: 17}
@@ -83,21 +83,21 @@ func TestMacroBailFallsThroughToBatch(t *testing.T) {
 		var blobs [][]byte
 		opts.CheckpointEvery = opts.Duration / 4
 		opts.CheckpointSink = blobSink(&blobs, func() error { return nil })
-		r := NewReusable(h.geom.Rows)
-		st, err := r.Run(bank, sched, nil, opts)
+		sc := new(Scratch)
+		st, err := runContext(context.Background(), bank, sched, nil, opts, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st, blobs, r
+		return st, blobs, sc
 	}
 	scalar, scalarBlobs, _ := run(BackendScalar, false)
-	if _, _, honest := run(BackendAuto, false); honest.scratch.ffWindows == 0 {
+	if _, _, honest := run(BackendAuto, false); honest.ffWindows == 0 {
 		t.Fatal("honest view never fast-forwarded; the bail test is vacuous")
 	}
-	auto, autoBlobs, r := run(BackendAuto, true)
-	if r.scratch.ffWindows != 0 || r.scratch.ffBails == 0 {
+	auto, autoBlobs, sc := run(BackendAuto, true)
+	if sc.ffWindows != 0 || sc.ffBails == 0 {
 		t.Fatalf("misreported view ran %d fast-forward windows and bailed %d times, want 0 and > 0",
-			r.scratch.ffWindows, r.scratch.ffBails)
+			sc.ffWindows, sc.ffBails)
 	}
 	if !reflect.DeepEqual(scalar, auto) {
 		t.Fatalf("stats diverged:\nscalar: %+v\nauto:   %+v", scalar, auto)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"flag"
 	"fmt"
@@ -131,12 +132,12 @@ func ffQuietRun(t *testing.T, h *backendHarness, backend Backend, opts Options) 
 		t.Fatal(err)
 	}
 	opts.Backend = backend
-	r := NewReusable(h.geom.Rows)
-	st, err := r.Run(bank, h.sched(t, "vrl"), nil, opts)
+	var sc Scratch
+	st, err := runContext(context.Background(), bank, h.sched(t, "vrl"), nil, opts, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, r.scratch.ffWindows
+	return st, sc.ffWindows
 }
 
 // TestFastForwardEngagesOnQuietRun asserts the engine actually fires on its
@@ -157,8 +158,8 @@ func TestFastForwardEngagesOnQuietRun(t *testing.T) {
 }
 
 // quietVRLRun runs refresh-only VRL for one bin hyperperiod on a freshly
-// sampled bank of the given rows, through r.
-func quietVRLRun(t *testing.T, r *Reusable, rows int, backend Backend) Stats {
+// sampled bank of the given rows, through sc.
+func quietVRLRun(t *testing.T, sc *Scratch, rows int, backend Backend) Stats {
 	t.Helper()
 	p := device.Default90nm()
 	geom := device.BankGeometry{Rows: rows, Cols: 32}
@@ -178,7 +179,7 @@ func quietVRLRun(t *testing.T, r *Reusable, rows int, backend Backend) Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := r.Run(bank, sched, nil, Options{Duration: 0.768, TCK: p.TCK, Backend: backend})
+	st, err := runContext(context.Background(), bank, sched, nil, Options{Duration: 0.768, TCK: p.TCK, Backend: backend}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,25 +188,25 @@ func quietVRLRun(t *testing.T, r *Reusable, rows int, backend Backend) Stats {
 
 // TestFastForwardLargeBank runs quiet VRL on a 32768-row sampled bank,
 // where the kernel's row and count columns outgrow the capacities append
-// first rounded them to, under both backends; then one Reusable taken
+// first rounded them to, under both backends; then one Scratch taken
 // through 4096, 32768 and 16384 rows, so the columns are re-grown and
 // re-used across bank sizes. Every auto run must equal the scalar one.
 func TestFastForwardLargeBank(t *testing.T) {
 	scalar := map[int]Stats{}
 	for _, rows := range []int{4096, 32768, 16384} {
-		scalar[rows] = quietVRLRun(t, NewReusable(rows), rows, BackendScalar)
+		scalar[rows] = quietVRLRun(t, new(Scratch), rows, BackendScalar)
 	}
-	if got := quietVRLRun(t, NewReusable(32768), 32768, BackendAuto); !reflect.DeepEqual(got, scalar[32768]) {
+	if got := quietVRLRun(t, new(Scratch), 32768, BackendAuto); !reflect.DeepEqual(got, scalar[32768]) {
 		t.Fatalf("32768 rows: stats diverged:\nscalar: %+v\nauto:   %+v", scalar[32768], got)
 	}
-	r := NewReusable(4096)
+	sc := new(Scratch)
 	for _, rows := range []int{4096, 32768, 16384} {
-		got := quietVRLRun(t, r, rows, BackendAuto)
+		got := quietVRLRun(t, sc, rows, BackendAuto)
 		if !reflect.DeepEqual(got, scalar[rows]) {
 			t.Fatalf("reused scratch at %d rows: stats diverged:\nscalar: %+v\nauto:   %+v", rows, scalar[rows], got)
 		}
 	}
-	if r.scratch.ffWindows == 0 {
+	if sc.ffWindows == 0 {
 		t.Fatal("fast-forward never engaged; the large-bank check is vacuous")
 	}
 }
@@ -329,12 +330,12 @@ func skipRun(t *testing.T, c skipCase, backend Backend, opts Options) (Stats, []
 	if c.recs != nil {
 		src = trace.NewSliceSource(c.recs)
 	}
-	r := NewReusable(bank.Geom.Rows)
-	st, err := r.Run(bank, sched, src, opts)
+	sc := new(Scratch)
+	st, err := runContext(context.Background(), bank, sched, src, opts, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, blobs, &r.scratch
+	return st, blobs, sc
 }
 
 // requireSameRuns fails unless two runs' Stats and checkpoint blobs are

@@ -365,38 +365,10 @@ type refreshQueue interface {
 	pendingSorted() []PendingEvent
 }
 
-// scratchPool recycles Scratch buffers across Run/RunContext calls, so even
-// callers that never touch the Reusable API run allocation-lean in steady
-// state (sweep cells, benchmark loops, campaign experiments).
+// scratchPool recycles Scratch buffers across Run/RunContext calls, so
+// callers run allocation-lean in steady state (sweep cells, benchmark
+// loops, campaign experiments).
 var scratchPool = sync.Pool{New: func() interface{} { return new(Scratch) }}
-
-// Reusable is an explicitly reusable simulation context: it owns a Scratch
-// and reuses it on every run, for callers that want deterministic buffer
-// reuse (per-worker contexts in a parallel sweep, benchmark loops) instead
-// of the package-level pool. Not safe for concurrent use; give each
-// goroutine its own Reusable.
-type Reusable struct {
-	scratch Scratch
-}
-
-// NewReusable returns a Reusable pre-sized for banks with the given number
-// of rows.
-func NewReusable(rows int) *Reusable {
-	if rows < 0 {
-		rows = 0
-	}
-	return &Reusable{scratch: Scratch{queue: make(eventQueue, 0, rows)}}
-}
-
-// Run is Run with this context's buffers.
-func (r *Reusable) Run(bank *dram.Bank, sched core.Scheduler, src trace.Source, opts Options) (Stats, error) {
-	return runContext(context.Background(), bank, sched, src, opts, &r.scratch)
-}
-
-// RunContext is RunContext with this context's buffers.
-func (r *Reusable) RunContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src trace.Source, opts Options) (Stats, error) {
-	return runContext(ctx, bank, sched, src, opts, &r.scratch)
-}
 
 // staggerFrac spreads row refresh phases deterministically across their
 // periods (real controllers spread refreshes across tREFI slots); the

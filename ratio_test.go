@@ -33,6 +33,8 @@ func minRatio(a, b func()) (ratio float64, minA, minB time.Duration) {
 	return float64(minB) / float64(minA), minA, minB
 }
 
+func discard(run func() int64) func() { return func() { run() } }
+
 // TestGateFastForwardSpeedup is the fast-forward engine's floor: on a quiet
 // run over four device-year windows (12.288 s), BackendAuto must beat the
 // scalar reference by at least 6x. With fast-forward off, the auto
@@ -100,5 +102,5 @@ func TestGatePreSenseColumns(t *testing.T) {
 // ceiling lives with the non-race gates; like those in TestGateAllocs it is
 // exact both ways.
 func TestGateColdPreSenseAllocs(t *testing.T) {
-	checkCeiling(t, exactAllocs(5, func() { coldPreSense(t) }), 1780)
+	checkCeiling(t, exactAllocs(5, func() { coldPreSense(t) }), 1778)
 }

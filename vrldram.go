@@ -6,29 +6,22 @@
 // refresh schedulers, synthetic PARSEC-style memory traces, and power/area
 // models.
 //
-// Three entry points:
-//
-//   - NewSystem builds a simulated bank + controller and runs refresh
-//     scheduling experiments programmatically (see examples/quickstart);
-//   - RunExperiment regenerates any table or figure of the paper by ID
-//     (see cmd/vrlexp and EXPERIMENTS.md);
-//   - the lower-level building blocks live in internal/ and are re-exported
-//     here only through the System and experiment APIs.
+// NewSystem builds a simulated bank + controller and runs refresh
+// scheduling experiments programmatically (see examples/quickstart);
+// Experiments lists the paper's tables and figures, which cmd/vrlexp
+// regenerates by ID (see EXPERIMENTS.md). The lower-level building blocks
+// live in internal/ and are re-exported here only through the System API.
 package vrldram
 
 import (
 	"fmt"
-	"io"
 
 	"vrldram/internal/circuit/analytic"
 	"vrldram/internal/core"
 	"vrldram/internal/device"
-	"vrldram/internal/dram"
-	"vrldram/internal/ecc"
 	"vrldram/internal/exp"
 	"vrldram/internal/power"
 	"vrldram/internal/retention"
-	"vrldram/internal/sim"
 	"vrldram/internal/trace"
 )
 
@@ -290,17 +283,6 @@ func (s *System) RestoreCurve(startFrac float64, n int) ([]RestorePoint, error) 
 	return out, nil
 }
 
-// Benchmarks lists the synthetic workload names (13 PARSEC-3.0 benchmarks
-// plus bgsave, the paper's Figure 4 set).
-func Benchmarks() []string {
-	specs := trace.PARSEC()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // ExperimentInfo describes one reproducible paper artifact.
 type ExperimentInfo struct {
 	ID    string
@@ -316,55 +298,3 @@ func Experiments() []ExperimentInfo {
 	}
 	return out
 }
-
-// RunExperiment regenerates the identified table or figure with the default
-// (paper) configuration and renders it to w.
-func RunExperiment(id string, w io.Writer) error {
-	return RunExperimentSeeded(id, w, 0, 0)
-}
-
-// RunExperimentSeeded is RunExperiment with an explicit seed and simulation
-// window (zero values keep the defaults).
-func RunExperimentSeeded(id string, w io.Writer, seed int64, duration float64) error {
-	res, err := runSeeded(id, seed, duration)
-	if err != nil {
-		return err
-	}
-	return res.Fprint(w)
-}
-
-// RunExperimentCSV renders the experiment as CSV instead of an aligned
-// table.
-func RunExperimentCSV(id string, w io.Writer, seed int64, duration float64) error {
-	res, err := runSeeded(id, seed, duration)
-	if err != nil {
-		return err
-	}
-	return res.FprintCSV(w)
-}
-
-func runSeeded(id string, seed int64, duration float64) (*exp.Result, error) {
-	e, err := exp.Find(id)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(exp.DefaultWith(seed, duration))
-}
-
-// geomOf builds a bank geometry (facade-internal helper).
-func geomOf(rows, cols int) device.BankGeometry {
-	return device.BankGeometry{Rows: rows, Cols: cols}
-}
-
-// simOptions builds simulator options for the system (facade-internal).
-func simOptions(s *System, duration float64) sim.Options {
-	return sim.Options{Duration: duration, TCK: s.params.TCK}
-}
-
-// runSim forwards to the internal simulator (facade-internal).
-func runSim(bank *dram.Bank, sched core.Scheduler, src trace.Source, opts sim.Options) (sim.Stats, error) {
-	return sim.Run(bank, sched, src, opts)
-}
-
-// defaultClassifier forwards the ECC charge classifier (facade-internal).
-func defaultClassifier() ecc.ChargeClassifier { return ecc.DefaultClassifier() }

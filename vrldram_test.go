@@ -1,9 +1,6 @@
 package vrldram_test
 
 import (
-	"bytes"
-	"sort"
-	"strings"
 	"testing"
 
 	"vrldram"
@@ -111,10 +108,6 @@ func TestGenerateTrace(t *testing.T) {
 	if _, err := sys.GenerateTrace("nope", 0.1); err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
-	names := vrldram.Benchmarks()
-	if len(names) != 14 || !sort.StringsAreSorted(nil) && names[0] == "" {
-		t.Fatalf("benchmarks: %v", names)
-	}
 }
 
 func TestMPRSFHistogram(t *testing.T) {
@@ -172,40 +165,6 @@ func TestExperimentsRegistry(t *testing.T) {
 	}
 }
 
-func TestRunExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if err := vrldram.RunExperiment("fig3b", &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"fig3b", "7878", "68"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-	if err := vrldram.RunExperiment("nope", &buf); err == nil {
-		t.Fatal("unknown experiment must error")
-	}
-}
-
-func TestRunExperimentSeeded(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := vrldram.RunExperimentSeeded("fig3a", &a, 7, 0.128); err != nil {
-		t.Fatal(err)
-	}
-	if err := vrldram.RunExperimentSeeded("fig3a", &b, 8, 0.128); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() == b.String() {
-		t.Fatal("different seeds must change the sampled histogram")
-	}
-	if err := vrldram.RunExperimentSeeded("nope", &a, 0, 0); err == nil {
-		t.Fatal("unknown experiment must error")
-	}
-}
-
-// Integration: the failure-injection path surfaces through the public API
-// when the stored pattern is hostile and the guardband is stripped.
 func TestWorstPatternStaysSafeByDefault(t *testing.T) {
 	sys, err := vrldram.NewSystem(vrldram.Options{Pattern: "alternating"})
 	if err != nil {
