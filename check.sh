@@ -110,6 +110,7 @@ internal/scenario:FuzzSenseBound
 internal/sim:FuzzFastForwardPlan
 internal/sim:FuzzRunEquivalence
 internal/fleet:FuzzDeviceEquivalence
+internal/retention:FuzzExp2
 internal/memctrl:FuzzControllerEquivalence
 "
 # The checkpoint targets write and delete synced files in t.TempDir; where

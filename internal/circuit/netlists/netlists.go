@@ -10,6 +10,7 @@ package netlists
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"vrldram/internal/circuit/spice"
@@ -58,14 +59,25 @@ type ChargeSharingOpts struct {
 }
 
 // BitlineName returns the probe name of bitline i.
-func BitlineName(i int) string { return fmt.Sprintf("bl%d", i) }
+func BitlineName(i int) string { return nodeName("bl", i) }
 
 // CellName returns the probe name of the cell on bitline i.
-func CellName(i int) string { return fmt.Sprintf("cell%d", i) }
+func CellName(i int) string { return nodeName("cell", i) }
 
 // SenseNodeName returns the probe name of the bank-edge sensing point of
 // bitline i (the far end of the global routing ladder).
-func SenseNodeName(i int) string { return fmt.Sprintf("sa%d", i) }
+func SenseNodeName(i int) string { return nodeName("sa", i) }
+
+// nodeName returns prefix followed by i in decimal, as fmt's "%s%d" would,
+// in exactly one allocation. fmt.Sprintf is avoided on purpose: it borrows
+// its printer from a per-P sync.Pool, so a goroutine that moves to another
+// P mid-netlist allocates a fresh printer, and the netlist's allocation
+// count (pinned exactly by TestGateColdPreSenseAllocs) would depend on
+// scheduling.
+func nodeName(prefix string, i int) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(i), 10))
+}
 
 // CsaNode is the sense-point junction capacitance.
 const CsaNode = 2e-15
@@ -109,7 +121,7 @@ func ChargeSharing(p device.Params, opts ChargeSharingOpts) (*spice.Circuit, err
 
 	for i := 0; i < n; i++ {
 		cell := CellName(i)
-		mid := fmt.Sprintf("mid%d", i)
+		mid := nodeName("mid", i)
 		bl := BitlineName(i)
 
 		ckt.C(cell, "0", p.Cs)
@@ -138,7 +150,7 @@ func ChargeSharing(p device.Params, opts ChargeSharingOpts) (*spice.Circuit, err
 		// ladder. The analytical model lumps this as pure resistance; the
 		// wire capacitance modeled here is why transient simulation reports
 		// longer pre-sensing than the model for large banks (Table 1).
-		gmid := fmt.Sprintf("gmid%d", i)
+		gmid := nodeName("gmid", i)
 		sa := SenseNodeName(i)
 		ckt.R(bl, gmid, rGlobal/2)
 		ckt.C(gmid, "0", cGlobal)

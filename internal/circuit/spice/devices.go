@@ -21,7 +21,8 @@ func (ckt *Circuit) R(a, b string, ohms float64) {
 	if ohms <= 0 {
 		panic(fmt.Sprintf("spice: resistor %s-%s must be positive, got %g", a, b, ohms))
 	}
-	ckt.add(&resistor{ckt.Node(a), ckt.Node(b), 1 / ohms})
+	r := &resistor{ckt.Node(a), ckt.Node(b), 1 / ohms}
+	ckt.add(r, r, nil, nil)
 }
 
 // --- Capacitor ------------------------------------------------------------
@@ -64,7 +65,8 @@ func (ckt *Circuit) C(a, b string, farads float64) {
 	if farads <= 0 {
 		panic(fmt.Sprintf("spice: capacitor %s-%s must be positive, got %g", a, b, farads))
 	}
-	ckt.add(&capacitor{a: ckt.Node(a), b: ckt.Node(b), cap: farads})
+	c := &capacitor{a: ckt.Node(a), b: ckt.Node(b), cap: farads}
+	ckt.add(c, c, c, nil)
 }
 
 // --- Capacitor to a driven waveform ----------------------------------------
@@ -100,7 +102,8 @@ func (ckt *Circuit) CDriven(a string, farads float64, wave Waveform) {
 	if farads <= 0 {
 		panic(fmt.Sprintf("spice: driven capacitor at %s must be positive, got %g", a, farads))
 	}
-	ckt.add(&capDriven{ckt.Node(a), farads, wave})
+	d := &capDriven{ckt.Node(a), farads, wave}
+	ckt.add(d, d, d, nil)
 }
 
 // --- Voltage source (Norton form) ------------------------------------------
@@ -129,7 +132,8 @@ const DefaultSourceR = 0.1
 
 // V drives node a with the waveform through DefaultSourceR ohms.
 func (ckt *Circuit) V(a string, wave Waveform) {
-	ckt.add(&vsource{ckt.Node(a), 1 / DefaultSourceR, wave})
+	d := &vsource{ckt.Node(a), 1 / DefaultSourceR, wave}
+	ckt.add(d, d, d, nil)
 }
 
 // --- Level-1 MOSFET ----------------------------------------------------------
@@ -253,14 +257,16 @@ func (m *mosfet) linear() bool { return false }
 // MOS adds a MOSFET with drain d, gate g, and source s as circuit nodes.
 func (ckt *Circuit) MOS(d, g, s string, p MOSParams) {
 	validateMOS(p)
-	ckt.add(&mosfet{d: ckt.Node(d), g: ckt.Node(g), s: ckt.Node(s), p: p})
+	m := &mosfet{d: ckt.Node(d), g: ckt.Node(g), s: ckt.Node(s), p: p}
+	ckt.add(m, nil, nil, m)
 }
 
 // MOSDriven adds a MOSFET between drain d and source s whose gate is driven
 // by an ideal waveform.
 func (ckt *Circuit) MOSDriven(d, s string, p MOSParams, gate Waveform) {
 	validateMOS(p)
-	ckt.add(&mosfet{d: ckt.Node(d), g: -1, s: ckt.Node(s), gateWave: gate, p: p})
+	m := &mosfet{d: ckt.Node(d), g: -1, s: ckt.Node(s), gateWave: gate, p: p}
+	ckt.add(m, nil, nil, m)
 }
 
 func validateMOS(p MOSParams) {
@@ -310,5 +316,6 @@ func (ckt *Circuit) SatSwitch(a, b string, ron, idsat, onAt float64) {
 	if ron <= 0 || idsat <= 0 {
 		panic(fmt.Sprintf("spice: sat switch %s-%s needs positive ron and idsat", a, b))
 	}
-	ckt.add(&satSwitch{ckt.Node(a), ckt.Node(b), ron, idsat, onAt})
+	d := &satSwitch{ckt.Node(a), ckt.Node(b), ron, idsat, onAt}
+	ckt.add(d, nil, nil, d)
 }

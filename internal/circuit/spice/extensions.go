@@ -20,7 +20,8 @@ func (d *isource) linear() bool          { return true }
 // I adds an independent current source driving wave(t) amperes from node a
 // into node b.
 func (ckt *Circuit) I(a, b string, wave Waveform) {
-	ckt.add(&isource{ckt.Node(a), ckt.Node(b), wave})
+	d := &isource{ckt.Node(a), ckt.Node(b), wave}
+	ckt.add(d, nil, d, nil)
 }
 
 // --- Integration method --------------------------------------------------------

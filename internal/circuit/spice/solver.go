@@ -86,20 +86,12 @@ type Solver struct {
 }
 
 // NewSolver prepares a persistent transient solver for the circuit,
-// classifying each device's stamps by lifetime and computing the matrix
+// with the circuit's devices grouped by stamp lifetime, and computes the matrix
 // bandwidth the netlist's node numbering yields.
 func NewSolver(ckt *Circuit) *Solver {
-	s := &Solver{ckt: ckt, n: ckt.NumNodes(), backend: BackendAuto}
+	s := &Solver{ckt: ckt, n: ckt.NumNodes(), backend: BackendAuto,
+		constDevs: ckt.constDevs, stepDevs: ckt.stepDevs, iterDevs: ckt.iterDevs}
 	for _, d := range ckt.devices {
-		if cs, ok := d.(constStamper); ok {
-			s.constDevs = append(s.constDevs, cs)
-		}
-		if ss, ok := d.(stepStamper); ok {
-			s.stepDevs = append(s.stepDevs, ss)
-		}
-		if is, ok := d.(iterStamper); ok {
-			s.iterDevs = append(s.iterDevs, is)
-		}
 		if _, ok := d.(*mosfet); ok {
 			s.hasMOS = true
 		}

@@ -155,6 +155,11 @@ type Circuit struct {
 	ic      map[int]float64
 	hasNL   bool
 	method  Method
+
+	// The devices by stamping role, in insertion order (see add).
+	constDevs []constStamper
+	stepDevs  []stepStamper
+	iterDevs  []iterStamper
 }
 
 // New returns an empty circuit. The node name "0" (and "gnd") is ground.
@@ -188,8 +193,22 @@ func (ckt *Circuit) SetIC(name string, v float64) {
 	}
 }
 
-func (ckt *Circuit) add(d device) {
+// add appends a device with the stamping roles it plays, nil for a role
+// it does not. The constructors pass each role as a conversion of the
+// device's static type, so no interface assertion runs when a solver is
+// built: the runtime grows an assertion site's type cache at random calls,
+// and the allocation count of building a solver would vary from run to run.
+func (ckt *Circuit) add(d device, cs constStamper, ss stepStamper, is iterStamper) {
 	ckt.devices = append(ckt.devices, d)
+	if cs != nil {
+		ckt.constDevs = append(ckt.constDevs, cs)
+	}
+	if ss != nil {
+		ckt.stepDevs = append(ckt.stepDevs, ss)
+	}
+	if is != nil {
+		ckt.iterDevs = append(ckt.iterDevs, is)
+	}
 	if c, ok := d.(*capacitor); ok {
 		c.idx = len(ckt.caps)
 		ckt.caps = append(ckt.caps, c)

@@ -83,6 +83,13 @@ type Bank struct {
 	retired []bool
 
 	violations []Violation
+
+	// slope caches boundSlope for the decay law kind slopeLaw and the VRT
+	// process slopeVRT it was computed under; SetVRT and SetModulator mark
+	// it stale.
+	slope    float64
+	slopeLaw decayLaw
+	slopeVRT *retention.VRT
 }
 
 // NewBank returns a bank with every row fully charged at t = 0.
@@ -153,6 +160,7 @@ func (b *Bank) SetVRT(v *retention.VRT) error {
 		}
 	}
 	b.VRT = v
+	b.slopeLaw = lawStale
 	return nil
 }
 
@@ -166,6 +174,7 @@ func (b *Bank) SetModulator(m Modulator) error {
 		return fmt.Errorf("dram: bank already carries a VRT process; compose it into the scenario")
 	}
 	b.mod = m
+	b.slopeLaw = lawStale
 	return nil
 }
 
@@ -200,6 +209,27 @@ func errBackwards(row int, t, last int64) error {
 // evaluation (a few ulps per segment of a modulated walk).
 const senseSlack = 1e-9
 
+// decayLaw is the kind of a bank's decay model, as the sense bound and the
+// plain sweep distinguish it.
+type decayLaw uint8
+
+const (
+	lawStale  decayLaw = iota // no law: the cached slope must be recomputed
+	lawExp                    // retention.ExpDecay
+	lawLinear                 // retention.LinearDecay
+	lawOther                  // any other DecayModel
+)
+
+func lawOf(d retention.DecayModel) decayLaw {
+	switch d.(type) {
+	case retention.ExpDecay:
+		return lawExp
+	case retention.LinearDecay:
+		return lawLinear
+	}
+	return lawOther
+}
+
 // boundSlope returns the slope s of the bank's linear decay bound: a row
 // holding charge c at its last restore holds at least c*(1 - s*dt/tret) dt
 // seconds later. Under ExpDecay s is ln 2, as 2^-x >= 1 - x*ln 2; under
@@ -208,12 +238,24 @@ const senseSlack = 1e-9
 // retention scale the bank's retention view applies: 1 for a plain bank,
 // the VRT's LowFactor, a modulator's MinScale. Any other decay law, or a
 // modulator without a floor, gets +Inf, which clears no read.
+//
+// The slope is cached: it is recomputed when the Decay field's law kind or
+// the VRT field differs from the ones it was computed under, and after
+// SetVRT or SetModulator.
 func (b *Bank) boundSlope() float64 {
+	if law := lawOf(b.Decay); law != b.slopeLaw || b.VRT != b.slopeVRT {
+		b.slope, b.slopeLaw, b.slopeVRT = b.computeSlope(law), law, b.VRT
+	}
+	return b.slope
+}
+
+// computeSlope is boundSlope's uncached evaluation under the law kind law.
+func (b *Bank) computeSlope(law decayLaw) float64 {
 	var k float64
-	switch b.Decay.(type) {
-	case retention.ExpDecay:
+	switch law {
+	case lawExp:
 		k = math.Ln2
-	case retention.LinearDecay:
+	case lawLinear:
 		k = 1 - retention.SenseLimit
 	default:
 		return math.Inf(1)
@@ -412,11 +454,8 @@ func (b *Bank) SetState(s State) error {
 func (b *Bank) CheckAll(t int64) (int, error) {
 	slope := b.boundSlope()
 	b.retentions()
-	if b.mod == nil && b.VRT == nil {
-		switch b.Decay.(type) {
-		case retention.ExpDecay, retention.LinearDecay:
-			return b.checkAllPlain(slope, t)
-		}
+	if b.mod == nil && b.VRT == nil && b.slopeLaw != lawOther {
+		return b.checkAllPlain(slope, b.slopeLaw == lawExp, t)
 	}
 	bad := 0
 	for r := 0; r < b.Geom.Rows; r++ {
@@ -436,12 +475,8 @@ func (b *Bank) CheckAll(t int64) (int, error) {
 
 // checkAllPlain is CheckAll for the unmodulated decay laws, evaluated
 // columnar: identical arithmetic, violations appended in the same row order.
-func (b *Bank) checkAllPlain(slope float64, t int64) (int, error) {
+func (b *Bank) checkAllPlain(slope float64, exp bool, t int64) (int, error) {
 	tret := b.tret
-	exp := true
-	if _, lin := b.Decay.(retention.LinearDecay); lin {
-		exp = false
-	}
 	bad := 0
 	for r := 0; r < b.Geom.Rows; r++ {
 		if b.retired[r] {
@@ -473,7 +508,7 @@ func decayPlain(exp bool, dt, tret float64) float64 {
 		return 0
 	}
 	if exp {
-		return math.Exp2(-dt / tret)
+		return retention.Exp2(-dt / tret)
 	}
 	f := 1 - (1-retention.SenseLimit)*dt/tret
 	if f < 0 {

@@ -93,3 +93,122 @@ func TestSenseBoundNeedsAKnownView(t *testing.T) {
 		t.Fatal("the bound cleared a read under a modulator without a floor")
 	}
 }
+
+// scaledModulator is a FlooredModulator that scales every row's retention
+// by one constant.
+type scaledModulator struct{ scale float64 }
+
+func (m scaledModulator) DecayFactor(row int, tret, t0, t1 float64, base retention.DecayModel) float64 {
+	return base.Factor(t1-t0, tret*m.scale)
+}
+
+func (m scaledModulator) MinScale() float64 { return m.scale }
+
+// TestSenseBoundFollowsTheView switches one bank's decay law through its
+// Decay field alone, and its retention view through SetVRT or SetModulator
+// alone, between reads, mostly to a view whose bound is steeper than the
+// last one's. Every later Access and the closing CheckAll must decide as a
+// bank built fresh with the current view does, from the same state: a
+// bound still computed for an earlier view would clear reads the current
+// one does not, and miss their violations.
+func TestSenseBoundFollowsTheView(t *testing.T) {
+	vrt := retention.VRT{AffectedFrac: 1, LowFactor: 0.3, MeanDwell: 0.05, Seed: 5}
+	type view struct {
+		name  string
+		decay retention.DecayModel
+		vrt   *retention.VRT
+		mod   Modulator
+		floor float64 // the view's lowest retention scale
+	}
+	views := []view{
+		{"linear", retention.LinearDecay{}, nil, nil, 1},
+		{"exp", retention.ExpDecay{}, nil, nil, 1},                              // the law alone
+		{"exp-mod", retention.ExpDecay{}, nil, scaledModulator{0.8}, 0.8},       // SetModulator alone
+		{"exp-mod-steep", retention.ExpDecay{}, nil, scaledModulator{0.3}, 0.3}, // SetModulator alone
+		{"linear", retention.LinearDecay{}, nil, nil, 1},
+		{"linear-vrt", retention.LinearDecay{}, &vrt, nil, 0.3}, // SetVRT alone
+		{"exp-vrt", retention.ExpDecay{}, &vrt, nil, 0.3},       // the law alone
+		{"other", otherDecay{}, nil, nil, 1},
+		{"exp", retention.ExpDecay{}, nil, nil, 1},
+	}
+	prof := smallProfile(t)
+	b, err := NewBank(prof, views[0].decay, retention.PatternAllZeros)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	var prev view
+	total := 0
+	for _, v := range views {
+		// Switch the live bank with only the calls the change needs.
+		b.Decay = v.decay
+		if prev.vrt != v.vrt {
+			if err := b.SetVRT(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if prev.mod != v.mod {
+			if err := b.SetModulator(v.mod); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if prev.vrt != v.vrt {
+			if err := b.SetVRT(v.vrt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = v
+		fresh, err := NewBank(prof, v.decay, retention.PatternAllZeros)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.SetModulator(v.mod); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.SetVRT(v.vrt); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.SetState(b.State()); err != nil {
+			t.Fatal(err)
+		}
+		before := b.ViolationCount()
+		end := int64(0)
+		for i := 0; i < 2000; i++ {
+			r := rng.Intn(b.Geom.Rows)
+			c := 0.5 + 0.5*rng.Float64()
+			b.charge[r], fresh.charge[r] = c, c
+			at := b.lastT[r] + Ticks(1.5*v.floor*b.tret[r]*rng.Float64())
+			limit := []float64{0, retention.SenseLimit, 0.9}[rng.Intn(3)]
+			c1, low1, err1 := b.Access(r, at, limit)
+			c2, low2, err2 := fresh.Access(r, at, limit)
+			if c1 != c2 || low1 != low2 || err1 != nil || err2 != nil {
+				t.Fatalf("%s: read %d of row %d: (%v, %v, %v), a fresh bank gives (%v, %v, %v)",
+					v.name, i, r, c1, low1, err1, c2, low2, err2)
+			}
+			end = max(end, at)
+		}
+		for r := range b.charge {
+			c := 0.5 + 0.5*rng.Float64()
+			b.charge[r], fresh.charge[r] = c, c
+		}
+		end += Ticks(0.05)
+		n1, err1 := b.CheckAll(end)
+		n2, err2 := fresh.CheckAll(end)
+		if n1 != n2 || err1 != nil || err2 != nil {
+			t.Fatalf("%s: CheckAll gives %d (%v), a fresh bank %d (%v)", v.name, n1, err1, n2, err2)
+		}
+		got, want := b.Violations(), fresh.Violations()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d violations, a fresh bank records %d", v.name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: violation %d is %+v, a fresh bank records %+v", v.name, i, got[i], want[i])
+			}
+		}
+		total += len(got) - before
+	}
+	if total == 0 {
+		t.Fatal("no read violated: the test does not reach the bound's edge")
+	}
+}

@@ -140,6 +140,10 @@ type engine struct {
 	hedged   []bool      // a hedge was launched for the current run
 	readyAt  []time.Time // backoff gate
 	open     int         // shards not yet terminal
+	// wake is closed, and replaced, whenever an attempt settles: the one
+	// change a parked claim cannot foresee. Backoff gates and hedge ages
+	// it can, and it sets a timer for them.
+	wake chan struct{}
 
 	launched int64 // attempts handed to executors, hedges included
 	retried  int64 // non-hedge launches beyond a shard's first
@@ -173,7 +177,7 @@ func Run(ctx context.Context, spec Spec, execs []Executor, opts Options) (*Repor
 
 func runWithManifest(ctx context.Context, man *Manifest, execs []Executor, opts Options) (*Report, error) {
 	spec := man.Spec()
-	e := &engine{ctx: ctx, opts: opts, man: man, shards: spec.Shards()}
+	e := &engine{ctx: ctx, opts: opts, man: man, shards: spec.Shards(), wake: make(chan struct{})}
 	n := len(e.shards)
 	e.state = make([]ShardState, n)
 	e.attempts = make([]int, n)
@@ -234,8 +238,10 @@ func (e *engine) worker(ex Executor) {
 
 // claim picks the next attempt for this worker: the lowest-index shard past
 // its backoff gate, or - with every real attempt either running or gated - a
-// hedge against the longest-running straggler. It blocks (polling) until
-// work exists, the campaign finishes, or the context dies.
+// hedge against the longest-running straggler. Until work exists, the
+// campaign finishes, or the context dies, it parks: on the wake channel,
+// which every settle closes, and on a timer only when a backoff gate opens
+// or a running attempt becomes old enough to hedge.
 func (e *engine) claim() (idx, attempt int, hedge, ok bool) {
 	for {
 		e.mu.Lock()
@@ -244,15 +250,18 @@ func (e *engine) claim() (idx, attempt int, hedge, ok bool) {
 			return 0, 0, false, false
 		}
 		now := time.Now()
-		wait := 25 * time.Millisecond
+		var wakeAt time.Time // the earliest foreseeable change; zero: none
+		later := func(at time.Time) {
+			if wakeAt.IsZero() || at.Before(wakeAt) {
+				wakeAt = at
+			}
+		}
 		for i := range e.shards {
 			if e.state[i] != ShardPlanned && e.state[i] != ShardRetrying {
 				continue
 			}
 			if now.Before(e.readyAt[i]) {
-				if d := e.readyAt[i].Sub(now); d < wait {
-					wait = d
-				}
+				later(e.readyAt[i])
 				continue
 			}
 			e.state[i] = ShardRunning
@@ -279,6 +288,8 @@ func (e *engine) claim() (idx, attempt int, hedge, ok bool) {
 				}
 				if age := now.Sub(e.started[i]); age >= bestAge {
 					best, bestAge = i, age
+				} else {
+					later(e.started[i].Add(e.opts.HedgeAfter))
 				}
 			}
 			if best >= 0 {
@@ -292,12 +303,21 @@ func (e *engine) claim() (idx, attempt int, hedge, ok bool) {
 				return best, a, true, true
 			}
 		}
+		wake := e.wake
 		e.mu.Unlock()
-		t := time.NewTimer(wait)
+		var t *time.Timer
+		var timer <-chan time.Time
+		if !wakeAt.IsZero() {
+			t = time.NewTimer(wakeAt.Sub(now))
+			timer = t.C
+		}
 		select {
 		case <-e.ctx.Done():
+		case <-wake:
+		case <-timer:
+		}
+		if t != nil {
 			t.Stop()
-		case <-t.C:
 		}
 	}
 }
@@ -335,6 +355,11 @@ func (e *engine) runAttempt(ex Executor, idx, attempt int, hedge bool) {
 // changes nothing.
 func (e *engine) settle(ex Executor, idx int, res ShardResult, err error) {
 	e.mu.Lock()
+	// Whatever the outcome, wake the parked workers to claim again: a
+	// terminal shard may end the campaign, a failed one sets a backoff
+	// gate.
+	close(e.wake)
+	e.wake = make(chan struct{})
 	e.inflight[idx]--
 	if err == nil {
 		if e.state[idx] == ShardDone || e.state[idx] == ShardQuarantined {

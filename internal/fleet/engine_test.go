@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -367,5 +368,125 @@ func TestEngineMultipleExecutors(t *testing.T) {
 	}
 	if string(rep.Sum.Encode()) != string(wantSum(spec, nil)) {
 		t.Fatal("summary across two executors diverges")
+	}
+}
+
+// oneShardSpec is testFleetSpec as a single shard.
+func oneShardSpec() Spec {
+	spec := testFleetSpec()
+	spec.ShardSize = spec.Devices
+	return spec
+}
+
+// TestEngineReturnsOnSettle: with one shard on two slots, the idle slot's
+// worker is parked while the shard runs, and the campaign must end as soon
+// as the shard settles instead of when that worker next looks. Judged by
+// the median of 20 campaigns, so one slow scheduling does not fail it.
+func TestEngineReturnsOnSettle(t *testing.T) {
+	spec := oneShardSpec()
+	var tails []time.Duration
+	for i := 0; i < 20; i++ {
+		var settled time.Time
+		ex := newFakeExec("a", 2, nil)
+		ex.run = func(ShardSpec, int) error {
+			time.Sleep(2 * time.Millisecond) // let the other worker park
+			settled = time.Now()
+			return nil
+		}
+		rep, err := Run(context.Background(), spec, []Executor{ex}, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tails = append(tails, time.Since(settled))
+		if !rep.Complete() {
+			t.Fatal("one-shard campaign incomplete")
+		}
+	}
+	slices.Sort(tails)
+	if med := tails[len(tails)/2]; med > 5*time.Millisecond {
+		t.Fatalf("median return %v after the last settle, want <= 5ms (all: %v)", med, tails)
+	}
+}
+
+// TestEngineBackoffGateHolds: a failed shard's retry must wait out its
+// jittered backoff even though the failure wakes every parked worker.
+func TestEngineBackoffGateHolds(t *testing.T) {
+	spec := oneShardSpec()
+	opts := fastOpts()
+	opts.BaseBackoff = 40 * time.Millisecond
+	opts.MaxBackoff = 40 * time.Millisecond
+	var failedAt, retriedAt time.Time
+	ex := newFakeExec("a", 2, func(ss ShardSpec, call int) error {
+		if call == 1 {
+			failedAt = time.Now()
+			return errors.New("transient")
+		}
+		retriedAt = time.Now()
+		return nil
+	})
+	rep, err := Run(context.Background(), spec, []Executor{ex}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Complete() || ex.callCount(0) != 2 {
+		t.Fatalf("campaign complete %v after %d calls, want complete after 2", rep.Complete(), ex.callCount(0))
+	}
+	if gap, want := retriedAt.Sub(failedAt), opts.withDefaults().backoff(0, 1); gap < want {
+		t.Fatalf("retry ran %v after the failure, before its %v backoff", gap, want)
+	}
+}
+
+// TestEngineCancelReturnsPromptly cancels a campaign while one slot runs a
+// shard and the other is parked on a 10 s backoff gate: Run must return at
+// once, the interrupted shard parked uncharged and the failed one keeping
+// the attempt it spent.
+func TestEngineCancelReturnsPromptly(t *testing.T) {
+	spec := testFleetSpec()
+	spec.ShardSize = spec.Devices / 2
+	path := filepath.Join(t.TempDir(), "fleet.manifest")
+	opts := fastOpts()
+	opts.ManifestPath = path
+	opts.BaseBackoff = 10 * time.Second
+	opts.MaxBackoff = 10 * time.Second
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	running := make(chan struct{})
+	ex := newFakeExec("a", 2, nil)
+	ex.run = func(ss ShardSpec, call int) error {
+		if ss.Index == 0 {
+			return errors.New("transient")
+		}
+		close(running)
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	var cancelled time.Time
+	go func() {
+		select {
+		case <-running:
+		case <-ctx.Done():
+			return
+		}
+		time.Sleep(5 * time.Millisecond) // let shard 0's failure settle
+		cancelled = time.Now()
+		cancel()
+	}()
+	_, err := Run(ctx, spec, []Executor{ex}, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+	}
+	if d := time.Since(cancelled); d > time.Second {
+		t.Fatalf("cancelled campaign returned %v after the cancel", d)
+	}
+	man, err := NewManifest(spec, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := man.Snapshot()
+	if s := snap[1]; s.State != ShardPlanned || s.Attempts != 0 {
+		t.Fatalf("interrupted shard resumes %s with %d attempts, want planned with 0", s.State, s.Attempts)
+	}
+	if s := snap[0]; s.State != ShardRetrying || s.Attempts != 1 {
+		t.Fatalf("failed shard resumes %s with %d attempts, want retrying with 1", s.State, s.Attempts)
 	}
 }

@@ -31,7 +31,7 @@ func (ExpDecay) Factor(dt, tret float64) float64 {
 	if tret <= 0 {
 		return 0
 	}
-	return math.Exp2(-dt / tret)
+	return Exp2(-dt / tret)
 }
 
 // Name implements DecayModel.
@@ -87,7 +87,7 @@ func (w *DecayWalk) Factor() float64 {
 	if w.base != nil {
 		return w.acc
 	}
-	return math.Exp2(-w.acc)
+	return Exp2(-w.acc)
 }
 
 // LinearDecay is the ablation alternative: charge decays linearly,

@@ -66,6 +66,9 @@ const maxFramePayload = 1 << 24
 // frameHeaderLen is type (1) + payload length (4).
 const frameHeaderLen = 5
 
+// frameChunk is the first allocation for a frame body (see ReadFrame).
+const frameChunk = 64 << 10
+
 // AppendFrame appends one encoded frame to dst: type, little-endian payload
 // length, payload, and an IEEE CRC-32 over everything before it.
 func AppendFrame(dst []byte, typ byte, payload []byte) ([]byte, error) {
@@ -109,12 +112,23 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if plen > maxFramePayload {
 		return 0, nil, &ProtocolError{Msg: fmt.Sprintf("frame payload %d bytes exceeds limit %d", plen, maxFramePayload)}
 	}
-	body := make([]byte, int(plen)+4)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // header arrived, body did not: a cut, not a clean close
+	// The body buffer starts at frameChunk and doubles as bytes arrive, so
+	// memory tracks what the peer sent, not what its header claims.
+	n := int(plen) + 4
+	body := make([]byte, min(n, frameChunk))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, body[got:])
+		got += m
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // header arrived, body did not: a cut, not a clean close
+			}
+			return 0, nil, err
 		}
-		return 0, nil, err
+		if got == n {
+			break
+		}
+		body = append(body, make([]byte, min(n-got, got))...)
 	}
 	crc := crc32.ChecksumIEEE(hdr[:])
 	crc = crc32.Update(crc, crc32.IEEETable, body[:plen])

@@ -4,19 +4,31 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
+
 	"vrldram/internal/core"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
+	// The sizes around frameChunk put the CRC on either side of the body
+	// buffer's first growth; HalfReader makes the body arrive in pieces.
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 4096)}
+	for _, n := range []int{frameChunk - 4, frameChunk - 3, frameChunk, 3*frameChunk + 1} {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(i * 7)
+		}
+		payloads = append(payloads, p)
+	}
 	for _, p := range payloads {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, FrameTrace, p); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}
-		typ, got, err := ReadFrame(&buf)
+		typ, got, err := ReadFrame(iotest.HalfReader(&buf))
 		if err != nil {
 			t.Fatalf("ReadFrame: %v", err)
 		}
@@ -65,6 +77,23 @@ func TestFrameOversizedLengthRejected(t *testing.T) {
 	var pe *ProtocolError
 	if _, _, err := ReadFrame(bytes.NewReader(raw)); !errors.As(err, &pe) {
 		t.Fatalf("oversized length: got %v, want a ProtocolError before any allocation", err)
+	}
+}
+
+// TestFrameHeaderAloneAllocatesLittle: a header declaring a 16 MiB payload
+// followed by the end of the stream must not make ReadFrame allocate the
+// declared size before any body byte arrives.
+func TestFrameHeaderAloneAllocatesLittle(t *testing.T) {
+	hdr := []byte{FrameTrace, 0xFF, 0xFF, 0xFF, 0x00}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header then EOF: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("header then EOF allocated %d bytes, want under 1 MiB", got)
 	}
 }
 

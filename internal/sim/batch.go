@@ -276,13 +276,33 @@ func (bq *batchQueue) argmin() (int, event) {
 // pop removes and returns the earliest event. The queue must be non-empty.
 func (bq *batchQueue) pop() event {
 	li, e := bq.argmin()
+	bq.take(li)
+	return e
+}
+
+// popBefore removes and returns the earliest event when its tick is below
+// h; otherwise, an empty queue included, it reports false and leaves the
+// queue unchanged. One argmin serves both the test and the removal.
+func (bq *batchQueue) popBefore(h int64) (event, bool) {
+	if bq.count == 0 {
+		return event{}, false
+	}
+	li, e := bq.argmin()
+	if e.T >= h {
+		return event{}, false
+	}
+	bq.take(li)
+	return e, true
+}
+
+// take consumes the head of lane li (-1: the mixed lane).
+func (bq *batchQueue) take(li int) {
 	if li == -1 {
 		bq.mixedHead++
 	} else {
 		bq.lanes[li].Head++
 	}
 	bq.count--
-	return e
 }
 
 // pendingSorted returns the outstanding events in canonical (time, row)

@@ -486,9 +486,9 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	rows := bank.Geom.Rows
 	// Backend split: both runners share the prologue, drains, checkpointing,
 	// the per-event step and the epilogue through the refreshQueue
-	// interface; only the loop differs. BackendAuto is the lane runner - it
-	// is bit-identical to the scalar reference, so there is nothing to trade
-	// away.
+	// interface; only the queue and, for runs fast-forward can take, the
+	// loop differ. BackendAuto is the lane runner - it is bit-identical to
+	// the scalar reference, so there is nothing to trade away.
 	auto := opts.Backend == BackendAuto
 	var q refreshQueue
 	if auto {
@@ -623,6 +623,16 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		}
 	}
 
+	// scrubDue returns the scrubber's next patrol deadline in ticks. Each
+	// deadline is rounded once, when it first appears, however many events
+	// look at it before it falls due.
+	dueS, dueT := math.NaN(), int64(0)
+	scrubDue := func() int64 {
+		if s := opts.Scrub.NextDue(); s != dueS {
+			dueS, dueT = s, dram.Ticks(s)
+		}
+		return dueT
+	}
 	// drainScrub runs every patrol tick due at or before until, interleaved
 	// with the trace so accesses and patrol reads stay in time order. It runs
 	// BEFORE drainTrace(until) at each event, which keeps the invariant that a
@@ -630,8 +640,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	var drainTrace func(until int64) error
 	drainScrub := func(until int64) error {
 		for opts.Scrub != nil {
-			dueS := opts.Scrub.NextDue()
-			due := dram.Ticks(dueS)
+			due := scrubDue()
 			if due > until || due >= durT {
 				return nil
 			}
@@ -796,6 +805,10 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	// scheduler must expose both its stability horizon and its decision
 	// columns. Per-window caps (trace, scrub, checkpoints, scenario change-
 	// points) are then handled by the horizon computation inside the loop.
+	// A run that is not eligible - the scalar backend, or an auto run with
+	// ECC, a sense monitor such as the guard, a non-streamable bank or a
+	// scheduler or modulator that is not steady - runs the reference
+	// per-event loop, over the lane queue on the auto backend.
 	ffEligible := auto && opts.ECC == nil && !hasMonitor && bank.Streamable()
 	var (
 		ffSteady core.SteadyScheduler
@@ -832,8 +845,11 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 	}
 
 	bq := &scratch.batch
+	done := ctx.Done()
 	for q.size() > 0 {
-		if err := ctx.Err(); err != nil {
+		select {
+		case <-done:
+			err := ctx.Err()
 			// A final snapshot lets the caller persist the state the run
 			// stopped in, so an interrupted run resumes instead of restarts.
 			if opts.CheckpointSink != nil {
@@ -848,6 +864,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			}
 			finalize(now)
 			return st, fmt.Errorf("sim: cancelled at t=%.6g: %w", dram.Seconds(now), err)
+		default:
 		}
 		for opts.CheckpointSink != nil && nextCP < durT && q.peekTime() >= nextCP {
 			cp, err := capture(nextCP)
@@ -861,7 +878,10 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			cpK++
 			nextCP = cpTick(cpK)
 		}
-		if !auto {
+		if !ffEligible {
+			// The reference per-event loop: the scalar backend's, and the
+			// auto backend's whenever fast-forward is statically off, where
+			// windows would only add bookkeeping around the same steps.
 			ev := q.pop()
 			if ev.T >= durT {
 				// The queue minimum is past the run window, so every
@@ -884,8 +904,8 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			continue
 		}
 
-		// Auto: fast-forward the window when the kernel can take it, else
-		// run it event by event up to the nearest non-refresh boundary. The
+		// Fast-forward the window when the kernel can take it, else run it
+		// event by event up to the nearest non-refresh boundary. The
 		// window's horizon is capped below every boundary where non-refresh
 		// activity (a checkpoint, a patrol tick, a trace record) could
 		// interleave, so those drains run only between windows.
@@ -903,92 +923,90 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			finalize(tFirst)
 			return st, err
 		}
-		if ffEligible {
-			// Compose the quiescence horizon: nothing non-refresh may be able
-			// to fire strictly below it. Sources that do not apply contribute
-			// never; the scheduler contributes its own stability bound.
-			cpCap, scrubDue, traceNext := never, never, never
-			if opts.CheckpointSink != nil {
-				cpCap = nextCP
+		// Compose the quiescence horizon: nothing non-refresh may be able
+		// to fire strictly below it. Sources that do not apply contribute
+		// never; the scheduler contributes its own stability bound.
+		cpCap, scrubCap, traceNext := never, never, never
+		if opts.CheckpointSink != nil {
+			cpCap = nextCP
+		}
+		if opts.Scrub != nil {
+			scrubCap = scrubDue()
+		}
+		if havePending {
+			traceNext = nextT
+		}
+		hf := ffHorizon(durT, cpCap, scrubCap, traceNext, dram.Ticks(ffSteady.StablePeriodUntil(-1, dram.Seconds(tFirst))))
+		// Seeds and resumed events enter through the mixed intake, where
+		// no lane shows their periods; moving them into their period
+		// lanes first lets the very first window fast-forward.
+		bq.adoptMixed(ffCfg.Period, ffCfg.Periods)
+		// Engagement gate, purely a cost heuristic (any choice keeps the
+		// output bit-identical): the kernel pays a full scan of every
+		// lane row per window, so a window too short for even one lap of
+		// the densest lane - the norm on trace-dense runs, where the next
+		// record caps the horizon microseconds away - must go straight to
+		// the per-event path instead of thrashing that scan per record.
+		minLap := ffMinLap(bq.lanes)
+		if ffMod != nil && hf-tFirst >= minLap {
+			// The scenario must be exactly nominal over every decay
+			// interval the window can evaluate, which reach back to the
+			// oldest last-restore time, not just to tFirst. Its cap can
+			// only lower hf, so a window the gate already refuses skips
+			// the row scan behind MinLastRestore.
+			if u := dram.Ticks(ffMod.NominalUntil(dram.Seconds(bank.MinLastRestore()))); u < hf {
+				hf = u
 			}
-			if opts.Scrub != nil {
-				scrubDue = dram.Ticks(opts.Scrub.NextDue())
+		}
+		if ffMod == nil && hf-tFirst >= minLap {
+			// Periodic skip: a chain of kernel windows that reached its
+			// hyperperiod boundary with nothing external due may jump
+			// whole repeated hyperperiods (skip.go).
+			if k := sk.arrive(tFirst, hf, bank, bq, &ffCfg, &st, busyUntil()); k > 0 {
+				d := k * sk.h
+				bank.Advance(d)
+				bq.advance(d)
+				busyAt += d
+				now += d
+				scratch.ffSkips += k
+				continue // the jump may have reached a checkpoint or the run's end
 			}
-			if havePending {
-				traceNext = nextT
+		}
+		if hf-tFirst >= minLap && bq.mixedQuietBelow(hf) {
+			hw, capped := hf, false
+			if ffMod == nil {
+				hw, capped = sk.plan(tFirst, hf, &ffCfg, rows)
 			}
-			hf := ffHorizon(durT, cpCap, scrubDue, traceNext, dram.Ticks(ffSteady.StablePeriodUntil(-1, dram.Seconds(tFirst))))
-			// Seeds and resumed events enter through the mixed intake, where
-			// no lane shows their periods; moving them into their period
-			// lanes first lets the very first window fast-forward.
-			bq.adoptMixed(ffCfg.Period, ffCfg.Periods)
-			// Engagement gate, purely a cost heuristic (any choice keeps the
-			// output bit-identical): the kernel pays a full scan of every
-			// lane row per window, so a window too short for even one lap of
-			// the densest lane - the norm on trace-dense runs, where the next
-			// record caps the horizon microseconds away - must go straight to
-			// the per-event path instead of thrashing that scan per record.
-			minLap := ffMinLap(bq.lanes)
-			if ffMod != nil && hf-tFirst >= minLap {
-				// The scenario must be exactly nominal over every decay
-				// interval the window can evaluate, which reach back to the
-				// oldest last-restore time, not just to tFirst. Its cap can
-				// only lower hf, so a window the gate already refuses skips
-				// the row scan behind MinLastRestore.
-				if u := dram.Ticks(ffMod.NominalUntil(dram.Seconds(bank.MinLastRestore()))); u < hf {
-					hf = u
-				}
+			res, err := bank.RefreshMacro(&scratch.ffScratch, bq.lanes, hw, &ffCfg)
+			if err != nil {
+				finalize(now)
+				return st, err
 			}
-			if ffMod == nil && hf-tFirst >= minLap {
-				// Periodic skip: a chain of kernel windows that reached its
-				// hyperperiod boundary with nothing external due may jump
-				// whole repeated hyperperiods (skip.go).
-				if k := sk.arrive(tFirst, hf, bank, bq, &ffCfg, &st, busyUntil()); k > 0 {
-					d := k * sk.h
-					bank.Advance(d)
-					bq.advance(d)
-					busyAt += d
-					now += d
-					scratch.ffSkips += k
-					continue // the jump may have reached a checkpoint or the run's end
-				}
+			if res.Events > 0 {
+				// The kernel replayed res.Events iterations of the
+				// refresh pipeline; fold its accounting into Stats
+				// exactly as the per-event tail would have. Every
+				// accumulator is an integer sum, so the bulk sums are
+				// exact.
+				st.FullRefreshes += res.Fulls
+				st.PartialRefreshes += res.Partials
+				st.BusyCycles += res.Fulls*int64(ffCfg.CyclesFull) + res.Partials*int64(ffCfg.CyclesPartial)
+				st.ChargeRestored = st.ChargeRestored.Plus(res.ChargeRestored)
+				busyAt, busyCycles = res.LastTime, res.LastCycles
+				now = res.LastTime
+				scratch.ffWindows++
+				sk.armed = capped
+				continue
 			}
-			if hf-tFirst >= minLap && bq.mixedQuietBelow(hf) {
-				hw, capped := hf, false
-				if ffMod == nil {
-					hw, capped = sk.plan(tFirst, hf, &ffCfg, rows)
-				}
-				res, err := bank.RefreshMacro(&scratch.ffScratch, bq.lanes, hw, &ffCfg)
-				if err != nil {
-					finalize(now)
-					return st, err
-				}
-				if res.Events > 0 {
-					// The kernel replayed res.Events iterations of the
-					// refresh pipeline; fold its accounting into Stats
-					// exactly as the per-event tail would have. Every
-					// accumulator is an integer sum, so the bulk sums are
-					// exact.
-					st.FullRefreshes += res.Fulls
-					st.PartialRefreshes += res.Partials
-					st.BusyCycles += res.Fulls*int64(ffCfg.CyclesFull) + res.Partials*int64(ffCfg.CyclesPartial)
-					st.ChargeRestored = st.ChargeRestored.Plus(res.ChargeRestored)
-					busyAt, busyCycles = res.LastTime, res.LastCycles
-					now = res.LastTime
-					scratch.ffWindows++
-					sk.armed = capped
-					continue
-				}
-				if res.Bailed {
-					scratch.ffBails++
-				}
-				// No events: either the kernel refused a lane shape outside
-				// its verified structure (Bailed, with bank and lanes
-				// untouched) or the lanes held nothing below hw after all.
-				// Either way the per-event path below takes this window and
-				// guarantees progress; a single step here would re-attempt
-				// the kernel once per event.
+			if res.Bailed {
+				scratch.ffBails++
 			}
+			// No events: either the kernel refused a lane shape outside
+			// its verified structure (Bailed, with bank and lanes
+			// untouched) or the lanes held nothing below hw after all.
+			// Either way the per-event path below takes this window and
+			// guarantees progress; a single step here would re-attempt
+			// the kernel once per event.
 		}
 		// Any window the kernel does not take breaks the skip's chain.
 		sk.reset()
@@ -1000,7 +1018,7 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 			h = nextCP
 		}
 		if opts.Scrub != nil {
-			if due := dram.Ticks(opts.Scrub.NextDue()); due < h {
+			if due := scrubDue(); due < h {
 				h = due
 			}
 		}
@@ -1011,8 +1029,11 @@ func runContext(ctx context.Context, bank *dram.Bank, sched core.Scheduler, src 
 		// consumed anything due at tFirst), so the window makes progress.
 		// Re-pushes of rows whose period is shorter than the window land
 		// back inside it and pop in their (time, row) turn.
-		for q.peekTime() < h {
-			ev := q.pop()
+		for {
+			ev, ok := bq.popBefore(h)
+			if !ok {
+				break
+			}
 			now = ev.T
 			if err := processEvent(ev); err != nil {
 				finalize(ev.T)
